@@ -12,6 +12,7 @@ so a binding stays portable and independent of member identities.
 from __future__ import annotations
 
 import hashlib
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -204,26 +205,23 @@ def plan_placement_moves(
     host id. Counts update after each planned move so a single plan
     spreads load deterministically.
     """
-    candidates = sorted(
-        h for h in hosts.host_ids()
-        if h != from_host and h not in exclude_hosts and hosts.host_is_up(h)
-    )
-    if not candidates:
+    if not graph.count_on(from_host):
         return []
-    counts = {h: 0 for h in candidates}
-    for comp in graph.components.values():
-        if comp.host in counts:
-            counts[comp.host] += 1
+    levels = {
+        h: hosts.resource_level(h) for h in hosts.host_ids()
+        if h != from_host and h not in exclude_hosts and hosts.host_is_up(h)
+    }
+    counts = {h: graph.count_on(h) for h in levels}
+    heap = [(-(levels[h] - weight * counts[h]), h) for h in levels]
+    if not heap:
+        return []
+    heapq.heapify(heap)
     moves = []
     for cid in graph.components_on(from_host):
-        target = None
-        target_free = 0.0
-        for h in candidates:
-            free = hosts.resource_level(h) - weight * counts[h]
-            if target is None or free > target_free:
-                target, target_free = h, free
+        _, target = heapq.heappop(heap)
         moves.append(MoveComponent(cid, target))
         counts[target] += 1
+        heapq.heappush(heap, (-(levels[target] - weight * counts[target]), target))
     return moves
 
 
@@ -243,16 +241,10 @@ class StageContext:
         self.strategy = binding.logic.strategy if binding.logic else None
         self.state = binding.stage_state
 
-    def member_entries(self):
-        return self.engine.registry.enumerate(self.domain, EnumerateMode.INDIRECT)
-
     def member_path_of(self, oid: Optional[ObjectId]) -> Optional[str]:
         if oid is None:
             return None
-        for rel, member in self.member_entries():
-            if member == oid:
-                return rel
-        return None
+        return self.engine.registry.member_path(self.domain, oid)
 
     def note_reference(self, rel_path: str) -> None:
         self.binding.referenced_paths[rel_path] = self.now
@@ -291,8 +283,25 @@ def _audit_pass_through(ctx, events):
 
 
 def _audit_drop_stale_sources(ctx, events):
-    members = {member for _, member in ctx.member_entries()}
-    return [e for e in events if e.source in members]
+    return [e for e in events if ctx.member_path_of(e.source) is not None]
+
+
+def _evacuation(ctx, host: str, prefix: str) -> Optional[tuple[str, ReconfigTxn]]:
+    """The host's relative path and a transaction moving every component
+    off it, or None when the host is not a member or there is nothing to
+    move. Shared by the analyzers that heal or evacuate a host."""
+    rel = ctx.member_path_of(ctx.host_object(host))
+    if rel is None:
+        return None
+    ctx.note_reference(rel)
+    graph = ctx.graph()
+    if graph is None or ctx.hosts() is None:
+        return None
+    weight = float(ctx.params.get("placement_weight", 1.0))
+    moves = plan_placement_moves(graph, ctx.hosts(), host, weight)
+    if not moves:
+        return None
+    return rel, ReconfigTxn(ctx.next_txn_id(prefix), tuple(moves))
 
 
 def _analyze_threshold(ctx, events):
@@ -322,18 +331,10 @@ def _analyze_threshold(ctx, events):
     targets: tuple[str, ...] = ()
     if plan == "evacuate_host":
         host = str(latest.payload.get(str(ctx.params.get("host_field", "host")), ""))
-        rel = ctx.member_path_of(ctx.host_object(host))
-        if rel is None:
+        planned = _evacuation(ctx, host, "evac")
+        if planned is None:
             return None
-        ctx.note_reference(rel)
-        graph = ctx.graph()
-        if graph is None or ctx.hosts() is None:
-            return None
-        weight = float(ctx.params.get("placement_weight", 1.0))
-        moves = plan_placement_moves(graph, ctx.hosts(), host, weight)
-        if not moves:
-            return None
-        txn = ReconfigTxn(ctx.next_txn_id("evac"), tuple(moves))
+        rel, txn = planned
         actions = (GraphEditAction(txn),)
         targets = (rel,)
     return Decision(
@@ -370,24 +371,16 @@ def _analyze_failure_count(ctx, events):
         return None
     host, event = fired
     times[host] = []
-    rel = ctx.member_path_of(ctx.host_object(host))
-    if rel is None:
+    planned = _evacuation(ctx, host, "heal")
+    if planned is None:
         return None
-    ctx.note_reference(rel)
-    graph = ctx.graph()
-    if graph is None or ctx.hosts() is None:
-        return None
-    weight = float(ctx.params.get("placement_weight", 1.0))
-    moves = plan_placement_moves(graph, ctx.hosts(), host, weight)
-    if not moves:
-        return None
-    txn = ReconfigTxn(ctx.next_txn_id("heal"), tuple(moves))
+    rel, txn = planned
     return Decision(
         ctx.domain,
         cause=(event.event_id,),
         proposed_actions=(GraphEditAction(txn),),
         target_paths=(rel,),
-        detail=f"restart {len(moves)} components off {host}",
+        detail=f"restart {len(txn.edits)} components off {host}",
     )
 
 
@@ -519,7 +512,6 @@ class _Binding:
     policy: Policy = field(default_factory=Policy)
     stage_state: dict = field(default_factory=dict)
     accumulated: list[AdaptationEvent] = field(default_factory=list)
-    recorded: list[AdaptationEvent] = field(default_factory=list)
     referenced_paths: dict[str, int] = field(default_factory=dict)
     last_executed: dict[str, int] = field(default_factory=dict)
     executions: list[int] = field(default_factory=list)
@@ -549,7 +541,7 @@ class AdaptationEngine:
     def _record_only(self, time: int, action: ActuatorAction, domain: ObjectId) -> None:
         self.trace.record(
             time, "action",
-            domain=domain, sig=action_signature(action).replace(" ", "_"),
+            domain=domain, sig=action_signature(action),
         )
 
     def _next_txn_id(self, prefix: str) -> str:
@@ -643,9 +635,8 @@ class AdaptationEngine:
         return results
 
     def _deliver(self, domain: ObjectId, event: AdaptationEvent) -> Optional[Decision]:
-        binding = self._bindings.setdefault(domain, _Binding())
-        binding.recorded.append(event)
-        if binding.logic is None:
+        binding = self._bindings.get(domain)
+        if binding is None or binding.logic is None:
             return None
         if isinstance(binding.logic.strategy, Retroactive):
             binding.accumulated.append(event)
@@ -671,10 +662,6 @@ class AdaptationEngine:
         )
         for parent in parents:
             self._deliver(parent, escalated)
-
-    def recorded_events(self, domain: ObjectId) -> list[AdaptationEvent]:
-        binding = self._bindings.get(domain)
-        return list(binding.recorded) if binding else []
 
     # --- pipeline ---
 
@@ -768,7 +755,7 @@ class AdaptationEngine:
             actions=len(decision.proposed_actions),
             ok=decision.consistency_ok,
             status=status,
-            detail=decision.detail.replace(" ", "_") or "-",
+            detail=decision.detail or "-",
         )
 
     def _check_consistency(self, domain: ObjectId, decision: Decision) -> tuple[bool, str]:
@@ -870,7 +857,7 @@ class AdaptationEngine:
                 domain=domain,
                 finding=finding.kind,
                 subject=finding.subject,
-                detail=finding.detail.replace(" ", "_") or "-",
+                detail=finding.detail or "-",
             )
         return findings
 

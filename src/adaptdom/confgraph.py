@@ -6,11 +6,20 @@ executed under blocking. The block set is the delta's components plus
 the in-neighbors (initiators) of anything removed, replaced, or moved.
 Admission is serialized; transactions whose block sets are disjoint from
 everything in flight run concurrently, everything else queues FIFO.
+
+A graph indexes its components by host and its connections by source
+and by destination. `prepare` applies a transaction's edits to an
+overlay over the graph, without copying it, and checks only the
+components and ports the edits touch, plus any violation the graph
+already had. So preparing, validating and committing a transaction cost
+what it touches, not the size of the graph. Commits write into the live
+graph in place through the one function that changes the indexes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional, Protocol
 
@@ -43,24 +52,56 @@ class Connection:
         return f"{self.src} {self.src_port} -> {self.dst} {self.dst_port}"
 
 
-@dataclass
 class ConfigGraph:
-    """The runtime meta-model of components and their connections."""
+    """The runtime meta-model of components and their connections.
 
-    components: dict[str, Component] = field(default_factory=dict)
-    connections: set[Connection] = field(default_factory=set)
+    `components` and `connections` are for reading. Edits go through
+    `apply_in_place` and state changes through `set_state`, so the
+    indexes built here stay exact.
+    """
+
+    def __init__(self, components: Optional[dict[str, Component]] = None,
+                 connections: Optional[set[Connection]] = None):
+        self.components: dict[str, Component] = {} if components is None else components
+        self.connections: set[Connection] = set() if connections is None else connections
+        self._by_host: dict[str, set[str]] = {}
+        self._in: dict[str, set[Connection]] = {}
+        self._out: dict[str, set[Connection]] = {}
+        for cid, comp in self.components.items():
+            self._by_host.setdefault(comp.host, set()).add(cid)
+        for conn in self.connections:
+            self._in.setdefault(conn.dst, set()).add(conn)
+            self._out.setdefault(conn.src, set()).add(conn)
+        # Connections already in violation: dangling, or sharing a source
+        # port with another. A graph built from a document or a test may
+        # carry them; `prepare` re-checks them on every transaction.
+        noted = {
+            conn for conn in self.connections
+            if conn.src not in self.components or conn.dst not in self.components
+        }
+        for outs in self._out.values():
+            if len(outs) > 1:
+                ports = Counter(c.src_port for c in outs)
+                noted.update(c for c in outs if ports[c.src_port] > 1)
+        self._noted: frozenset[Connection] = frozenset(noted)
 
     def copy(self) -> "ConfigGraph":
         return ConfigGraph(dict(self.components), set(self.connections))
 
+    def set_state(self, cid: str, state: ComponentState) -> None:
+        self.components[cid] = replace(self.components[cid], state=state)
+
     def in_neighbors(self, cid: str) -> set[str]:
-        return {c.src for c in self.connections if c.dst == cid}
+        return {c.src for c in self._in.get(cid, ())}
 
     def incident(self, cid: str) -> set[Connection]:
-        return {c for c in self.connections if cid in (c.src, c.dst)}
+        return self._in.get(cid, set()) | self._out.get(cid, set())
 
     def components_on(self, host: str) -> list[str]:
-        return sorted(c for c, comp in self.components.items() if comp.host == host)
+        return sorted(self._by_host.get(host, ()))
+
+    def count_on(self, host: str) -> int:
+        return len(self._by_host.get(host, ()))
 
     def canonical_lines(self) -> list[str]:
         lines = [
@@ -74,18 +115,8 @@ class ConfigGraph:
         return lines
 
     def structural_violations(self) -> list["Violation"]:
-        """Invariant check usable on any graph value."""
-        out: list[Violation] = []
-        for conn in sorted(self.connections, key=lambda c: c.render()):
-            if conn.src not in self.components or conn.dst not in self.components:
-                out.append(Violation("DanglingConnection", conn.render()))
-        seen_ports: set[tuple[str, str]] = set()
-        for conn in sorted(self.connections, key=lambda c: c.render()):
-            key = (conn.src, conn.src_port)
-            if key in seen_ports:
-                out.append(Violation("PortConflict", conn.render()))
-            seen_ports.add(key)
-        return out
+        """Dangling connections, then port conflicts, each in render order."""
+        return list(prepare(self, ReconfigTxn("check")).violations)
 
 
 # --- edits and transactions ---
@@ -181,58 +212,6 @@ class HostStatusView(Protocol):
     def host_is_up(self, host_id: str) -> bool: ...
 
 
-def _apply_edits(graph: ConfigGraph, txn: ReconfigTxn):
-    """Sequentially apply edits to a working copy, collecting violations.
-
-    Also marks which components were moved or replaced: a same-kind
-    replace or a move back to the original host is still a restart, so it
-    must show up in the delta even though the value diff is empty.
-    """
-    comps = dict(graph.components)
-    conns = set(graph.connections)
-    violations: list[Violation] = []
-    moved: set[str] = set()
-    replaced: set[str] = set()
-    for edit in txn.edits:
-        if isinstance(edit, AddComponent):
-            if edit.cid in comps:
-                violations.append(Violation("DuplicateComponent", edit.cid))
-            else:
-                comps[edit.cid] = Component(edit.kind, edit.host)
-        elif isinstance(edit, RemoveComponent):
-            if edit.cid not in comps:
-                violations.append(Violation("UnknownComponent", edit.cid))
-            else:
-                del comps[edit.cid]
-        elif isinstance(edit, AddConnection):
-            if edit.connection in conns:
-                violations.append(Violation("DuplicateConnection", edit.connection.render()))
-            else:
-                conns.add(edit.connection)
-        elif isinstance(edit, RemoveConnection):
-            if edit.connection not in conns:
-                violations.append(Violation("UnknownConnection", edit.connection.render()))
-            else:
-                conns.discard(edit.connection)
-        elif isinstance(edit, MoveComponent):
-            if edit.cid not in comps:
-                violations.append(Violation("UnknownComponent", edit.cid))
-            else:
-                comps[edit.cid] = replace(
-                    comps[edit.cid], host=edit.new_host, state=ComponentState.ACTIVE
-                )
-                moved.add(edit.cid)
-        elif isinstance(edit, ReplaceComponent):
-            if edit.cid not in comps:
-                violations.append(Violation("UnknownComponent", edit.cid))
-            else:
-                comps[edit.cid] = replace(
-                    comps[edit.cid], kind=edit.new_kind, state=ComponentState.ACTIVE
-                )
-                replaced.add(edit.cid)
-    return comps, conns, violations, moved, replaced
-
-
 @dataclass(frozen=True)
 class NetDelta:
     """A transaction's edits collapsed against a specific pre-state."""
@@ -252,23 +231,184 @@ class NetDelta:
         )
 
 
-def net_delta(graph: ConfigGraph, txn: ReconfigTxn) -> NetDelta:
-    comps, conns, _, moved, replaced = _apply_edits(graph, txn)
-    added = {cid for cid in comps if cid not in graph.components}
-    # A component both created and destroyed inside the transaction nets
-    # out entirely; moves/replaces only count for survivors that predate
-    # the transaction (a fresh add subsumes them).
-    survivors = {
-        cid for cid in comps if cid in graph.components
-    }
-    return NetDelta(
-        frozenset(added),
-        frozenset(cid for cid in graph.components if cid not in comps),
+@dataclass(frozen=True)
+class Prepared:
+    """Everything admission and commit need to know about a transaction
+    against one pre-state. `kind_delta` maps a component kind to its net
+    change in count, zero entries dropped. The overlay holds the post
+    value of every touched component (None when absent) and the post
+    presence of every touched connection."""
+
+    delta: NetDelta
+    violations: tuple[Violation, ...]
+    block_set: frozenset[str]
+    kind_delta: dict[str, int]
+    comps: dict[str, Optional[Component]]
+    conns: dict[Connection, bool]
+
+
+def prepare(
+    graph: ConfigGraph,
+    txn: ReconfigTxn,
+    hosts: Optional[HostStatusView] = None,
+) -> Prepared:
+    """Apply the edits to an overlay over `graph` and check the result.
+
+    Violations come in three groups: edit application in edit order,
+    structural (dangling, then port conflicts, each in render order),
+    then host checks in component order. Only connections the edits touch
+    and those the graph already had in violation can be in violation
+    afterwards, so only they are checked.
+
+    A move or same-kind replace is a restart, so it enters the delta even
+    when the value is unchanged; moves and replaces of a component the
+    transaction also adds are subsumed by the add.
+    """
+    base_comps, base_conns = graph.components, graph.connections
+    comps: dict[str, Optional[Component]] = {}
+    conns: dict[Connection, bool] = {}
+    violations: list[Violation] = []
+    moved: set[str] = set()
+    replaced: set[str] = set()
+
+    def comp(cid: str) -> Optional[Component]:
+        return comps[cid] if cid in comps else base_comps.get(cid)
+
+    def present(conn: Connection) -> bool:
+        return conns[conn] if conn in conns else conn in base_conns
+
+    for edit in txn.edits:
+        if isinstance(edit, AddComponent):
+            if comp(edit.cid) is not None:
+                violations.append(Violation("DuplicateComponent", edit.cid))
+            else:
+                comps[edit.cid] = Component(edit.kind, edit.host)
+        elif isinstance(edit, (AddConnection, RemoveConnection)):
+            adding = isinstance(edit, AddConnection)
+            if present(edit.connection) == adding:
+                code = "DuplicateConnection" if adding else "UnknownConnection"
+                violations.append(Violation(code, edit.connection.render()))
+            else:
+                conns[edit.connection] = adding
+        else:
+            current = comp(edit.cid)
+            if current is None:
+                violations.append(Violation("UnknownComponent", edit.cid))
+            elif isinstance(edit, RemoveComponent):
+                comps[edit.cid] = None
+            elif isinstance(edit, MoveComponent):
+                comps[edit.cid] = replace(
+                    current, host=edit.new_host, state=ComponentState.ACTIVE
+                )
+                moved.add(edit.cid)
+            else:
+                comps[edit.cid] = replace(
+                    current, kind=edit.new_kind, state=ComponentState.ACTIVE
+                )
+                replaced.add(edit.cid)
+
+    survivors = {cid for cid, c in comps.items() if c is not None and cid in base_comps}
+    delta = NetDelta(
+        frozenset(cid for cid, c in comps.items() if c is not None and cid not in base_comps),
+        frozenset(cid for cid, c in comps.items() if c is None and cid in base_comps),
         frozenset(moved & survivors),
         frozenset(replaced & survivors),
-        frozenset(conns - graph.connections),
-        frozenset(graph.connections - conns),
+        frozenset(c for c, there in conns.items() if there and c not in base_conns),
+        frozenset(c for c, there in conns.items() if not there and c in base_conns),
     )
+
+    suspects = set(graph._noted)
+    suspects.update(conn for conn, there in conns.items() if there)
+    for cid in delta.removed:
+        suspects |= graph.incident(cid)
+    suspects = {conn for conn in suspects if present(conn)}
+    dangling = [
+        conn for conn in suspects
+        if comp(conn.src) is None or comp(conn.dst) is None
+    ]
+    conflicts: list[Connection] = []
+    for src, port in {(conn.src, conn.src_port) for conn in suspects}:
+        sharing = {c for c in graph._out.get(src, ()) if c.src_port == port and present(c)}
+        sharing.update(c for c in suspects if c.src == src and c.src_port == port)
+        conflicts.extend(sorted(sharing, key=Connection.render)[1:])
+    violations.extend(
+        Violation("DanglingConnection", conn.render())
+        for conn in sorted(dangling, key=Connection.render)
+    )
+    violations.extend(
+        Violation("PortConflict", conn.render())
+        for conn in sorted(conflicts, key=Connection.render)
+    )
+    if hosts is not None:
+        for cid in sorted(delta.added | delta.moved):
+            host = comps[cid].host
+            if not hosts.host_exists(host):
+                violations.append(Violation("UnknownHost", f"{cid} -> {host}"))
+            elif not hosts.host_is_up(host):
+                violations.append(Violation("HostDown", f"{cid} -> {host}"))
+
+    block: set[str] = set(delta.added | delta.removed | delta.moved | delta.replaced)
+    for conn in delta.conns_added | delta.conns_removed:
+        block.add(conn.src)
+        block.add(conn.dst)
+    for cid in delta.removed | delta.moved | delta.replaced:
+        block |= graph.in_neighbors(cid)
+
+    kinds: Counter = Counter()
+    for cid, after in comps.items():
+        before = base_comps.get(cid)
+        if before is not None:
+            kinds[before.kind] -= 1
+        if after is not None:
+            kinds[after.kind] += 1
+    return Prepared(
+        delta, tuple(violations), frozenset(block),
+        {kind: n for kind, n in sorted(kinds.items()) if n}, comps, conns,
+    )
+
+
+def _raise_if_invalid(txn: ReconfigTxn, prepared: Prepared) -> None:
+    if prepared.violations:
+        report = ValidationReport(prepared.violations)
+        raise InvalidTxn(f"{txn.txn_id}: {report.violations[0]}", report=report)
+
+
+def _write(graph: ConfigGraph, prepared: Prepared) -> None:
+    """The one place that edits a graph and its indexes. Index entries
+    may be left as empty sets. A prepared transaction without violations
+    leaves no connection in violation."""
+    for cid, after in prepared.comps.items():
+        before = graph.components.get(cid)
+        if before is not None:
+            graph._by_host[before.host].discard(cid)
+        if after is None:
+            graph.components.pop(cid, None)
+        else:
+            graph.components[cid] = after
+            graph._by_host.setdefault(after.host, set()).add(cid)
+    for conn, there in prepared.conns.items():
+        if there:
+            graph.connections.add(conn)
+            graph._in.setdefault(conn.dst, set()).add(conn)
+            graph._out.setdefault(conn.src, set()).add(conn)
+        else:
+            graph.connections.discard(conn)
+            graph._in.get(conn.dst, set()).discard(conn)
+            graph._out.get(conn.src, set()).discard(conn)
+    graph._noted = frozenset()
+
+
+def apply_in_place(graph: ConfigGraph, txn: ReconfigTxn) -> Prepared:
+    """Commit the transaction into `graph`; raises InvalidTxn, leaving the
+    graph as it was, when the transaction does not validate."""
+    prepared = prepare(graph, txn)
+    _raise_if_invalid(txn, prepared)
+    _write(graph, prepared)
+    return prepared
+
+
+def net_delta(graph: ConfigGraph, txn: ReconfigTxn) -> NetDelta:
+    return prepare(graph, txn).delta
 
 
 def validate(
@@ -277,18 +417,7 @@ def validate(
     hosts: Optional[HostStatusView] = None,
 ) -> ValidationReport:
     """Check the transaction's post-state; violations are reported, not raised."""
-    comps, conns, violations, _, _ = _apply_edits(graph, txn)
-    post = ConfigGraph(comps, conns)
-    violations.extend(post.structural_violations())
-    if hosts is not None:
-        delta = net_delta(graph, txn)
-        for cid in sorted(delta.added | delta.moved):
-            host = comps[cid].host
-            if not hosts.host_exists(host):
-                violations.append(Violation("UnknownHost", f"{cid} -> {host}"))
-            elif not hosts.host_is_up(host):
-                violations.append(Violation("HostDown", f"{cid} -> {host}"))
-    return ValidationReport(tuple(violations))
+    return ValidationReport(prepare(graph, txn, hosts).violations)
 
 
 def apply(graph: ConfigGraph, txn: ReconfigTxn) -> ConfigGraph:
@@ -297,11 +426,9 @@ def apply(graph: ConfigGraph, txn: ReconfigTxn) -> ConfigGraph:
     Moved and replaced components come out active: a move is a restart on
     the target host, a replace is the restart used by rejuvenation.
     """
-    report = validate(graph, txn)
-    if not report.ok:
-        raise InvalidTxn(f"{txn.txn_id}: {report.violations[0]}", report=report)
-    comps, conns, _, _, _ = _apply_edits(graph, txn)
-    return ConfigGraph(comps, conns)
+    out = graph.copy()
+    apply_in_place(out, txn)
+    return out
 
 
 def compute_block_set(
@@ -310,18 +437,9 @@ def compute_block_set(
     hosts: Optional[HostStatusView] = None,
 ) -> frozenset[str]:
     """Components that must be quiescent for the transaction to apply."""
-    report = validate(graph, txn, hosts)
-    if not report.ok:
-        raise InvalidTxn(f"{txn.txn_id}: {report.violations[0]}", report=report)
-    delta = net_delta(graph, txn)
-    named: set[str] = set(delta.added | delta.removed | delta.moved | delta.replaced)
-    for conn in delta.conns_added | delta.conns_removed:
-        named.add(conn.src)
-        named.add(conn.dst)
-    initiators: set[str] = set()
-    for cid in delta.removed | delta.moved | delta.replaced:
-        initiators |= graph.in_neighbors(cid)
-    return frozenset(named | initiators)
+    prepared = prepare(graph, txn, hosts)
+    _raise_if_invalid(txn, prepared)
+    return prepared.block_set
 
 
 def can_run_concurrently(
@@ -437,11 +555,11 @@ class ConfigManager:
         now = self._scheduler.now
         # Recompute against the current graph: earlier commits may have
         # changed it since this transaction queued.
-        report = validate(self.graph, flight.txn, self._hosts)
-        if not report.ok:
-            self._finish(flight, "aborted", reason=str(report.violations[0]))
+        prepared = prepare(self.graph, flight.txn, self._hosts)
+        if prepared.violations:
+            self._finish(flight, "aborted", reason=str(prepared.violations[0]))
             return
-        flight.block_set = compute_block_set(self.graph, flight.txn, self._hosts)
+        flight.block_set = prepared.block_set
         flight.started_at = now
         flight.hosts_up_at_start = frozenset(
             self.graph.components[cid].host
@@ -452,7 +570,7 @@ class ConfigManager:
         for cid in sorted(flight.block_set):
             comp = self.graph.components.get(cid)
             if comp is not None and comp.state is ComponentState.ACTIVE:
-                self.graph.components[cid] = replace(comp, state=ComponentState.BLOCKED)
+                self.graph.set_state(cid, ComponentState.BLOCKED)
         self._trace.record(
             now, "txn_block",
             id=flight.txn.txn_id,
@@ -476,18 +594,16 @@ class ConfigManager:
         if any(self._occupancy(cid) > 0 for cid in flight.block_set):
             self._scheduler.schedule(now + 1, lambda: self._check(flight))
             return
-        kinds_before = sorted(c.kind for c in self.graph.components.values())
-        self.graph = apply(self.graph, flight.txn)
-        kinds_after = sorted(c.kind for c in self.graph.components.values())
+        prepared = apply_in_place(self.graph, flight.txn)
         self._unblock(flight)
         self._finish(flight, "committed", commit_time=now,
-                     kinds_preserved=kinds_before == kinds_after)
+                     kinds_preserved=not prepared.kind_delta)
 
     def _unblock(self, flight: _Flight) -> None:
         for cid in sorted(flight.block_set):
             comp = self.graph.components.get(cid)
             if comp is not None and comp.state is ComponentState.BLOCKED:
-                self.graph.components[cid] = replace(comp, state=ComponentState.ACTIVE)
+                self.graph.set_state(cid, ComponentState.ACTIVE)
 
     def _finish(self, flight: _Flight, status: str, commit_time=None, reason="",
                 kinds_preserved=True) -> None:
@@ -510,7 +626,7 @@ class ConfigManager:
             self._trace.record(
                 now, "txn_abort",
                 id=flight.txn.txn_id,
-                reason=(reason or "-").replace(" ", "_"),
+                reason=reason or "-",
             )
             if self.on_abort is not None:
                 self.on_abort(flight, reason)
@@ -550,6 +666,6 @@ class ConfigManager:
         for cid in self.graph.components_on(host_id):
             comp = self.graph.components[cid]
             if comp.state is not ComponentState.DOWN:
-                self.graph.components[cid] = replace(comp, state=ComponentState.DOWN)
+                self.graph.set_state(cid, ComponentState.DOWN)
                 affected.append(cid)
         return affected

@@ -71,8 +71,11 @@ class TraceLog:
         self._next_seq = 0
 
     def record(self, time: int, kind: str, **fields) -> TraceEntry:
+        """Append one entry. This is the one place values are encoded:
+        spaces separate fields, so a space inside a string becomes `_`."""
         rendered = tuple(
-            (key, format_scalar(value)) for key, value in fields.items()
+            (key, value.replace(" ", "_") if isinstance(value, str) else format_scalar(value))
+            for key, value in fields.items()
         )
         entry = TraceEntry(time, self._next_seq, kind, rendered)
         self._next_seq += 1

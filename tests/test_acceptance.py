@@ -4,8 +4,12 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 lines as they complete.
 """
 
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 
@@ -34,6 +38,7 @@ from adaptdom.persistence import (
     ProbeDecl,
     build_system,
     load_config,
+    render_document,
     save_config,
 )
 from adaptdom.report import verify_report
@@ -399,6 +404,44 @@ def _scale_document(hosts=50, components=1000):
         FlowDecl(("c0400", "c0401"), period=11, start=2),
     ]
     return doc
+
+
+# sha256 of each shipped scenario's report at seed 13, t=2000. A change
+# that alters report bytes must update these openly.
+SHIPPED_GOLDEN = {
+    "healing": "5a458e52dcb573bb30c7449bc5dea08adcd8b893c7007f347fc782f2b6f4e3f1",
+    "optimization": "a65731a983f46ed1a86fde74cd1298b97a1ae8a1e8a491c806578d05c23faed8",
+    "rejuvenation": "aab27f237f421e6bcf16cf45b0e5169db4e1e31f28ab3f0c2cb1904faef4c537",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_GOLDEN))
+def test_shipped_report_golden_digest(name):
+    rendered = Simulator(load_config(SCENARIOS[name]), seed=13).run(2000).render()
+    assert hashlib.sha256(rendered.encode("utf-8")).hexdigest() == SHIPPED_GOLDEN[name]
+
+
+def test_scale_heal_identical_across_hash_seeds(tmp_path):
+    from adaptdom.persistence import FaultEntry
+
+    doc = _scale_document()
+    doc.faults.append(FaultEntry(150, "kill", ("h21",)))
+    scenario = tmp_path / "scale.cfg"
+    scenario.write_text(render_document(doc), encoding="utf-8")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    reports = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"report-{hash_seed}.txt"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-m", "adaptdom.cli", "run", str(scenario),
+             "--seed", "1", "--until", "400", "--report", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert reports[0].count(b" txn_commit ") == 2
+    assert verify_report(reports[0].decode("utf-8")) == []
 
 
 def test_criterion_6_scale_envelope():

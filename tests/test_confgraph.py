@@ -25,6 +25,8 @@ from adaptdom.confgraph import (
     validate,
 )
 from adaptdom.errors import InvalidTxn
+from adaptdom.registry import Kind
+from adaptdom.report import RunReport, verify_report
 from adaptdom.system import Host, System
 from adaptdom.trace import TraceLog
 
@@ -310,6 +312,22 @@ class TestSubmit:
         system.run_until(20)
         assert flight.result.status == "aborted"
         assert "host_down" in flight.result.reason
+
+    def test_queued_txn_aborted_by_host_down_replays_clean(self):
+        # The abort reason ("HostDown: B -> h2") holds spaces; the trace
+        # must still parse and the report must pass replay.
+        system = manager_on(fan_in_graph(), latency=3)
+        owner = system.registry.register(Kind.DOMAIN)
+        system.config_manager.submit(ReconfigTxn("t1", (ReplaceComponent("B", "svc"),)), owner)
+        queued = system.config_manager.submit(ReconfigTxn("t2", (MoveComponent("B", "h2"),)), owner)
+        system.clock.schedule(1, lambda: system.hosts.get("h2").kill(1))
+        system.run_until(10)
+        assert queued.result.status == "aborted"
+        assert queued.result.reason == "HostDown: B -> h2"
+        [event] = [e for e in system.trace.of_kind("event") if e.get("type") == "reconfig_aborted"]
+        assert "HostDown:_B_->_h2" in event.get("payload")
+        report = RunReport("abort", 0, 10, system.trace.lines(), system.graph.canonical_lines())
+        assert verify_report(report.render()) == []
 
     def test_quiescence_waits_for_occupancy(self):
         system = manager_on(fan_in_graph(), latency=1)
