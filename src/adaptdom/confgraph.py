@@ -18,8 +18,9 @@ graph in place through the one function that changes the indexes.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
+from functools import cached_property
 from enum import Enum
 from typing import Callable, Optional, Protocol
 
@@ -52,38 +53,52 @@ class Connection:
         return f"{self.src} {self.src_port} -> {self.dst} {self.dst_port}"
 
 
+class _Indexes:
+    """Host -> component ids, destination -> in-edges, source -> out-edges,
+    built in one pass. Edges are kept in lists: appending does not hash a
+    connection. `noted` holds the connections already in violation,
+    dangling or sharing a source port with another: a graph built from a
+    document or a test may carry them, and `prepare` re-checks them on
+    every transaction."""
+
+    def __init__(self, components: dict[str, Component], connections: set[Connection]):
+        self.by_host: dict[str, set[str]] = defaultdict(set)
+        self.ins: dict[str, list[Connection]] = defaultdict(list)
+        self.outs: dict[str, list[Connection]] = defaultdict(list)
+        for cid, comp in components.items():
+            self.by_host[comp.host].add(cid)
+        for conn in connections:
+            self.ins[conn.dst].append(conn)
+            self.outs[conn.src].append(conn)
+        noted = {
+            conn for conn in connections
+            if conn.src not in components or conn.dst not in components
+        }
+        for outs in self.outs.values():
+            if len(outs) > 1:
+                ports = Counter(c.src_port for c in outs)
+                noted.update(c for c in outs if ports[c.src_port] > 1)
+        self.noted = frozenset(noted)
+
+
 class ConfigGraph:
     """The runtime meta-model of components and their connections.
 
     `components` and `connections` are for reading. Edits go through
     `apply_in_place` and state changes through `set_state`, so the
-    indexes built here stay exact.
+    indexes stay exact.
     """
 
     def __init__(self, components: Optional[dict[str, Component]] = None,
                  connections: Optional[set[Connection]] = None):
         self.components: dict[str, Component] = {} if components is None else components
         self.connections: set[Connection] = set() if connections is None else connections
-        self._by_host: dict[str, set[str]] = {}
-        self._in: dict[str, set[Connection]] = {}
-        self._out: dict[str, set[Connection]] = {}
-        for cid, comp in self.components.items():
-            self._by_host.setdefault(comp.host, set()).add(cid)
-        for conn in self.connections:
-            self._in.setdefault(conn.dst, set()).add(conn)
-            self._out.setdefault(conn.src, set()).add(conn)
-        # Connections already in violation: dangling, or sharing a source
-        # port with another. A graph built from a document or a test may
-        # carry them; `prepare` re-checks them on every transaction.
-        noted = {
-            conn for conn in self.connections
-            if conn.src not in self.components or conn.dst not in self.components
-        }
-        for outs in self._out.values():
-            if len(outs) > 1:
-                ports = Counter(c.src_port for c in outs)
-                noted.update(c for c in outs if ports[c.src_port] > 1)
-        self._noted: frozenset[Connection] = frozenset(noted)
+
+    @cached_property
+    def _ix(self) -> _Indexes:
+        # Built on first use: loading a large graph stays as cheap as it
+        # was, and a graph nobody queries never pays for its indexes.
+        return _Indexes(self.components, self.connections)
 
     def copy(self) -> "ConfigGraph":
         return ConfigGraph(dict(self.components), set(self.connections))
@@ -92,16 +107,16 @@ class ConfigGraph:
         self.components[cid] = replace(self.components[cid], state=state)
 
     def in_neighbors(self, cid: str) -> set[str]:
-        return {c.src for c in self._in.get(cid, ())}
+        return {c.src for c in self._ix.ins.get(cid, ())}
 
     def incident(self, cid: str) -> set[Connection]:
-        return self._in.get(cid, set()) | self._out.get(cid, set())
+        return {*self._ix.ins.get(cid, ()), *self._ix.outs.get(cid, ())}
 
     def components_on(self, host: str) -> list[str]:
-        return sorted(self._by_host.get(host, ()))
+        return sorted(self._ix.by_host.get(host, ()))
 
     def count_on(self, host: str) -> int:
-        return len(self._by_host.get(host, ()))
+        return len(self._ix.by_host.get(host, ()))
 
     def canonical_lines(self) -> list[str]:
         lines = [
@@ -317,7 +332,7 @@ def prepare(
         frozenset(c for c, there in conns.items() if not there and c in base_conns),
     )
 
-    suspects = set(graph._noted)
+    suspects = set(graph._ix.noted)
     suspects.update(conn for conn, there in conns.items() if there)
     for cid in delta.removed:
         suspects |= graph.incident(cid)
@@ -328,7 +343,7 @@ def prepare(
     ]
     conflicts: list[Connection] = []
     for src, port in {(conn.src, conn.src_port) for conn in suspects}:
-        sharing = {c for c in graph._out.get(src, ()) if c.src_port == port and present(c)}
+        sharing = {c for c in graph._ix.outs.get(src, ()) if c.src_port == port and present(c)}
         sharing.update(c for c in suspects if c.src == src and c.src_port == port)
         conflicts.extend(sorted(sharing, key=Connection.render)[1:])
     violations.extend(
@@ -375,27 +390,30 @@ def _raise_if_invalid(txn: ReconfigTxn, prepared: Prepared) -> None:
 
 def _write(graph: ConfigGraph, prepared: Prepared) -> None:
     """The one place that edits a graph and its indexes. Index entries
-    may be left as empty sets. A prepared transaction without violations
-    leaves no connection in violation."""
+    may be left empty. A prepared transaction without violations leaves
+    no connection in violation."""
+    ix = graph._ix
     for cid, after in prepared.comps.items():
         before = graph.components.get(cid)
         if before is not None:
-            graph._by_host[before.host].discard(cid)
+            ix.by_host[before.host].discard(cid)
         if after is None:
             graph.components.pop(cid, None)
         else:
             graph.components[cid] = after
-            graph._by_host.setdefault(after.host, set()).add(cid)
+            ix.by_host[after.host].add(cid)
     for conn, there in prepared.conns.items():
+        if there == (conn in graph.connections):
+            continue
         if there:
             graph.connections.add(conn)
-            graph._in.setdefault(conn.dst, set()).add(conn)
-            graph._out.setdefault(conn.src, set()).add(conn)
+            ix.ins[conn.dst].append(conn)
+            ix.outs[conn.src].append(conn)
         else:
-            graph.connections.discard(conn)
-            graph._in.get(conn.dst, set()).discard(conn)
-            graph._out.get(conn.src, set()).discard(conn)
-    graph._noted = frozenset()
+            graph.connections.remove(conn)
+            ix.ins[conn.dst].remove(conn)
+            ix.outs[conn.src].remove(conn)
+    ix.noted = frozenset()
 
 
 def apply_in_place(graph: ConfigGraph, txn: ReconfigTxn) -> Prepared:

@@ -177,9 +177,10 @@ txns = st.builds(ReconfigTxn, st.just("t"), st.lists(edits, max_size=6).map(tupl
 
 
 def index_snapshot(graph):
-    """The indexes, without the empty sets a commit may leave behind."""
-    indexes = (graph._by_host, graph._in, graph._out)
-    return tuple({k: v for k, v in idx.items() if v} for idx in indexes), graph._noted
+    """The indexes as sets, without the empty entries a commit may leave."""
+    ix = graph._ix
+    indexes = (ix.by_host, ix.ins, ix.outs)
+    return tuple({k: set(v) for k, v in idx.items() if v} for idx in indexes), ix.noted
 
 
 def rebuilt(graph):
