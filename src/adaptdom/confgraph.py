@@ -341,10 +341,12 @@ def prepare(
         conn for conn in suspects
         if comp(conn.src) is None or comp(conn.dst) is None
     ]
+    by_port: dict[tuple[str, str], set[Connection]] = defaultdict(set)
+    for conn in suspects:
+        by_port[conn.src, conn.src_port].add(conn)
     conflicts: list[Connection] = []
-    for src, port in {(conn.src, conn.src_port) for conn in suspects}:
-        sharing = {c for c in graph._ix.outs.get(src, ()) if c.src_port == port and present(c)}
-        sharing.update(c for c in suspects if c.src == src and c.src_port == port)
+    for (src, port), sharing in by_port.items():
+        sharing.update(c for c in graph._ix.outs.get(src, ()) if c.src_port == port and present(c))
         conflicts.extend(sorted(sharing, key=Connection.render)[1:])
     violations.extend(
         Violation("DanglingConnection", conn.render())

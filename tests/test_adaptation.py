@@ -1,6 +1,7 @@
 """Pipelines, strategies, policies, audits, and escalation."""
 
 import math
+import random
 
 import pytest
 
@@ -13,8 +14,9 @@ from adaptdom.adaptation import (
     Proactive,
     Reactive,
     Retroactive,
+    plan_placement_moves,
 )
-from adaptdom.confgraph import Component, ConfigGraph
+from adaptdom.confgraph import Component, ConfigGraph, MoveComponent
 from adaptdom.errors import (
     ConsistencyRejected,
     InvalidPolicy,
@@ -530,3 +532,58 @@ class TestPropagation:
 def test_policy_rejects_unknown_directives():
     with pytest.raises(InvalidPolicy):
         Policy(directives={"not_a_key": 1})
+
+
+class _HostView:
+    def __init__(self, levels, down):
+        self.levels, self.down = levels, down
+
+    def host_ids(self):
+        return sorted(self.levels)
+
+    def host_is_up(self, host_id):
+        return host_id not in self.down
+
+    def resource_level(self, host_id):
+        return self.levels[host_id]
+
+
+def _reference_placement(graph, hosts, from_host, weight):
+    """The whole-graph linear scan the planner replaced."""
+    candidates = sorted(
+        h for h in hosts.host_ids() if h != from_host and hosts.host_is_up(h)
+    )
+    if not candidates:
+        return []
+    counts = {h: 0 for h in candidates}
+    for comp in graph.components.values():
+        if comp.host in counts:
+            counts[comp.host] += 1
+    moves = []
+    for cid in graph.components_on(from_host):
+        target, target_free = None, 0.0
+        for h in candidates:
+            free = hosts.resource_level(h) - weight * counts[h]
+            if target is None or free > target_free:
+                target, target_free = h, free
+        moves.append(MoveComponent(cid, target))
+        counts[target] += 1
+    return moves
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_placement_matches_linear_scan_reference(seed):
+    rng = random.Random(seed)
+    names = [f"h{i}" for i in range(rng.randrange(1, 7))]
+    # Few distinct levels and weights, so ties between hosts are common.
+    hosts = _HostView(
+        {h: rng.choice([50.0, 100.0, 100.5]) for h in names},
+        {h for h in names if rng.random() < 0.2},
+    )
+    graph = ConfigGraph({
+        f"c{i}": Component("svc", rng.choice(names)) for i in range(rng.randrange(12))
+    })
+    weight = rng.choice([0.0, 0.5, 1.0, 3.0, -1.0])
+    for from_host in names:
+        assert plan_placement_moves(graph, hosts, from_host, weight) == \
+            _reference_placement(graph, hosts, from_host, weight)

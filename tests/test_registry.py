@@ -255,6 +255,23 @@ class TestRandomizedProperties:
             )
 
     @pytest.mark.parametrize("seed", range(12))
+    def test_member_path_is_first_enumerated_match(self, seed):
+        rng = random.Random(seed + 300)
+        registry = Registry()
+        registry.create_root()
+        objects = random_hierarchy(rng, registry, max_objects=50)
+        for domain in objects:
+            if domain.kind is not Kind.DOMAIN:
+                continue
+            entries = registry.enumerate(domain, EnumerateMode.INDIRECT)
+            for oid in objects:
+                first = next((rel for rel, member in entries if member == oid), None)
+                assert registry.member_path(domain, oid) == first
+                assert registry.is_descendant_domain(domain, oid) == (
+                    oid.kind is Kind.DOMAIN and first is not None
+                )
+
+    @pytest.mark.parametrize("seed", range(12))
     def test_domain_graph_stays_acyclic(self, seed):
         rng = random.Random(seed + 200)
         registry = Registry()
