@@ -19,7 +19,7 @@ graph in place through the one function that changes the indexes.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from enum import Enum
 from typing import Callable, Optional, Protocol
@@ -81,6 +81,7 @@ class _Indexes:
         self.noted = frozenset(noted)
 
 
+@dataclass
 class ConfigGraph:
     """The runtime meta-model of components and their connections.
 
@@ -89,10 +90,8 @@ class ConfigGraph:
     indexes stay exact.
     """
 
-    def __init__(self, components: Optional[dict[str, Component]] = None,
-                 connections: Optional[set[Connection]] = None):
-        self.components: dict[str, Component] = {} if components is None else components
-        self.connections: set[Connection] = set() if connections is None else connections
+    components: dict[str, Component] = field(default_factory=dict)
+    connections: set[Connection] = field(default_factory=set)
 
     @cached_property
     def _ix(self) -> _Indexes:
