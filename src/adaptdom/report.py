@@ -6,7 +6,9 @@ the body so any corrupted line is detectable. `verify_report` re-checks
 the recorded invariants: time/sequence ordering, event-id monotonicity,
 quiescence (no application hop through a blocked component), overlap of
 transaction block intervals only when block sets were disjoint, and
-final-graph consistency.
+final-graph consistency. It reads the trace in one pass that keeps no
+list of entries, then checks quiescence and overlap in one sweep over
+(time, sequence), so it is linear in report length.
 """
 
 from __future__ import annotations
@@ -117,9 +119,12 @@ def parse_graph_lines(lines: list[str]) -> ConfigGraph:
         parts = line.split()
         if parts and parts[0] == "component":
             attrs = dict(p.partition("=")[::2] for p in parts[2:])
-            components[parts[1]] = Component(
-                attrs["kind"], attrs["host"], ComponentState(attrs["state"])
-            )
+            try:
+                cid = parts[1]
+                component = Component(attrs["kind"], attrs["host"], ComponentState(attrs["state"]))
+            except (IndexError, KeyError, ValueError):
+                raise ParseError(f"bad component line {line!r}", line=lineno) from None
+            components[cid] = component
         elif parts and parts[0] == "connection":
             if len(parts) != 6 or parts[3] != "->":
                 raise ParseError(f"bad connection line {line!r}", line=lineno)
@@ -149,72 +154,56 @@ def verify_report(text: str) -> list[str]:
     except (ParseError, UnknownVersion) as exc:
         problems.append(f"parse: {exc}")
         return problems
-    entries: list[TraceEntry] = []
+
+    ordering: list[str] = []
+    event_ids: list[str] = []
+    hops: list[tuple[tuple[int, int], str]] = []  # (stamp, component)
+    # Block intervals (txn, begin, end, components), opened by transaction id.
+    intervals: list[tuple[str | None, tuple[int, int], tuple[int, int], frozenset[str]]] = []
+    open_blocks: dict[str | None, tuple[tuple[int, int], frozenset[str]]] = {}
+    last_t, last_s = -1, -1
+    last_event_id = 0
     for lineno, line in enumerate(report.trace_lines, start=1):
         try:
-            entries.append(TraceEntry.parse(line, lineno))
+            entry = TraceEntry.parse(line, lineno)
         except ParseError as exc:
             problems.append(f"trace: {exc}")
             return problems
+        time, seq, kind = entry.time, entry.seq, entry.kind
+        if time < last_t:
+            ordering.append(f"time regression at seq {seq}")
+        if seq <= last_s:
+            ordering.append(f"sequence not strictly increasing at seq {seq}")
+        last_t, last_s = time, seq
 
-    last_t, last_s = -1, -1
-    for entry in entries:
-        if entry.time < last_t:
-            problems.append(f"time regression at seq {entry.seq}")
-        if entry.seq <= last_s:
-            problems.append(f"sequence not strictly increasing at seq {entry.seq}")
-        last_t, last_s = entry.time, entry.seq
-
-    last_event_id = 0
-    for entry in entries:
-        if entry.kind == "event":
+        if kind == "app_hop":
+            comp = entry.get("comp")
+            if comp is not None:
+                hops.append(((time, seq), comp))
+        elif kind == "event":
             try:
                 eid = int(entry.get("id", "0"))
             except ValueError:
-                problems.append(f"unparseable event id at seq {entry.seq}")
+                event_ids.append(f"unparseable event id at seq {seq}")
                 continue
             if eid <= last_event_id:
-                problems.append(f"event id {eid} not strictly increasing")
+                event_ids.append(f"event id {eid} not strictly increasing")
             last_event_id = eid
-
-    # Reconstruct block intervals keyed by transaction id.
-    intervals = []  # (txn, begin(t,s), end(t,s), components)
-    open_blocks: dict[str, tuple[tuple[int, int], frozenset[str]]] = {}
-    for entry in entries:
-        stamp = (entry.time, entry.seq)
-        if entry.kind == "txn_block":
+        elif kind == "txn_block":
             comps = entry.get("components", "-")
             block = frozenset() if comps == "-" else frozenset(comps.split("|"))
-            open_blocks[entry.get("id")] = (stamp, block)
-        elif entry.kind in ("txn_commit", "txn_abort"):
+            open_blocks[entry.get("id")] = ((time, seq), block)
+        elif kind in ("txn_commit", "txn_abort"):
             txn = entry.get("id")
             if txn in open_blocks:
                 begin, block = open_blocks.pop(txn)
-                intervals.append((txn, begin, stamp, block, entry.kind))
+                intervals.append((txn, begin, (time, seq), block))
     for txn, (begin, block) in open_blocks.items():
-        intervals.append((txn, begin, (last_t + 1, last_s + 1), block, "open"))
+        intervals.append((txn, begin, (last_t + 1, last_s + 1), block))
 
-    for entry in entries:
-        if entry.kind != "app_hop":
-            continue
-        stamp = (entry.time, entry.seq)
-        comp = entry.get("comp")
-        for txn, begin, end, block, _ in intervals:
-            if comp in block and begin < stamp < end:
-                problems.append(
-                    f"quiescence violation: hop through {comp} during {txn}"
-                )
-
-    for i in range(len(intervals)):
-        for j in range(i + 1, len(intervals)):
-            txn_a, begin_a, end_a, block_a, _ = intervals[i]
-            txn_b, begin_b, end_b, block_b, _ = intervals[j]
-            overlap = begin_a < end_b and begin_b < end_a
-            if overlap and (block_a & block_b):
-                problems.append(
-                    f"concurrent transactions {txn_a}/{txn_b} had overlapping block sets"
-                )
-
+    problems.extend(ordering)
+    problems.extend(event_ids)
+    problems.extend(_block_problems(hops, intervals))
     try:
         final = parse_graph_lines(report.graph_lines)
     except ParseError as exc:
@@ -222,4 +211,66 @@ def verify_report(text: str) -> list[str]:
     else:
         for violation in final.structural_violations():
             problems.append(f"final graph: {violation}")
+    return problems
+
+
+# Sweep phases at one stamp. Ends go first and begins last, so an interval
+# holds only the stamps strictly between its begin and its end.
+_END, _HOP, _PROBE, _BEGIN = range(4)
+
+
+def _block_problems(hops: list[tuple[tuple[int, int], str]], intervals: list[tuple]) -> list[str]:
+    """Quiescence violations (a hop through a component while a transaction
+    blocked it) and overlapping block sets of concurrent transactions, from
+    one sweep over (time, seq) with an index of the open intervals by
+    component. Problems come in hop order, then interval order."""
+    blocked = frozenset().union(*(block for _, _, _, block in intervals))
+    sweep = [
+        (stamp, _HOP, index)
+        for index, (stamp, comp) in enumerate(hops)
+        if comp in blocked
+    ]
+    for index, (_, begin, end, block) in enumerate(intervals):
+        if not block:
+            continue
+        if begin < end:
+            sweep.append((begin, _BEGIN, index))
+            sweep.append((end, _END, index))
+        else:
+            # Only a misordered trace ends a block before it begins. Such an
+            # interval holds no stamp, and it overlaps exactly the open
+            # intervals that span it, from its end to its begin.
+            sweep.append((end, _PROBE, index))
+    sweep.sort()
+
+    open_by_comp: dict[str, set[int]] = {}
+    violations: list[tuple[int, int]] = []
+    overlaps: set[tuple[int, int]] = set()
+    for _, phase, index in sweep:
+        if phase == _HOP:
+            violations.extend((index, other) for other in open_by_comp.get(hops[index][1], ()))
+            continue
+        _, begin, _, block = intervals[index]
+        for comp in block:
+            if phase == _END:
+                open_by_comp[comp].remove(index)
+            elif phase == _BEGIN:
+                slot = open_by_comp.setdefault(comp, set())
+                overlaps.update((min(index, other), max(index, other)) for other in slot)
+                slot.add(index)
+            else:
+                overlaps.update(
+                    (min(index, other), max(index, other))
+                    for other in open_by_comp.get(comp, ())
+                    if intervals[other][2] > begin
+                )
+
+    problems = [
+        f"quiescence violation: hop through {hops[hop][1]} during {intervals[other][0]}"
+        for hop, other in sorted(violations)
+    ]
+    problems.extend(
+        f"concurrent transactions {intervals[i][0]}/{intervals[j][0]} had overlapping block sets"
+        for i, j in sorted(overlaps)
+    )
     return problems

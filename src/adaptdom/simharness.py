@@ -221,11 +221,11 @@ class Simulator:
             self._downtime += until - since
         self._down_since = {h: until for h in self._down_since}
         metrics = {
-            "adaptations_executed": len(self.trace.of_kind("scenario")),
+            "adaptations_executed": self.trace.count("scenario"),
             "downtime_ticks": self._downtime,
-            "events_emitted": len(self.trace.of_kind("event")),
+            "events_emitted": self.trace.count("event"),
             "exhaustions_reached": self._exhaustions,
-            "txns_committed": len(self.trace.of_kind("txn_commit")),
+            "txns_committed": self.trace.count("txn_commit"),
         }
         return RunReport(
             scenario=self.name,

@@ -399,7 +399,7 @@ class TestStrategies:
             system.config_manager.mark_host_down("hostA", 5)
             system.hub.emit(sensor, "host_failed", {"host": "hostA"}, 5)
             system.run_until(20)
-            return [e.render() for e in system.trace.entries]
+            return system.trace.lines()
 
         assert run_once() == run_once()
 

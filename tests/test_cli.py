@@ -3,6 +3,7 @@
 import pytest
 
 from adaptdom.cli import cli_main
+from adaptdom.report import RunReport
 
 from conftest import SCENARIOS
 
@@ -88,6 +89,23 @@ class TestReplay:
         bad = tmp_path / "short.report"
         bad.write_text("\n".join(mutated) + "\n")
         assert cli_main(["replay", str(bad)]) == 1
+
+    @pytest.mark.parametrize("graph_line", [
+        "component a kind=web state=active",
+        "component a kind=web host=h1 state=bogus",
+        "component",
+    ])
+    def test_malformed_graph_line_is_a_graph_problem(self, report_file, tmp_path, capsys,
+                                                       graph_line):
+        report = RunReport.parse(report_file.read_text())
+        report.graph_lines.append(graph_line)
+        bad = tmp_path / "graph.report"
+        bad.write_text(report.render())
+        capsys.readouterr()
+        assert cli_main(["replay", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert f"graph: line {len(report.graph_lines)}: bad component line" in err
+        assert "Traceback" not in err
 
 
 class TestDumpGraph:
