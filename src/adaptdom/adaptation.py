@@ -15,7 +15,8 @@ import hashlib
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from operator import mul
+from typing import Callable, Optional, Sequence
 
 from .confgraph import (
     ConfigGraph,
@@ -156,12 +157,15 @@ class AuditFinding:
 
 # --- resource exhaustion forecasting ---
 
-def _least_squares(samples: list[tuple[float, float]]) -> tuple[float, float]:
-    n = float(len(samples))
-    sx = sum(t for t, _ in samples)
-    sy = sum(v for _, v in samples)
-    sxx = sum(t * t for t, _ in samples)
-    sxy = sum(t * v for t, v in samples)
+def _least_squares(times: Sequence[float], levels: Sequence[float]) -> tuple[float, float]:
+    """Least-squares slope and intercept. Summing with builtin `sum` in arrival
+    order is part of the report contract: a loop (3.12 compensates float `sum`)
+    or running window sums would change the float bits, and so the reports."""
+    n = float(len(times))
+    sx = sum(times)
+    sy = sum(levels)
+    sxx = sum(map(mul, times, times))
+    sxy = sum(map(mul, times, levels))
     denom = n * sxx - sx * sx
     slope = (n * sxy - sx * sy) / denom
     intercept = (sy - slope * sx) / n
@@ -179,7 +183,7 @@ def forecast_exhaustion(
     """
     if len({t for t, _ in samples}) < 2:
         raise InsufficientSamples("need at least 2 samples with distinct times")
-    slope, intercept = _least_squares(samples)
+    slope, intercept = _least_squares(*zip(*samples))
     if slope == 0.0:
         return None
     t_last = max(t for t, _ in samples)
@@ -274,7 +278,9 @@ def _monitor_pass_through(ctx, events):
 
 
 def _monitor_event_type_filter(ctx, events):
-    wanted = set(str(ctx.params.get("event_types", "")).split(","))
+    wanted = ctx.state.get("event_types")
+    if wanted is None:  # parsed once per loaded logic
+        wanted = ctx.state["event_types"] = set(str(ctx.params.get("event_types", "")).split(","))
     return [e for e in events if e.event_type in wanted]
 
 
@@ -395,6 +401,7 @@ def _analyze_linear_forecast(ctx, events):
     host_field = str(ctx.params.get("host_field", "host"))
     margin = float(ctx.policy.directives.get("forecast_margin", strategy.margin))
     series = ctx.state.setdefault("series", {})
+    cutoff = ctx.now - strategy.window
     touched = []
     for event in events:
         if event.event_type != event_type:
@@ -402,21 +409,25 @@ def _analyze_linear_forecast(ctx, events):
         if fname not in event.payload or host_field not in event.payload:
             continue
         host = str(event.payload[host_field])
-        pts = series.setdefault(host, [])
-        pts.append((event.timestamp, float(event.payload[fname]), event.event_id))
-        series[host] = [p for p in pts if p[0] > ctx.now - strategy.window]
+        # Time, level and event-id columns in arrival order; a fit reads them in place.
+        times, levels, ids = series.get(host) or series.setdefault(host, ([], [], []))
+        levels.append(float(event.payload[fname]))
+        times.append(event.timestamp)
+        ids.append(event.event_id)
+        while times and (oldest := min(times)) <= cutoff:
+            at = times.index(oldest)
+            del times[at], levels[at], ids[at]
         touched.append(host)
     for host in touched:
-        pts = series[host]
-        if len({t for t, _, _ in pts}) < 2:
+        times, levels, ids = series[host]
+        if not times or times.count(times[0]) == len(times):  # < 2 distinct times
             continue
-        fit_samples = [(t, v) for t, v, _ in pts]
-        slope, intercept = _least_squares(fit_samples)
+        slope, intercept = _least_squares(times, levels)
         if slope == 0.0:
             continue
         descending = slope < 0
         guard = strategy.critical + margin if descending else strategy.critical - margin
-        level_last = fit_samples[-1][1]
+        level_last = levels[-1]
         past_guard = level_last <= guard if descending else level_last >= guard
         guard_cross = (guard - intercept) / slope
         if not (past_guard or guard_cross <= ctx.now):
@@ -428,7 +439,7 @@ def _analyze_linear_forecast(ctx, events):
         graph = ctx.graph()
         if graph is None:
             continue
-        predicted = forecast_exhaustion(fit_samples, strategy.critical)
+        predicted = forecast_exhaustion(list(zip(times, levels)), strategy.critical)
         edits = tuple(
             ReplaceComponent(cid, graph.components[cid].kind)
             for cid in graph.components_on(host)
@@ -442,11 +453,10 @@ def _analyze_linear_forecast(ctx, events):
         reset_action = str(ctx.params.get("reset_action", "reset_host_resource"))
         agent_oid = ctx.engine.agent_for(ctx.domain)
         actions.append(AgentLaunchAction(MobileAgent(agent_oid, (stop,), reset_action)))
-        series[host] = []
-        cause = tuple(eid for _, _, eid in pts)
+        series[host] = ([], [], [])
         return Decision(
             ctx.domain,
-            cause=cause,
+            cause=tuple(ids),
             proposed_actions=tuple(actions),
             target_paths=(rel,),
             detail=f"exhaustion of {host} predicted at t={predicted}",
@@ -629,10 +639,8 @@ class AdaptationEngine:
     def dispatch_event(self, event: AdaptationEvent) -> list[tuple[ObjectId, Optional[Decision]]]:
         if not self.hub.is_sensor(event.source):
             raise UnknownSensor(f"{event.source} is not a registered sensor")
-        results: list[tuple[ObjectId, Optional[Decision]]] = []
-        for domain in self.registry.domains_containing(event.source):
-            results.append((domain, self._deliver(domain, event)))
-        return results
+        return [(domain, self._deliver(domain, event))
+                for domain in self.registry.domains_containing(event.source)]
 
     def _deliver(self, domain: ObjectId, event: AdaptationEvent) -> Optional[Decision]:
         binding = self._bindings.get(domain)

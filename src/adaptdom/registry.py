@@ -68,6 +68,7 @@ class Registry:
         self._next_seq = 1
         self._objects: dict[ObjectId, DomainRecord | None] = {}
         self._parents: dict[ObjectId, set[tuple[ObjectId, str]]] = {}
+        self._containing: dict[ObjectId, tuple[ObjectId, ...]] = {}
         self._root: ObjectId | None = None
 
     # --- object lifecycle ---
@@ -127,6 +128,7 @@ class Registry:
             )
         rec.members[local_name] = member
         self._parents[member].add((domain, local_name))
+        self._containing.clear()
         base = self._some_path(domain)
         return base.child(local_name) if base is not None else None
 
@@ -139,6 +141,7 @@ class Registry:
             raise Forbidden("the root domain cannot be excluded")
         del rec.members[local_name]
         self._parents[member].discard((domain, local_name))
+        self._containing.clear()
 
     def _would_cycle(self, domain: ObjectId, new_member: ObjectId) -> bool:
         # Cycle iff `domain` is reachable from `new_member` via domain members.
@@ -234,8 +237,11 @@ class Registry:
         self._require(oid)
         return sorted({parent for parent, _ in self._parents[oid]})
 
-    def domains_containing(self, oid: ObjectId) -> list[ObjectId]:
-        """All domains of which `oid` is a direct or indirect member."""
+    def domains_containing(self, oid: ObjectId) -> tuple[ObjectId, ...]:
+        """Sorted domains holding `oid` directly or indirectly; kept until a membership changes."""
+        cached = self._containing.get(oid)
+        if cached is not None:
+            return cached
         self._require(oid)
         seen: set[ObjectId] = set()
         stack = [parent for parent, _ in self._parents[oid]]
@@ -245,7 +251,8 @@ class Registry:
                 continue
             seen.add(cur)
             stack.extend(parent for parent, _ in self._parents[cur])
-        return sorted(seen)
+        self._containing[oid] = found = tuple(sorted(seen))
+        return found
 
     def orphans(self) -> list[ObjectId]:
         """Registered objects with no root-anchored path (audit target)."""

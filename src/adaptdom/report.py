@@ -21,6 +21,7 @@ from .errors import ParseError, UnknownVersion
 from .trace import TraceEntry, format_scalar
 
 REPORT_HEADER = "adaptdom-report 1"
+_MARKERS = ("begin-", "end-", "checksum sha256=")
 
 
 @dataclass
@@ -74,7 +75,12 @@ class RunReport:
         sections: dict[str, list[str]] = {}
         current = None
         checksum = None
-        for lineno, line in enumerate(lines[2:], start=3):
+        # Each marker line, then the lines up to the next one as one slice.
+        markers = [at for at, line in enumerate(lines) if line.startswith(_MARKERS)]
+        if len(lines) > 2 and markers[:1] != [2]:
+            raise ParseError(f"unexpected line {lines[2]!r}", line=3)
+        for at, stop in zip(markers, markers[1:] + [len(lines)]):
+            line, lineno = lines[at], at + 1
             if line.startswith("begin-"):
                 if current is not None:
                     raise ParseError(f"nested section {line!r}", line=lineno)
@@ -84,14 +90,14 @@ class RunReport:
                 if current != line[len("end-"):]:
                     raise ParseError(f"mismatched section end {line!r}", line=lineno)
                 current = None
-            elif line.startswith("checksum sha256="):
+            else:
                 if current is not None:
                     raise ParseError("checksum inside a section", line=lineno)
                 checksum = line[len("checksum sha256="):]
-            elif current is not None:
-                sections[current].append(line)
-            else:
-                raise ParseError(f"unexpected line {line!r}", line=lineno)
+            if stop > lineno:
+                if current is None:
+                    raise ParseError(f"unexpected line {lines[lineno]!r}", line=lineno + 1)
+                sections[current].extend(lines[lineno:stop])
         if current is not None:
             raise ParseError(f"unterminated section {current!r}", line=len(lines))
         if checksum is None:

@@ -186,19 +186,20 @@ class ActuationHub:
         event = AdaptationEvent(
             self.allocate_event_id(), sensor, event_type, dict(payload), now
         )
-        if self.dispatch is None:
-            routed = 0
-        else:
-            routed = len(self.dispatch(event))
+        routed = 0 if self.dispatch is None else len(self.dispatch(event))
+        self.record_event(event, routed)
+        return routed
+
+    def record_event(self, event: AdaptationEvent, routed: int) -> None:
+        """Write the trace record of an event that reached `routed` domains."""
         self._trace.record(
-            now, "event",
+            event.timestamp, "event",
             id=event.event_id,
-            src=sensor,
-            type=event_type,
+            src=event.source,
+            type=event.event_type,
             domains=routed,
             payload=event.render_payload(),
         )
-        return routed
 
     # --- commands ---
 

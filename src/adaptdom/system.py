@@ -181,6 +181,7 @@ class System:
         self.scenario_params: dict[str, float | int | str] = {}
         # host_id <-> managed object mapping, filled in by config loading.
         self.host_objects: dict[str, ObjectId] = self.engine.host_objects
+        self._object_hosts: Optional[dict[ObjectId, str]] = None
         # Scenario script (faults, probes, traffic flows) from the document.
         self.doc_faults: list = []
         self.doc_probes: list = []
@@ -192,12 +193,13 @@ class System:
 
     def bind_host_object(self, host_id: str, oid: ObjectId) -> None:
         self.host_objects[host_id] = oid
+        self._object_hosts = None
 
     def host_id_of_object(self, oid: ObjectId) -> Optional[str]:
-        for host_id, obj in self.host_objects.items():
-            if obj == oid:
-                return host_id
-        return None
+        """The first host, in binding order, bound to `oid`."""
+        if self._object_hosts is None:  # rebuilt after a binding changed
+            self._object_hosts = {o: h for h, o in reversed(self.host_objects.items())}
+        return self._object_hosts.get(oid)
 
     def run_until(self, until: int) -> None:
         self.clock.run_until(until)
@@ -236,11 +238,7 @@ class System:
             {"txn": flight.txn.txn_id, "reason": reason},
             self.clock.now,
         )
-        self.trace.record(
-            self.clock.now, "event",
-            id=event.event_id, src=owner, type=event.event_type,
-            domains=1, payload=event.render_payload(),
-        )
+        self.hub.record_event(event, 1)
         self.engine._deliver(owner, event)
 
     def run_audits(self, now: int) -> None:

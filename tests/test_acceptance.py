@@ -421,13 +421,8 @@ def test_shipped_report_golden_digest(name):
     assert hashlib.sha256(rendered.encode("utf-8")).hexdigest() == SHIPPED_GOLDEN[name]
 
 
-def test_scale_heal_identical_across_hash_seeds(tmp_path):
-    from adaptdom.persistence import FaultEntry
-
-    doc = _scale_document()
-    doc.faults.append(FaultEntry(150, "kill", ("h21",)))
-    scenario = tmp_path / "scale.cfg"
-    scenario.write_text(render_document(doc), encoding="utf-8")
+def _reports_across_hash_seeds(tmp_path, scenario, seed: int, until: int) -> list[bytes]:
+    """The report bytes of one `adaptdom run` under each of two hash seeds."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     reports = []
     for hash_seed in ("1", "2"):
@@ -435,13 +430,31 @@ def test_scale_heal_identical_across_hash_seeds(tmp_path):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
         subprocess.run(
             [sys.executable, "-m", "adaptdom.cli", "run", str(scenario),
-             "--seed", "1", "--until", "400", "--report", str(out)],
+             "--seed", str(seed), "--until", str(until), "--report", str(out)],
             env=env, check=True, capture_output=True,
         )
         reports.append(out.read_bytes())
+    return reports
+
+
+def test_scale_heal_identical_across_hash_seeds(tmp_path):
+    from adaptdom.persistence import FaultEntry
+
+    doc = _scale_document()
+    doc.faults.append(FaultEntry(150, "kill", ("h21",)))
+    scenario = tmp_path / "scale.cfg"
+    scenario.write_text(render_document(doc), encoding="utf-8")
+    reports = _reports_across_hash_seeds(tmp_path, scenario, 1, 400)
     assert reports[0] == reports[1]
     assert reports[0].count(b" txn_commit ") == 2
     assert verify_report(reports[0].decode("utf-8")) == []
+
+
+def test_rejuvenation_identical_across_hash_seeds(tmp_path):
+    # Forecast windows and cached containing domains live on this path.
+    reports = _reports_across_hash_seeds(tmp_path, SCENARIOS["rejuvenation"], 13, 2000)
+    assert reports[0] == reports[1]
+    assert hashlib.sha256(reports[0]).hexdigest() == SHIPPED_GOLDEN["rejuvenation"]
 
 
 def test_criterion_6_scale_envelope():

@@ -287,3 +287,44 @@ class TestRandomizedProperties:
             except (CycleDetected, DuplicateLocalName):
                 pass
             assert _domain_graph_acyclic(registry)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_domains_containing_follows_membership_changes(self, seed):
+        # The per-object result is kept across calls; every include and
+        # exclude must leave it equal to a fresh walk down from each domain.
+        rng = random.Random(seed + 400)
+        registry = Registry()
+        registry.create_root()
+        objects = random_hierarchy(rng, registry, max_objects=30)
+        for step in range(40):
+            for oid in objects:
+                assert registry.domains_containing(oid) == _containing_walk(registry, objects, oid)
+            domain = rng.choice([d for d in objects if d.kind is Kind.DOMAIN])
+            names = registry.member_names(domain)
+            if names and rng.random() < 0.5:
+                name = rng.choice(sorted(names))
+                if names[name] != registry.root:
+                    registry.exclude(domain, name)
+            else:
+                try:
+                    registry.include(domain, rng.choice(objects), f"s{step}")
+                except CycleDetected:
+                    pass
+        # The kept result is handed to every caller, so it is immutable.
+        assert isinstance(registry.domains_containing(objects[-1]), tuple)
+
+
+def _containing_walk(registry, objects, oid):
+    """Every domain from which a walk down member links reaches `oid`."""
+    found = []
+    for domain in sorted(o for o in objects if o.kind is Kind.DOMAIN):
+        stack, seen = list(registry.member_names(domain).values()), set()
+        while stack:
+            cur = stack.pop()
+            if cur == oid:
+                found.append(domain)
+                break
+            if cur not in seen and cur.kind is Kind.DOMAIN:
+                seen.add(cur)
+                stack.extend(registry.member_names(cur).values())
+    return tuple(found)

@@ -1,10 +1,11 @@
 """Trace encoding and report verification against kept references.
 
-`ReferenceEntry` and `reference_verify_report` are the line-splitting
-parser and the pairwise verifier that the streaming `TraceEntry.parse`
-and the one-pass `verify_report` replaced. The properties below require
-the replacements to give the same values, errors and problem lists,
-order included.
+`ReferenceEntry`, `reference_verify_report` and `reference_report_parse`
+are the line-splitting parser, the pairwise verifier and the line-by-line
+section reader that the streaming `TraceEntry.parse`, the one-pass
+`verify_report` and the marker-slicing `RunReport.parse` replaced. The
+properties below require the replacements to give the same values, errors
+and problem lists, order included.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ from hypothesis import strategies as st
 
 from adaptdom.errors import ParseError, UnknownVersion
 from adaptdom.persistence import load_config
-from adaptdom.report import RunReport, _checksum_ok, parse_graph_lines, verify_report
+from adaptdom.report import (
+    REPORT_HEADER,
+    RunReport,
+    _checksum_ok,
+    parse_graph_lines,
+    verify_report,
+)
 from adaptdom.simharness import Simulator
 from adaptdom.trace import TraceEntry, TraceLog, format_scalar
 
@@ -55,6 +62,68 @@ class ReferenceEntry:
             k, _, v = part.partition("=")
             fields.append((k, v))
         return cls(time, seq, kind, tuple(fields))
+
+
+def reference_report_parse(text: str) -> RunReport:
+    cls = RunReport
+    lines = text.splitlines()
+    if not lines or lines[0] != REPORT_HEADER:
+        head = lines[0] if lines else ""
+        if head.startswith("adaptdom-report"):
+            raise UnknownVersion(f"unsupported report version: {head!r}")
+        raise ParseError("missing report header", line=1)
+    if len(lines) < 2 or not lines[1].startswith("scenario "):
+        raise ParseError("missing scenario line", line=2)
+    parts = lines[1].split()
+    scenario = parts[1] if len(parts) > 1 else ""
+    attrs = {}
+    for part in parts[2:]:
+        k, _, v = part.partition("=")
+        attrs[k] = v
+    try:
+        seed = int(attrs.get("seed", "0"))
+        until = int(attrs.get("until", "0"))
+    except ValueError:
+        raise ParseError("bad scenario attributes", line=2)
+    sections: dict[str, list[str]] = {}
+    current = None
+    checksum = None
+    for lineno, line in enumerate(lines[2:], start=3):
+        if line.startswith("begin-"):
+            if current is not None:
+                raise ParseError(f"nested section {line!r}", line=lineno)
+            current = line[len("begin-"):]
+            sections[current] = []
+        elif line.startswith("end-"):
+            if current != line[len("end-"):]:
+                raise ParseError(f"mismatched section end {line!r}", line=lineno)
+            current = None
+        elif line.startswith("checksum sha256="):
+            if current is not None:
+                raise ParseError("checksum inside a section", line=lineno)
+            checksum = line[len("checksum sha256="):]
+        elif current is not None:
+            sections[current].append(line)
+        else:
+            raise ParseError(f"unexpected line {line!r}", line=lineno)
+    if current is not None:
+        raise ParseError(f"unterminated section {current!r}", line=len(lines))
+    if checksum is None:
+        raise ParseError("missing checksum line", line=len(lines))
+    for name in ("trace", "graph", "metrics"):
+        if name not in sections:
+            raise ParseError(f"missing section {name!r}", line=len(lines))
+    metrics: dict[str, float | int] = {}
+    for line in sections["metrics"]:
+        parts = line.split()
+        if len(parts) != 4 or parts[0] != "metric" or parts[2] != "=":
+            raise ParseError(f"bad metric line {line!r}")
+        raw = parts[3]
+        try:
+            metrics[parts[1]] = float(raw) if "." in raw or "e" in raw else int(raw)
+        except ValueError:
+            raise ParseError(f"bad metric value {raw!r}")
+    return cls(scenario, seed, until, sections["trace"], sections["graph"], metrics)
 
 
 def reference_verify_report(text: str) -> list[str]:
@@ -264,6 +333,68 @@ def test_generated_reports_reach_every_problem_kind():
     collect()
     assert {"checksum", "trace:", "time", "sequence", "unparseable", "event", "quiescence",
             "concurrent", "graph:", "final"} <= seen
+
+
+# --- report sections ---
+
+SECTION_LINES = (
+    "begin-trace", "end-trace", "begin-graph", "end-graph", "begin-metrics", "end-metrics",
+    "begin-", "end-", "begin-other", "end-other", "checksum sha256=ab12", "checksum sha256=",
+    "t=1 s=2 event id=3", "component a kind=web host=h1 state=active", "metric m = 1",
+    "metric m = 1.5", "metric m = x", "metric m", "metric m = 2e3", "", "junk", " begin-trace",
+    "xend-trace",
+    "checksum", "scenario s seed=1", REPORT_HEADER,
+)
+GOOD_BODY = (
+    "begin-trace", "t=1 s=2 event id=3", "end-trace", "begin-graph", "end-graph",
+    "begin-metrics", "metric m = 1", "end-metrics", "checksum sha256=ab12",
+)
+
+
+@st.composite
+def report_texts(draw) -> str:
+    head = [draw(st.sampled_from((REPORT_HEADER,) * 18 + ("adaptdom-report 2", "junk")))]
+    head.append(draw(st.sampled_from(("scenario s seed=1 until=5",) * 16 + (
+        "scenario", "scenario x seed=z", "scenario  y", ""))))
+    if draw(st.integers(0, 3)):
+        body = list(GOOD_BODY)
+        body[6] = draw(st.sampled_from(("metric m = 1", "metric m = 2e3", "metric m = 1.5",
+                                        "metric m = x", "metric m", "metric m = 1 2")))
+        for _ in range(draw(st.integers(0, 2))):
+            at = draw(st.integers(0, len(body)))
+            if body and draw(st.booleans()):
+                del body[min(at, len(body) - 1)]
+            else:
+                body.insert(at, draw(st.sampled_from(SECTION_LINES)))
+    else:
+        body = draw(st.lists(st.sampled_from(SECTION_LINES), max_size=14))
+    lines = draw(st.sampled_from(((),) * 19 + (("",),))) + tuple(head + body)
+    # splitlines() breaks at more than "\n"; the sections must split alike.
+    seps = st.sampled_from(("\n",) * 6 + ("\r\n", "\r", "\x0b", "\u2028", "\x1c"))
+    text = "".join(line + draw(seps) for line in lines[:-1]) + (lines[-1] if lines else "")
+    return text + draw(st.sampled_from(("\n", "", "\n\n")))
+
+
+def _parsed(parse, text):
+    try:
+        report = parse(text)
+    except (ParseError, UnknownVersion) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return (report.scenario, report.seed, report.until, report.trace_lines,
+            report.graph_lines, report.metrics)
+
+
+@settings(max_examples=600, deadline=None)
+@given(report_texts())
+def test_report_parse_equals_reference(text):
+    assert _parsed(RunReport.parse, text) == _parsed(reference_report_parse, text)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_report_parse_equals_reference_on_runs(name):
+    text = Simulator(load_config(SCENARIOS[name]), seed=13).run(600).render()
+    assert _parsed(RunReport.parse, text) == _parsed(reference_report_parse, text)
+    assert RunReport.parse(text).render() == text
 
 
 # --- the trace line grammar ---

@@ -4,9 +4,10 @@ import pytest
 
 from adaptdom.errors import UnknownHost
 from adaptdom.persistence import FaultEntry, load_config, parse_document
+from adaptdom.registry import Kind
 from adaptdom.report import verify_report
 from adaptdom.simharness import Simulator
-from adaptdom.system import Host
+from adaptdom.system import Host, System
 
 from conftest import SCENARIOS
 
@@ -170,3 +171,34 @@ class TestSnapshot:
             "state=active" in line
             for line in snap.graph_lines if line.startswith("component")
         )
+
+
+class TestHostObjects:
+    """`host_id_of_object` answers what a scan of `host_objects` in binding
+    order would: the first host bound to the object."""
+
+    @staticmethod
+    def scan(system, oid):
+        return next((h for h, o in system.host_objects.items() if o == oid), None)
+
+    def test_object_bound_to_two_hosts_keeps_the_first(self):
+        system = System()
+        shared, other = system.registry.register(Kind.PLAIN), system.registry.register(Kind.PLAIN)
+        system.bind_host_object("h2", shared)
+        system.bind_host_object("h1", shared)
+        system.bind_host_object("h3", other)
+        assert system.host_id_of_object(shared) == "h2" == self.scan(system, shared)
+        assert system.host_id_of_object(other) == "h3"
+        assert system.host_id_of_object(system.registry.register(Kind.PLAIN)) is None
+
+    def test_rebound_host_keeps_its_place(self):
+        system = System()
+        a, b, c = (system.registry.register(Kind.PLAIN) for _ in range(3))
+        system.bind_host_object("h1", a)
+        system.bind_host_object("h2", a)
+        system.bind_host_object("h3", b)
+        assert (system.host_id_of_object(a), system.host_id_of_object(b)) == ("h1", "h3")
+        system.bind_host_object("h1", b)  # h1 leaves a for b, ahead of h3
+        system.bind_host_object("h2", c)  # a is left with no host
+        for oid, host in ((a, None), (b, "h1"), (c, "h2")):
+            assert system.host_id_of_object(oid) == host == self.scan(system, oid)
