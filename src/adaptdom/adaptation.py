@@ -20,12 +20,15 @@ from typing import Callable, Optional, Sequence
 
 from .confgraph import (
     ConfigGraph,
+    ConfigManager,
     MoveComponent,
     ReconfigTxn,
     ReplaceComponent,
+    Scheduler,
     validate as validate_txn,
 )
 from .errors import (
+    AdaptdomError,
     ConsistencyRejected,
     InsufficientSamples,
     InvalidPolicy,
@@ -240,9 +243,9 @@ class StageContext:
         self.domain = domain
         self.binding = binding
         self.now = now
-        self.params = binding.logic.params if binding.logic else {}
+        self.params = binding.logic.params
         self.policy = binding.policy
-        self.strategy = binding.logic.strategy if binding.logic else None
+        self.strategy = binding.logic.strategy
         self.state = binding.stage_state
 
     def member_path_of(self, oid: Optional[ObjectId]) -> Optional[str]:
@@ -253,12 +256,11 @@ class StageContext:
     def note_reference(self, rel_path: str) -> None:
         self.binding.referenced_paths[rel_path] = self.now
 
-    def graph(self) -> Optional[ConfigGraph]:
-        provider = self.engine.graph_provider
-        return provider() if provider else None
+    def graph(self) -> ConfigGraph:
+        return self.engine.manager.graph
 
     def hosts(self):
-        return self.engine.hosts_provider
+        return self.engine.hosts
 
     def host_object(self, host_id: str) -> Optional[ObjectId]:
         return self.engine.host_objects.get(host_id)
@@ -300,11 +302,8 @@ def _evacuation(ctx, host: str, prefix: str) -> Optional[tuple[str, ReconfigTxn]
     if rel is None:
         return None
     ctx.note_reference(rel)
-    graph = ctx.graph()
-    if graph is None or ctx.hosts() is None:
-        return None
     weight = float(ctx.params.get("placement_weight", 1.0))
-    moves = plan_placement_moves(graph, ctx.hosts(), host, weight)
+    moves = plan_placement_moves(ctx.graph(), ctx.hosts(), host, weight)
     if not moves:
         return None
     return rel, ReconfigTxn(ctx.next_txn_id(prefix), tuple(moves))
@@ -437,8 +436,6 @@ def _analyze_linear_forecast(ctx, events):
             continue
         ctx.note_reference(rel)
         graph = ctx.graph()
-        if graph is None:
-            continue
         predicted = forecast_exhaustion(list(zip(times, levels)), strategy.critical)
         edits = tuple(
             ReplaceComponent(cid, graph.components[cid].kind)
@@ -525,34 +522,28 @@ class _Binding:
     referenced_paths: dict[str, int] = field(default_factory=dict)
     last_executed: dict[str, int] = field(default_factory=dict)
     executions: list[int] = field(default_factory=list)
-    retro_anchor: int = 0
     generation: int = 0
 
 
 class AdaptationEngine:
-    """Owns bindings, routes events, runs pipelines, audits domains."""
+    """Owns bindings, routes events, runs pipelines, audits domains, and
+    carries out the actions its pipelines decide. It builds its own hub,
+    passing itself in, so the hub routes every event and command here.
+    Graph edits go to `manager`; analyzers read `hosts` and `host_objects`
+    (host id -> managed object, a dict the caller owns and fills)."""
 
-    def __init__(self, registry: Registry, hub: ActuationHub, trace: TraceLog):
+    def __init__(self, registry: Registry, trace: TraceLog, clock: Scheduler,
+                 manager: ConfigManager, hosts, host_objects: dict[str, ObjectId]):
         self.registry = registry
-        self.hub = hub
         self.trace = trace
+        self.clock = clock
+        self.manager = manager
+        self.hosts = hosts
+        self.host_objects = host_objects
+        self.hub = ActuationHub(registry, trace, clock, self)
         self._bindings: dict[ObjectId, _Binding] = {}
         self._txn_counter = 0
         self._agents: dict[ObjectId, ObjectId] = {}
-        # Wired by the composing system.
-        self.graph_provider: Optional[Callable[[], ConfigGraph]] = None
-        self.hosts_provider = None
-        self.host_objects: dict[str, ObjectId] = {}
-        self.scheduler = None
-        self.actuate: Callable[[int, ActuatorAction, ObjectId], None] = self._record_only
-        hub.dispatch = self.dispatch_event
-        hub.deliver_command = self.deliver_command
-
-    def _record_only(self, time: int, action: ActuatorAction, domain: ObjectId) -> None:
-        self.trace.record(
-            time, "action",
-            domain=domain, sig=action_signature(action),
-        )
 
     def _next_txn_id(self, prefix: str) -> str:
         self._txn_counter += 1
@@ -597,10 +588,8 @@ class AdaptationEngine:
         binding.last_executed = {}
         binding.executions = []
         binding.generation += 1
-        now = self.scheduler.now if self.scheduler else 0
-        binding.retro_anchor = now
-        if isinstance(logic.strategy, Retroactive) and self.scheduler is not None:
-            self._schedule_retro(domain, binding.generation, now + logic.strategy.period)
+        if isinstance(logic.strategy, Retroactive):
+            self._schedule_retro(domain, binding.generation)
 
     def unload_logic(self, domain: ObjectId) -> None:
         binding = self._bindings.get(domain)
@@ -622,17 +611,17 @@ class AdaptationEngine:
     def bound_domains(self) -> list[ObjectId]:
         return sorted(d for d, b in self._bindings.items() if b.logic is not None)
 
-    def _schedule_retro(self, domain: ObjectId, generation: int, when: int) -> None:
-        def fire():
-            binding = self._bindings.get(domain)
-            if binding is None or binding.generation != generation or binding.logic is None:
-                return
-            self.retro_boundary(domain, self.scheduler.now)
-            self._schedule_retro(
-                domain, generation, self.scheduler.now + binding.logic.strategy.period
-            )
+    def _schedule_retro(self, domain: ObjectId, generation: int) -> None:
+        """Evaluate the batch one period from now, unless the logic has been
+        loaded again or unloaded by then (each bumps the generation)."""
+        binding = self._bindings[domain]
 
-        self.scheduler.schedule(when, fire)
+        def fire():
+            if binding.generation == generation:
+                self.retro_boundary(domain, self.clock.now)
+                self._schedule_retro(domain, generation)
+
+        self.clock.schedule(self.clock.now + binding.logic.strategy.period, fire)
 
     # --- event routing ---
 
@@ -680,10 +669,7 @@ class AdaptationEngine:
         binding = self._bindings.get(domain)
         if binding is None or binding.logic is None:
             raise NoLogicLoaded(f"{domain} has no adaptation logic loaded")
-        now = max(
-            (e.timestamp for e in inputs),
-            default=self.scheduler.now if self.scheduler else 0,
-        )
+        now = max((e.timestamp for e in inputs), default=self.clock.now)
         outcome = self._pipeline(domain, binding, inputs, now)
         if outcome.status == PIPELINE_CONSISTENCY_REJECTED:
             raise ConsistencyRejected(outcome.decision.detail if outcome.decision else "rejected")
@@ -778,11 +764,9 @@ class AdaptationEngine:
                 return False, f"target {rel!r} does not resolve"
         for action in decision.proposed_actions:
             if isinstance(action, GraphEditAction):
-                graph = self.graph_provider() if self.graph_provider else None
-                if graph is not None:
-                    report = validate_txn(graph, action.txn, self.hosts_provider)
-                    if not report.ok:
-                        return False, f"graph edit invalid: {report.violations[0]}"
+                report = validate_txn(self.manager.graph, action.txn, self.hosts)
+                if not report.ok:
+                    return False, f"graph edit invalid: {report.violations[0]}"
             elif isinstance(action, CommandAction):
                 cmd = action.command
                 if not self.registry.known(cmd.to_domain):
@@ -798,6 +782,29 @@ class AdaptationEngine:
                 if not self.registry.known(agent.agent_id):
                     return False, f"agent {agent.agent_id} unknown"
         return True, ""
+
+    # --- actuation ---
+
+    def actuate(self, time: int, action: ActuatorAction, domain: ObjectId) -> None:
+        """Carry out `action` for `domain` at `time`: now, or on the clock."""
+        if time > self.clock.now:
+            self.clock.schedule(time, lambda: self._perform(action, domain))
+        else:
+            self._perform(action, domain)
+
+    def _perform(self, action: ActuatorAction, domain: ObjectId) -> None:
+        try:
+            if isinstance(action, GraphEditAction):
+                self.manager.submit(action.txn, owner=domain)
+            elif isinstance(action, CommandAction):
+                self.hub.send_command(action.command)
+            elif isinstance(action, AgentLaunchAction):
+                self.hub.launch_agent(domain, action.agent)
+        except AdaptdomError as exc:
+            self.trace.record(
+                self.clock.now, "actuator_error",
+                domain=domain, error=type(exc).__name__,
+            )
 
     # --- commands ---
 

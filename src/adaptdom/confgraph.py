@@ -21,11 +21,12 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from enum import Enum
 from typing import Callable, Optional, Protocol
 
 from .errors import InvalidTxn
-from .paths import check_token
+from .paths import check_tokens
 from .trace import TraceLog
 
 
@@ -189,6 +190,13 @@ def render_edit(edit: Edit) -> str:
     return f"replace:{edit.cid}:{edit.new_kind}"
 
 
+def _edit_names(edit: Edit):
+    """The names an edit carries: each of its fields, or of its connection's."""
+    if isinstance(edit, (AddConnection, RemoveConnection)):
+        edit = edit.connection
+    return vars(edit).values()
+
+
 @dataclass(frozen=True)
 class ReconfigTxn:
     """An atomic batch of graph edits. Empty edit lists are no-ops."""
@@ -197,7 +205,7 @@ class ReconfigTxn:
     edits: tuple[Edit, ...] = ()
 
     def __post_init__(self):
-        check_token(self.txn_id)
+        check_tokens([self.txn_id, *chain.from_iterable(map(_edit_names, self.edits))])
 
     def render_edits(self) -> str:
         return ";".join(render_edit(e) for e in self.edits) or "noop"
@@ -491,21 +499,8 @@ class _Flight:
     txn: ReconfigTxn
     owner: Optional[object]
     block_set: frozenset[str] = frozenset()
-    started_at: int = -1
     hosts_up_at_start: frozenset[str] = frozenset()
     result: Optional[TxnResult] = None
-
-    @property
-    def done(self) -> bool:
-        return self.result is not None
-
-
-class _AllHostsUp:
-    def host_exists(self, host_id: str) -> bool:
-        return True
-
-    def host_is_up(self, host_id: str) -> bool:
-        return True
 
 
 class ConfigManager:
@@ -516,6 +511,9 @@ class ConfigManager:
     set, waits until no application traffic occupies a blocked component,
     applies the net delta atomically, then unblocks. A host failing under
     a blocked component aborts the transaction.
+
+    `occupancy` (application traffic per component) is the caller's to
+    write; `on_commit` and `on_abort` hear of every finished transaction.
     """
 
     def __init__(
@@ -523,20 +521,20 @@ class ConfigManager:
         graph: ConfigGraph,
         scheduler: Scheduler,
         trace: TraceLog,
-        hosts: Optional[HostStatusView] = None,
-        occupancy: Optional[Callable[[str], int]] = None,
-        latency: int = 1,
-        on_abort: Optional[Callable[[_Flight, str], None]] = None,
-        on_commit: Optional[Callable[[_Flight], None]] = None,
+        hosts: HostStatusView,
+        occupancy: dict[str, int],
+        latency: int,
+        on_abort: Callable[[_Flight, str], None],
+        on_commit: Callable[[_Flight], None],
     ):
         self.graph = graph
         self._scheduler = scheduler
         self._trace = trace
-        self._hosts = hosts if hosts is not None else _AllHostsUp()
-        self._occupancy = occupancy or (lambda cid: 0)
+        self._hosts = hosts
+        self._occupancy = occupancy
         self._latency = max(1, latency)
-        self.on_abort = on_abort
-        self.on_commit = on_commit
+        self._on_abort = on_abort
+        self._on_commit = on_commit
         self._in_flight: list[_Flight] = []
         self._queue: list[_Flight] = []
         self._draining = False
@@ -561,14 +559,8 @@ class ConfigManager:
         return flight
 
     def _conflicts(self, block: frozenset[str]) -> bool:
-        for flight in self._in_flight:
-            if not flight.done and flight.block_set & block:
-                return True
         # FIFO among conflicting: anything queued ahead also blocks us.
-        for flight in self._queue:
-            if flight.block_set & block:
-                return True
-        return False
+        return any(f.block_set & block for f in chain(self._in_flight, self._queue))
 
     def _start(self, flight: _Flight) -> None:
         now = self._scheduler.now
@@ -579,7 +571,6 @@ class ConfigManager:
             self._finish(flight, "aborted", reason=str(prepared.violations[0]))
             return
         flight.block_set = prepared.block_set
-        flight.started_at = now
         flight.hosts_up_at_start = frozenset(
             self.graph.components[cid].host
             for cid in flight.block_set
@@ -599,8 +590,6 @@ class ConfigManager:
         self._scheduler.schedule(now + self._latency, lambda: self._check(flight))
 
     def _check(self, flight: _Flight) -> None:
-        if flight.done:
-            return
         now = self._scheduler.now
         for cid in sorted(flight.block_set):
             comp = self.graph.components.get(cid)
@@ -610,7 +599,7 @@ class ConfigManager:
                 self._unblock(flight)
                 self._finish(flight, "aborted", reason=f"host_down:{comp.host}")
                 return
-        if any(self._occupancy(cid) > 0 for cid in flight.block_set):
+        if any(self._occupancy.get(cid, 0) > 0 for cid in flight.block_set):
             self._scheduler.schedule(now + 1, lambda: self._check(flight))
             return
         prepared = apply_in_place(self.graph, flight.txn)
@@ -639,16 +628,14 @@ class ConfigManager:
                 id=flight.txn.txn_id,
                 components="|".join(sorted(flight.block_set)) or "-",
             )
-            if self.on_commit is not None:
-                self.on_commit(flight)
+            self._on_commit(flight)
         else:
             self._trace.record(
                 now, "txn_abort",
                 id=flight.txn.txn_id,
                 reason=reason or "-",
             )
-            if self.on_abort is not None:
-                self.on_abort(flight, reason)
+            self._on_abort(flight, reason)
         self._drain_queue()
 
     def _drain_queue(self) -> None:
@@ -659,19 +646,18 @@ class ConfigManager:
             return
         self._draining = True
         try:
-            changed = True
-            while changed:
-                changed = False
-                active = [f.block_set for f in self._in_flight if not f.done]
-                ahead: list[frozenset] = []
-                for flight in list(self._queue):
-                    if any(flight.block_set & b for b in active + ahead):
-                        ahead.append(flight.block_set)
-                        continue
-                    self._queue.remove(flight)
-                    self._start(flight)
-                    changed = True
-                    break
+            while True:
+                # The first queued flight clear of everything in flight and
+                # of every conflicting flight queued ahead of it starts.
+                blocking = [f.block_set for f in self._in_flight]
+                for flight in self._queue:
+                    if not any(flight.block_set & b for b in blocking):
+                        break
+                    blocking.append(flight.block_set)
+                else:
+                    return
+                self._queue.remove(flight)
+                self._start(flight)
         finally:
             self._draining = False
 

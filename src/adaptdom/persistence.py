@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 from .adaptation import (
@@ -27,6 +28,7 @@ from .adaptation import (
 )
 from .confgraph import Component, ComponentState, ConfigGraph, Connection
 from .errors import (
+    BadToken,
     DanglingReference,
     DirtyRegistry,
     IoFailure,
@@ -34,6 +36,7 @@ from .errors import (
     ScenarioParseError,
     UnknownVersion,
 )
+from .paths import check_tokens
 from .registry import Kind, ObjectId
 from .system import Host, System
 from .trace import format_scalar
@@ -189,6 +192,26 @@ _STAGE_KEYS = {"monitor", "audit", "analyze", "regulate", "execute"}
 
 
 def parse_document(text: str) -> ConfigDocument:
+    """Parse a document. Each component id, kind, host and port it names
+    must be a token; the first line naming one that is not is an error."""
+    doc = _parse(text, check_names=False)
+    try:
+        check_tokens(_names(doc))
+    except BadToken:
+        _parse(text, check_names=True)  # raises, naming the line
+        raise
+    return doc
+
+
+def _names(doc: ConfigDocument) -> list[str]:
+    flat = chain.from_iterable
+    return [*flat(c[:3] for c in doc.components), *flat(doc.connections),
+            *flat(f.path for f in doc.flows), *(h[0] for h in doc.hosts),
+            *flat(link[:2] for link in doc.links)]
+
+
+def _parse(text: str, check_names: bool) -> ConfigDocument:
+    """With `check_names`, check each body line's names as it is parsed."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != FORMAT_HEADER:
         head = lines[0].strip() if lines else ""
@@ -231,8 +254,11 @@ def parse_document(text: str) -> ConfigDocument:
             continue
         if section is None:
             raise ScenarioParseError(f"content outside any section: {line!r}", line=lineno)
+        target = ConfigDocument() if check_names else doc
         try:
-            _parse_body_line(doc, section, current_domain, current_logic, line, lineno)
+            _parse_body_line(target, section, current_domain, current_logic, line, lineno)
+            if check_names:
+                check_tokens(_names(target))
         except ParseError:
             raise
         except Exception as exc:
@@ -547,12 +573,12 @@ def capture_system(system: System, allow_orphans: bool = False) -> ConfigDocumen
     }
     for host_id in sorted(system.host_objects):
         doc.scenario_keys[f"host_object.{host_id}"] = canon[system.host_objects[host_id]]
-    doc.faults = list(getattr(system, "doc_faults", []))
+    doc.faults = list(system.doc_faults)
     doc.probes = [
         ProbeDecl(canon[sensor], kind, args)
-        for sensor, kind, args in getattr(system, "doc_probes", [])
+        for sensor, kind, args in system.doc_probes
     ]
-    doc.flows = list(getattr(system, "doc_flows", []))
+    doc.flows = list(system.doc_flows)
     return doc
 
 

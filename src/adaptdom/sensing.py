@@ -133,19 +133,21 @@ class _SensorInfo:
 
 
 class ActuationHub:
-    """Sensor registrations, event emission, commands, and agent flights."""
+    """Sensor registrations, event emission, commands, and agent flights.
 
-    def __init__(self, registry: Registry, trace: TraceLog):
+    The engine builds its hub and passes itself in; every event and command
+    goes to it. Commands and agent hops are stamped with the clock's time,
+    and agents fly on the clock, one hop every `agent_hop_latency` ticks."""
+
+    def __init__(self, registry: Registry, trace: TraceLog, clock, engine):
         self._registry = registry
         self._trace = trace
+        self._clock = clock
+        self._engine = engine
         self._sensors: dict[ObjectId, _SensorInfo] = {}
-        self._actions: dict[str, Callable] = {"noop": lambda ctx, path, target: None}
+        self._actions: dict[str, Callable] = {"noop": lambda stop, target: None}
         self._next_event_id = 1
         self.agent_hop_latency = 1
-        # Wired by the system: engine.dispatch_event and engine.deliver_command.
-        self.dispatch: Optional[Callable[[AdaptationEvent], list]] = None
-        self.deliver_command: Optional[Callable[[AdaptationCommand, int], CommandResult]] = None
-        self.action_context = None
 
     # --- sensors ---
 
@@ -186,7 +188,7 @@ class ActuationHub:
         event = AdaptationEvent(
             self.allocate_event_id(), sensor, event_type, dict(payload), now
         )
-        routed = 0 if self.dispatch is None else len(self.dispatch(event))
+        routed = len(self._engine.dispatch_event(event))
         self.record_event(event, routed)
         return routed
 
@@ -203,13 +205,11 @@ class ActuationHub:
 
     # --- commands ---
 
-    def send_command(self, cmd: AdaptationCommand, now: int = 0) -> CommandResult:
+    def send_command(self, cmd: AdaptationCommand) -> CommandResult:
         if not self._registry.is_descendant_domain(cmd.from_domain, cmd.to_domain):
             raise NotAChild(f"{cmd.to_domain} is not a child domain of {cmd.from_domain}")
-        if self.deliver_command is None:
-            result = CommandResult(False, "no engine attached")
-        else:
-            result = self.deliver_command(cmd, now)
+        now = self._clock.now
+        result = self._engine.deliver_command(cmd, now)
         self._trace.record(
             now, "command",
             src=cmd.from_domain,
@@ -223,47 +223,35 @@ class ActuationHub:
     # --- agents ---
 
     def register_action(self, token: str, fn: Callable) -> None:
+        """Register `fn(stop, target)`, called at each resolved stop with the
+        stop's path and the object it names; bind any context beforehand."""
         self._actions[token] = fn
 
-    def launch_agent(
-        self,
-        from_domain: ObjectId,
-        agent: MobileAgent,
-        now: int = 0,
-        scheduler=None,
-    ) -> AgentReport:
-        """Fly the agent. With a scheduler, hops become discrete events and
-        the report fills in as they complete; without one, they run inline."""
+    def launch_agent(self, from_domain: ObjectId, agent: MobileAgent) -> AgentReport:
+        """Fly the agent on the clock. Each hop is a discrete event, and the
+        report fills in as the hops complete."""
         if not agent.itinerary:
             raise EmptyItinerary(f"agent {agent.agent_id} has no stops")
         if agent.action not in self._actions:
             raise UnknownAction(f"unregistered action {agent.action!r}")
-        report = AgentReport(agent.agent_id, started=now)
-        if agent.agent_id not in self._sensors:
-            # Agents report through the event channel too, so they act as
-            # sensors with no heartbeat expectation.
-            self._sensors[agent.agent_id] = _SensorInfo(0)
-        if scheduler is None:
-            hop_time = now
-            for stop in agent.itinerary:
-                hop_time += self.agent_hop_latency
-                self._hop(agent, stop, report, hop_time)
-            self._complete(from_domain, agent, report, hop_time)
-        else:
-            self._schedule_hop(from_domain, agent, report, 0, scheduler)
+        report = AgentReport(agent.agent_id, started=self._clock.now)
+        # Agents report through the event channel too, so they act as
+        # sensors with no heartbeat expectation.
+        self._sensors.setdefault(agent.agent_id, _SensorInfo(0))
+        self._schedule_hop(from_domain, agent, report, 0)
         return report
 
-    def _schedule_hop(self, from_domain, agent, report, index, scheduler) -> None:
-        when = scheduler.now + self.agent_hop_latency
+    def _schedule_hop(self, from_domain, agent, report, index) -> None:
+        clock = self._clock
 
         def fly():
-            self._hop(agent, agent.itinerary[index], report, scheduler.now)
+            self._hop(agent, agent.itinerary[index], report, clock.now)
             if index + 1 < len(agent.itinerary):
-                self._schedule_hop(from_domain, agent, report, index + 1, scheduler)
+                self._schedule_hop(from_domain, agent, report, index + 1)
             else:
-                self._complete(from_domain, agent, report, scheduler.now)
+                self._complete(from_domain, agent, report, clock.now)
 
-        scheduler.schedule(when, fly)
+        clock.schedule(clock.now + self.agent_hop_latency, fly)
 
     def _hop(self, agent: MobileAgent, stop: PathName, report: AgentReport, now: int) -> None:
         try:
@@ -272,7 +260,7 @@ class ActuationHub:
             outcome = StopOutcome("skipped")
         else:
             try:
-                self._actions[agent.action](self.action_context, stop, target)
+                self._actions[agent.action](stop, target)
                 outcome = StopOutcome("ok")
             except Exception as exc:  # action failures are reported, not raised
                 outcome = StopOutcome("failed", type(exc).__name__)

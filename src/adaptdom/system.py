@@ -2,8 +2,14 @@
 
 A System bundles one registry, one actuation hub, one adaptation engine,
 and one configuration manager around a shared deterministic clock and
-trace. The simulator drives a System from a scenario; tests may also
-drive one directly.
+trace. `System.__init__` is the one place that wires them, each through
+its constructor, in this order: the trace, clock, registry and host
+table; the state the System owns and lends out (the occupancy counts
+that traffic writes, the host-to-object map that loading fills in); the
+configuration manager, with the System's commit and abort hooks; then
+the adaptation engine, which builds its own actuation hub. Nothing is
+attached to them afterwards. The simulator drives a System from a
+scenario; tests may also drive one directly.
 """
 
 from __future__ import annotations
@@ -14,16 +20,9 @@ from typing import Callable, Optional
 
 from .adaptation import AdaptationEngine
 from .confgraph import ConfigGraph, ConfigManager
-from .errors import AdaptdomError, UnknownHost
+from .errors import UnknownHost
 from .registry import ObjectId, Registry
-from .sensing import (
-    ActuationHub,
-    ActuatorAction,
-    AdaptationEvent,
-    AgentLaunchAction,
-    CommandAction,
-    GraphEditAction,
-)
+from .sensing import AdaptationEvent
 from .trace import TraceLog
 
 
@@ -52,9 +51,6 @@ class SimClock:
             fn()
         if until > self._now:
             self._now = until
-
-    def pending(self) -> int:
-        return len(self._heap)
 
 
 @dataclass
@@ -160,28 +156,28 @@ class System:
         self.trace = TraceLog()
         self.clock = SimClock()
         self.registry = Registry()
-        self.hub = ActuationHub(self.registry, self.trace)
-        self.engine = AdaptationEngine(self.registry, self.hub, self.trace)
         self.hosts = HostTable(self.clock)
-        self.occupancy: Callable[[str], int] = lambda cid: 0
+        # Application traffic inside each component, written by the simulator.
+        self.occupancy: dict[str, int] = {}
+        # host_id <-> managed object mapping, filled in by config loading.
+        self.host_objects: dict[str, ObjectId] = {}
+        self._object_hosts: Optional[dict[ObjectId, str]] = None
         self.config_manager = ConfigManager(
             graph if graph is not None else ConfigGraph(),
             self.clock,
             self.trace,
-            hosts=self.hosts,
-            occupancy=lambda cid: self.occupancy(cid),
-            latency=reconfig_latency,
+            self.hosts,
+            self.occupancy,
+            reconfig_latency,
             on_abort=self._on_txn_abort,
+            on_commit=self._on_txn_commit,
         )
-        self.engine.graph_provider = lambda: self.config_manager.graph
-        self.engine.hosts_provider = self.hosts
-        self.engine.scheduler = self.clock
-        self.engine.actuate = self._actuate
-        self.hub.action_context = self
+        self.engine = AdaptationEngine(
+            self.registry, self.trace, self.clock, self.config_manager,
+            self.hosts, self.host_objects,
+        )
+        self.hub = self.engine.hub
         self.scenario_params: dict[str, float | int | str] = {}
-        # host_id <-> managed object mapping, filled in by config loading.
-        self.host_objects: dict[str, ObjectId] = self.engine.host_objects
-        self._object_hosts: Optional[dict[ObjectId, str]] = None
         # Scenario script (faults, probes, traffic flows) from the document.
         self.doc_faults: list = []
         self.doc_probes: list = []
@@ -204,27 +200,13 @@ class System:
     def run_until(self, until: int) -> None:
         self.clock.run_until(until)
 
-    # --- actuator fan-out ---
+    # --- transaction hooks ---
 
-    def _actuate(self, time: int, action: ActuatorAction, domain: ObjectId) -> None:
-        if time > self.clock.now:
-            self.clock.schedule(time, lambda: self._perform(action, domain))
-        else:
-            self._perform(action, domain)
-
-    def _perform(self, action: ActuatorAction, domain: ObjectId) -> None:
-        now = self.clock.now
-        try:
-            if isinstance(action, GraphEditAction):
-                self.config_manager.submit(action.txn, owner=domain)
-            elif isinstance(action, CommandAction):
-                self.hub.send_command(action.command, now)
-            elif isinstance(action, AgentLaunchAction):
-                self.hub.launch_agent(domain, action.agent, now, scheduler=self.clock)
-        except AdaptdomError as exc:
-            self.trace.record(
-                now, "actuator_error",
-                domain=domain, error=type(exc).__name__,
+    def _on_txn_commit(self, flight) -> None:
+        txn_id = flight.txn.txn_id
+        if txn_id.split("-")[0] in ("heal", "rejuv", "evac"):
+            assert flight.result.kinds_preserved, (
+                f"adaptation transaction {txn_id} changed the component-kind multiset"
             )
 
     def _on_txn_abort(self, flight, reason: str) -> None:

@@ -450,11 +450,14 @@ def test_scale_heal_identical_across_hash_seeds(tmp_path):
     assert verify_report(reports[0].decode("utf-8")) == []
 
 
-def test_rejuvenation_identical_across_hash_seeds(tmp_path):
-    # Forecast windows and cached containing domains live on this path.
-    reports = _reports_across_hash_seeds(tmp_path, SCENARIOS["rejuvenation"], 13, 2000)
+@pytest.mark.parametrize("name", sorted(SHIPPED_GOLDEN))
+def test_shipped_identical_across_hash_seeds(tmp_path, name):
+    # Healing plans placements, rejuvenation keeps forecast windows and
+    # cached containing domains, optimization runs retroactive batches and
+    # link probes: each path must not depend on the hash seed.
+    reports = _reports_across_hash_seeds(tmp_path, SCENARIOS[name], 13, 2000)
     assert reports[0] == reports[1]
-    assert hashlib.sha256(reports[0]).hexdigest() == SHIPPED_GOLDEN["rejuvenation"]
+    assert hashlib.sha256(reports[0]).hexdigest() == SHIPPED_GOLDEN[name]
 
 
 def test_criterion_6_scale_envelope():

@@ -354,7 +354,7 @@ class TestStrategies:
         resets = []
         system.hub.register_action(
             "reset_host_resource",
-            lambda ctx, path, target: resets.append(str(path)),
+            lambda path, target: resets.append(str(path)),
         )
         level = 1000.0
         t = 0
@@ -432,8 +432,9 @@ class TestCommandsIntoPipeline:
             "m", Reactive(), analyze=marker_analyzer,
             monitor="event_type_filter", params={"event_types": "nothing"},
         ))
+        system.run_until(3)
         result = system.hub.send_command(
-            AdaptationCommand(system.registry.root, d, "poke", {}), now=3
+            AdaptationCommand(system.registry.root, d, "poke", {})
         )
         assert result.handled
 

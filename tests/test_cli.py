@@ -59,6 +59,39 @@ class TestValidate:
         bad.write_text("adaptdom-config 1\njunk without section\nend-config\n")
         assert cli_main(["validate", str(bad)]) == 2
 
+    @pytest.mark.parametrize("line", [
+        "component a kind=s.v host=h1 state=active",
+        "connection c out -> c in:1",
+        "host h|2 capacity=100.0 leak=0.0 level=100.0 status=up",
+    ])
+    def test_bad_token_exits_2(self, tmp_path, capsys, line):
+        # Trace fields join names with `|`, `,`, `:`, `.` and `>`; a name
+        # holding one would pass through a run and its replay misread.
+        lines = [
+            "adaptdom-config 1", "[system]", "root = 1", "[objects]", "object 1 domain",
+            "[hosts]", "host h1 capacity=100.0 leak=0.0 level=100.0 status=up",
+            "[graph]", "component c kind=svc host=h1 state=active",
+            "[scenario]", "traffic c period=5 start=0", "end-config",
+        ]
+        section = "[hosts]" if line.startswith("host") else "[graph]"
+        lines.insert(lines.index(section) + 1, line)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("\n".join(lines) + "\n")
+        assert cli_main(["validate", str(bad)]) == 2
+        assert f"line {lines.index(line) + 1}: BadToken" in capsys.readouterr().err
+
+    def test_bar_in_ids_exits_2(self, tmp_path):
+        bad = tmp_path / "bar.cfg"
+        bad.write_text(
+            "adaptdom-config 1\n[system]\nroot = 1\n[objects]\nobject 1 domain\n"
+            "[hosts]\nhost h1 capacity=100.0 leak=0.0 level=100.0 status=up\n"
+            "[graph]\ncomponent a|b kind=svc host=h1 state=active\n"
+            "component c kind=svc host=h1 state=active\nconnection a|b out -> c in\n"
+            "[scenario]\ntraffic a|b,c period=5 start=0\nend-config\n"
+        )
+        assert cli_main(["validate", str(bad)]) == 2
+        assert cli_main(["run", str(bad), "--until", "10"]) == 2
+
     def test_dangling_reference_exits_1(self, tmp_path):
         bad = tmp_path / "dangling.cfg"
         bad.write_text(

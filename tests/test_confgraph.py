@@ -24,7 +24,7 @@ from adaptdom.confgraph import (
     net_delta,
     validate,
 )
-from adaptdom.errors import InvalidTxn
+from adaptdom.errors import BadToken, InvalidTxn
 from adaptdom.registry import Kind
 from adaptdom.report import RunReport, verify_report
 from adaptdom.system import Host, System
@@ -44,6 +44,33 @@ def fan_in_graph():
         Connection("B", "out", "C", "in_b"),
     }
     return ConfigGraph(comps, conns)
+
+
+class TestTxnTokens:
+    @pytest.mark.parametrize("edit", [
+        AddComponent("a|b", "svc", "h1"),
+        AddComponent("a", "s v", "h1"),
+        AddComponent("a", "svc", ""),
+        RemoveComponent("a.b"),
+        AddConnection(Connection("A", "out", "a>b", "in")),
+        RemoveConnection(Connection("A", "o:t", "C", "in_a")),
+        MoveComponent("A", "h,2"),
+        ReplaceComponent("A", "x" * 65),
+    ])
+    def test_bad_name_in_edit_raises(self, edit):
+        with pytest.raises(BadToken):
+            ReconfigTxn("t1", (RemoveComponent("B"), edit))
+
+    def test_bad_txn_id_raises(self):
+        with pytest.raises(BadToken):
+            ReconfigTxn("t 1", (RemoveComponent("B"),))
+
+    def test_good_names_pass(self):
+        txn = ReconfigTxn("t-1", (
+            AddComponent("a_1", "svc", "h-1"),
+            AddConnection(Connection("a_1", "out", "C", "in_c")),
+        ))
+        assert len(txn.edits) == 2
 
 
 class TestValidate:
@@ -331,8 +358,8 @@ class TestSubmit:
 
     def test_quiescence_waits_for_occupancy(self):
         system = manager_on(fan_in_graph(), latency=1)
-        busy = {"C": 1}
-        system.occupancy = lambda cid: busy.get(cid, 0)
+        busy = system.occupancy
+        busy["C"] = 1
         flight = system.config_manager.submit(
             ReconfigTxn("t1", (ReplaceComponent("C", "svc"),))
         )

@@ -14,6 +14,7 @@ from adaptdom.errors import (
 )
 from adaptdom.paths import PathName
 from adaptdom.registry import EnumerateMode, Kind
+from adaptdom.report import RunReport, verify_report
 from adaptdom.sensing import AdaptationCommand, MobileAgent
 
 from conftest import random_hierarchy
@@ -132,6 +133,34 @@ class TestCommands:
                     system.hub.send_command(cmd)
 
 
+class TestClockStamps:
+    def test_commands_and_agents_after_the_clock_advanced_replay_clean(self, system):
+        root = system.registry.root
+        child = system.registry.register(Kind.DOMAIN)
+        system.registry.include(root, child, "child")
+        sensor = system.registry.register(Kind.SENSOR)
+        system.registry.include(child, sensor, "s")
+        system.hub.register_sensor(sensor, 0)
+        stop = system.registry.register(Kind.PLAIN)
+        system.registry.include(root, stop, "stop")
+        agent = system.registry.register(Kind.AGENT)
+        system.registry.include(root, agent, "agent")
+        system.run_until(10)
+        system.hub.emit(sensor, "ping", {}, 10)
+        system.hub.send_command(AdaptationCommand(root, child, "set_policy", {}))
+        report = system.hub.launch_agent(
+            root, MobileAgent(agent, (PathName(("stop",)),), "noop")
+        )
+        system.run_until(20)
+        [command] = system.trace.of_kind("command")
+        assert command.time == 10
+        assert report.started == 10 and report.finished == 11
+        assert [e.time for e in system.trace.entries] == [10, 10, 11, 11, 11]
+        rendered = RunReport("clock", 0, 20, system.trace.lines(),
+                             system.graph.canonical_lines()).render()
+        assert verify_report(rendered) == []
+
+
 class TestAgents:
     def _setup(self, system, n=3):
         stops = []
@@ -146,17 +175,16 @@ class TestAgents:
     def test_noop_itinerary_all_ok(self, system):
         agent_id, stops = self._setup(system)
         agent = MobileAgent(agent_id, tuple(stops), "noop")
-        report = system.hub.launch_agent(system.registry.root, agent, now=0)
+        report = system.hub.launch_agent(system.registry.root, agent)
+        system.run_until(10)
         assert [o.status for o in report.outcomes] == ["ok", "ok", "ok"]
         assert report.done
 
     def test_stop_excluded_mid_flight_is_skipped(self, system):
-        # Scripted exclusion between hops, driven through the scheduler.
+        # Scripted exclusion between hops, driven through the clock.
         agent_id, stops = self._setup(system)
         agent = MobileAgent(agent_id, tuple(stops), "noop")
-        report = system.hub.launch_agent(
-            system.registry.root, agent, now=0, scheduler=system.clock
-        )
+        report = system.hub.launch_agent(system.registry.root, agent)
         # Hops land at t=1,2,3; exclude stop1 right after the first hop.
         system.clock.schedule(1, lambda: system.registry.exclude(system.registry.root, "stop1"))
         system.run_until(10)
@@ -179,19 +207,21 @@ class TestAgents:
     def test_failing_action_is_reported_not_raised(self, system):
         agent_id, stops = self._setup(system)
 
-        def explode(ctx, path, target):
+        def explode(path, target):
             raise RuntimeError("boom")
 
         system.hub.register_action("explode", explode)
         agent = MobileAgent(agent_id, tuple(stops[:1]), "explode")
-        report = system.hub.launch_agent(system.registry.root, agent, now=0)
+        report = system.hub.launch_agent(system.registry.root, agent)
+        system.run_until(10)
         assert report.outcomes[0].status == "failed"
         assert report.outcomes[0].reason == "RuntimeError"
 
     def test_progress_no_stop_visited_twice(self, system):
         agent_id, stops = self._setup(system, n=4)
         agent = MobileAgent(agent_id, tuple(stops), "noop")
-        report = system.hub.launch_agent(system.registry.root, agent, now=0)
+        report = system.hub.launch_agent(system.registry.root, agent)
+        system.run_until(10)
         assert len(report.outcomes) == len(agent.itinerary)
         hops = [e for e in system.trace.of_kind("agent_hop")]
         visited = [e.get("stop") for e in hops]
@@ -200,7 +230,8 @@ class TestAgents:
     def test_summary_event_emitted(self, system):
         agent_id, stops = self._setup(system)
         agent = MobileAgent(agent_id, tuple(stops), "noop")
-        system.hub.launch_agent(system.registry.root, agent, now=0)
+        system.hub.launch_agent(system.registry.root, agent)
+        system.run_until(10)
         events = system.trace.of_kind("event")
         assert any(e.get("type") == "agent_report" for e in events)
 
@@ -215,7 +246,8 @@ class TestAgents:
         system.registry.include(system.registry.root, target, "t")
         system.clock.run_until(2)
         agent = MobileAgent(actor, (PathName(("t",)),), "noop")
-        system.hub.launch_agent(system.registry.root, agent, now=2)
+        system.hub.launch_agent(system.registry.root, agent)
+        system.run_until(10)
         kinds = [(e.time, e.kind) for e in system.trace.entries
                  if e.kind in ("event", "agent_hop")]
         assert kinds == sorted(kinds, key=lambda x: x[0])
