@@ -90,10 +90,6 @@ class UnknownSensor(AdaptdomError):
     """Emitting object was never registered as a sensor."""
 
 
-class TimeRegression(AdaptdomError):
-    """Emission timestamp earlier than the sensor's previous one."""
-
-
 class NotAChild(AdaptdomError):
     """Command target is not a (transitive) child domain of the sender."""
 

@@ -17,7 +17,6 @@ from .confgraph import ReconfigTxn
 from .errors import (
     EmptyItinerary,
     NotAChild,
-    TimeRegression,
     UnknownAction,
     UnknownId,
     UnknownSensor,
@@ -136,8 +135,9 @@ class ActuationHub:
     """Sensor registrations, event emission, commands, and agent flights.
 
     The engine builds its hub and passes itself in; every event and command
-    goes to it. Commands and agent hops are stamped with the clock's time,
-    and agents fly on the clock, one hop every `agent_hop_latency` ticks."""
+    goes to it. Events, commands and agent hops are stamped with the clock's
+    time, and agents fly on the clock, one hop every `agent_hop_latency`
+    ticks."""
 
     def __init__(self, registry: Registry, trace: TraceLog, clock, engine):
         self._registry = registry
@@ -175,15 +175,13 @@ class ActuationHub:
         self._next_event_id += 1
         return eid
 
-    def emit(self, sensor: ObjectId, event_type: str, payload: dict, now: int) -> int:
-        """Build and route an event; returns the number of domains reached."""
+    def emit(self, sensor: ObjectId, event_type: str, payload: dict) -> int:
+        """Build and route an event stamped with the clock's time; returns
+        the number of domains reached."""
         info = self._sensors.get(sensor)
         if info is None:
             raise UnknownSensor(f"{sensor} is not a registered sensor")
-        if info.last_emit is not None and now < info.last_emit:
-            raise TimeRegression(
-                f"{sensor} emitted at {now} after {info.last_emit}"
-            )
+        now = self._clock.now
         info.last_emit = now
         event = AdaptationEvent(
             self.allocate_event_id(), sensor, event_type, dict(payload), now
@@ -283,4 +281,4 @@ class ActuationHub:
         counts = {"ok": 0, "skipped": 0, "failed": 0}
         for outcome in report.outcomes:
             counts[outcome.status] += 1
-        self.emit(agent.agent_id, "agent_report", counts, now)
+        self.emit(agent.agent_id, "agent_report", counts)

@@ -21,6 +21,10 @@ from .report import RunReport
 from .system import System
 from .trace import format_scalar
 
+_ACTIVE = ComponentState.ACTIVE
+_BLOCKED = ComponentState.BLOCKED
+_DOWN = ComponentState.DOWN
+
 
 @dataclass
 class SystemState:
@@ -55,7 +59,13 @@ class Simulator:
         self.audit_period = int(params.get("audit_period", 0))
         self.jitter = int(params.get("jitter", 0))
         self.exhaustion_critical = float(params.get("exhaustion_critical", 0.0))
+        # Bound once for the traffic path. The manager's graph is built
+        # before the simulator and every commit edits its components dict
+        # in place, so traffic always sees the current components here.
+        self.clock = self.system.clock
+        self.trace = self.system.trace
         self._occupancy = self.system.occupancy
+        self._components = self.system.graph.components
         self.system.hub.register_action(
             "reset_host_resource", functools.partial(_reset_host_resource, self.system)
         )
@@ -65,14 +75,6 @@ class Simulator:
         self._exhaustions = 0
         self._flow_counter = 0
         self._installed = False
-
-    @property
-    def clock(self):
-        return self.system.clock
-
-    @property
-    def trace(self):
-        return self.system.trace
 
     # --- installation ---
 
@@ -95,11 +97,11 @@ class Simulator:
                 continue
             phase = self.rng.randrange(period) if self.jitter else 0
             if kind == "liveness":
-                fn = lambda now, s=sensor, h=args[0]: self._probe_liveness(s, h, now)
+                fn = lambda now, s=sensor, h=args[0]: self._probe_liveness(s, h)
             elif kind == "resource":
                 fn = lambda now, s=sensor, h=args[0]: self._probe_resource(s, h, now)
             else:
-                fn = lambda now, s=sensor, a=args[0], b=args[1]: self._probe_link(s, a, b, now)
+                fn = lambda now, s=sensor, a=args[0], b=args[1]: self._probe_link(s, a, b)
             self._every(phase, period, fn)
         for flow in self.system.doc_flows:
             self._every(flow.start, flow.period,
@@ -109,11 +111,14 @@ class Simulator:
                         lambda now: self.system.run_audits(now))
 
     def _every(self, start: int, period: int, fn) -> None:
-        def tick():
-            fn(self.clock.now)
-            self.clock.schedule(self.clock.now + period, tick)
+        clock = self.clock
 
-        self.clock.schedule(start, tick)
+        def tick():
+            now = clock.now
+            fn(now)
+            clock.schedule(now + period, tick)
+
+        clock.schedule(start, tick)
 
     # --- faults ---
 
@@ -148,9 +153,9 @@ class Simulator:
 
     # --- probes ---
 
-    def _probe_liveness(self, sensor, host_id: str, now: int) -> None:
+    def _probe_liveness(self, sensor, host_id: str) -> None:
         if not self.system.hosts.host_is_up(host_id):
-            self.system.hub.emit(sensor, "host_failed", {"host": host_id}, now)
+            self.system.hub.emit(sensor, "host_failed", {"host": host_id})
 
     def _probe_resource(self, sensor, host_id: str, now: int) -> None:
         host = self.system.hosts.get(host_id)
@@ -163,16 +168,14 @@ class Simulator:
                 self._exhaustions += 1
         else:
             self._exhausted.discard(host_id)
-        self.system.hub.emit(
-            sensor, "resource_sample", {"host": host_id, "level": level}, now
-        )
+        self.system.hub.emit(sensor, "resource_sample", {"host": host_id, "level": level})
 
-    def _probe_link(self, sensor, a: str, b: str, now: int) -> None:
+    def _probe_link(self, sensor, a: str, b: str) -> None:
         hosts = self.system.hosts
         if hosts.host_is_up(a) and hosts.host_is_up(b):
             self.system.hub.emit(
                 sensor, "link_quality",
-                {"src": a, "dst": b, "quality": hosts.link_quality(a, b)}, now,
+                {"src": a, "dst": b, "quality": hosts.link_quality(a, b)},
             )
 
     # --- application traffic ---
@@ -182,21 +185,23 @@ class Simulator:
         self._try_enter(flow, self._flow_counter, 0)
 
     def _try_enter(self, flow, txn_no: int, index: int) -> None:
-        now = self.clock.now
+        clock = self.clock
+        now = clock.now
         cid = flow.path[index]
-        comp = self.system.graph.components.get(cid)
-        if comp is None or comp.state is ComponentState.DOWN:
+        comp = self._components.get(cid)
+        state = _DOWN if comp is None else comp.state
+        if state is _DOWN:
             self.trace.record(now, "app_drop", flow=txn_no, comp=cid)
             return
-        if comp.state is ComponentState.BLOCKED:
+        if state is _BLOCKED:
             # Quiescence: traffic never traverses a blocked component; the
             # transaction stalls at the boundary until it is unblocked.
-            self.clock.schedule(now + 1, lambda: self._try_enter(flow, txn_no, index))
+            clock.schedule(now + 1, lambda: self._try_enter(flow, txn_no, index))
             return
-        assert comp.state is ComponentState.ACTIVE
+        assert state is _ACTIVE
         self._occupancy[cid] = self._occupancy.get(cid, 0) + 1
         self.trace.record(now, "app_hop", flow=txn_no, comp=cid)
-        self.clock.schedule(now + 1, lambda: self._leave(flow, txn_no, index))
+        clock.schedule(now + 1, lambda: self._leave(flow, txn_no, index))
 
     def _leave(self, flow, txn_no: int, index: int) -> None:
         cid = flow.path[index]

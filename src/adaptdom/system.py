@@ -10,6 +10,12 @@ configuration manager, with the System's commit and abort hooks; then
 the adaptation engine, which builds its own actuation hub. Nothing is
 attached to them afterwards. The simulator drives a System from a
 scenario; tests may also drive one directly.
+
+The clock is a calendar queue (R. Brown, CACM 31(10), 1988): time is
+integer ticks, so each pending tick keeps a FIFO list of its callbacks
+and a heap holds each pending tick once. Ties run FIFO in schedule order,
+the order a heap of `(time, sequence)` entries gives. Callbacks may
+schedule more, but must not call `run_until`.
 """
 
 from __future__ import annotations
@@ -27,28 +33,52 @@ from .trace import TraceLog
 
 
 class SimClock:
-    """Priority queue of (time, sequence, callback); ties run in schedule
-    order, so a fixed schedule always replays identically."""
+    """Calendar of pending callbacks on integer ticks.
+
+    `schedule` appends a callback to its tick's list; a time in the past
+    runs at the current tick. `run_until` runs the ticks in order and each
+    tick's list front to back, including callbacks appended to it while it
+    runs, so ties run FIFO in schedule order and a fixed schedule always
+    replays identically. If a callback raises, the ones after it stay
+    queued. `run_until` must not be called from inside a callback.
+    """
 
     def __init__(self):
         self._now = 0
-        self._seq = 0
-        self._heap: list[tuple[int, int, Callable[[], None]]] = []
+        # Each pending tick once, and the callbacks of each pending tick.
+        self._ticks: list[int] = []
+        self._calendar: dict[int, list[Callable[[], None]]] = {}
 
     @property
     def now(self) -> int:
         return self._now
 
     def schedule(self, time: int, fn: Callable[[], None]) -> None:
-        heapq.heappush(self._heap, (max(time, self._now), self._seq, fn))
-        self._seq += 1
+        if time < self._now:
+            time = self._now
+        bucket = self._calendar.get(time)
+        if bucket is None:
+            self._calendar[time] = [fn]
+            heapq.heappush(self._ticks, time)
+        else:
+            bucket.append(fn)
 
     def run_until(self, until: int) -> None:
-        while self._heap and self._heap[0][0] <= until:
-            time, _, fn = heapq.heappop(self._heap)
-            if time > self._now:
-                self._now = time
-            fn()
+        ticks = self._ticks
+        calendar = self._calendar
+        while ticks and ticks[0] <= until:
+            # Pending ticks are never behind the clock.
+            self._now = time = ticks[0]
+            bucket = calendar[time]
+            try:
+                # The iterator sees callbacks appended while it runs.
+                for ran, fn in enumerate(bucket, 1):
+                    fn()
+            except BaseException:
+                del bucket[:ran]
+                raise
+            heapq.heappop(ticks)
+            del calendar[time]
         if until > self._now:
             self._now = until
 

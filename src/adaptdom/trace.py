@@ -106,7 +106,8 @@ class TraceLog:
         spaces separate fields, so a space inside a string becomes `_`."""
         line = f"t={time} s={self._next_seq} {kind}"
         for key, value in fields.items():
-            value = value.replace(" ", "_") if isinstance(value, str) else format_scalar(value)
+            if type(value) is not int:  # an exact int formats as itself
+                value = value.replace(" ", "_") if isinstance(value, str) else format_scalar(value)
             line += f" {key}={value}"
         self._next_seq += 1
         self._lines.append(line)

@@ -97,7 +97,8 @@ def bad_target_analyzer():
 class TestLoadUnload:
     def test_member_sensor_events_run_the_pipeline(self):
         system, healing, sensor = healing_system()
-        system.hub.emit(sensor, "host_failed", {"host": "hostA"}, 5)
+        system.run_until(5)
+        system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         decisions = [e for e in system.trace.of_kind("decision")]
         assert len(decisions) == 1
         assert decisions[0].get("status") == "executed"
@@ -128,7 +129,8 @@ class TestLoadUnload:
     def test_unload_keeps_recording_without_decisions(self):
         system, healing, sensor = healing_system()
         system.engine.unload_logic(healing)
-        routed = system.hub.emit(sensor, "host_failed", {"host": "hostA"}, 5)
+        system.run_until(5)
+        routed = system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         assert system.trace.of_kind("decision") == []
         # The event still reaches /healing (and the root containing it).
         assert healing in system.registry.domains_containing(sensor)
@@ -144,7 +146,8 @@ class TestLoadUnload:
         system.hub.register_sensor(s, 0)
         logic = AdaptationLogic("m", Retroactive(period=100), analyze=marker_analyzer)
         system.engine.load_logic(d, logic)
-        system.hub.emit(s, "tick", {}, 1)
+        system.run_until(1)
+        system.hub.emit(s, "tick", {})
         assert len(system.engine._bindings[d].accumulated) == 1
         system.engine.unload_logic(d)
         system.engine.load_logic(d, logic)
@@ -199,7 +202,8 @@ class TestDispatch:
         system, healing, sensor = healing_system()
         system.hosts.get("hostA").kill(5)
         system.config_manager.mark_host_down("hostA", 5)
-        system.hub.emit(sensor, "host_failed", {"host": "hostA"}, 5)
+        system.run_until(5)
+        system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         system.run_until(10)
         graph = system.graph
         assert graph.components["w1"].host == "hostB"
@@ -236,7 +240,8 @@ class TestRunPipeline:
         system, healing, sensor = healing_system(cooldown=50, count=1)
         system.hosts.get("hostA").kill(5)
         system.config_manager.mark_host_down("hostA", 5)
-        system.hub.emit(sensor, "host_failed", {"host": "hostA"}, 5)
+        system.run_until(5)
+        system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         # Undo the heal so the same decision would be proposed again.
         system.run_until(10)
         from adaptdom.confgraph import MoveComponent, ReconfigTxn, apply as apply_txn
@@ -244,7 +249,8 @@ class TestRunPipeline:
         system.config_manager.graph = apply_txn(system.graph, ReconfigTxn(
             "undo", (MoveComponent("w1", "hostA"), MoveComponent("w2", "hostA"))
         ))
-        system.hub.emit(sensor, "host_failed", {"host": "hostA"}, 20)
+        system.run_until(20)
+        system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         system.run_until(30)
         scenarios = system.trace.of_kind("scenario")
         assert len(scenarios) == 1
@@ -267,7 +273,8 @@ class TestRunPipeline:
             system, healing, sensor = healing_system(enabled=enabled)
             system.hosts.get("hostA").kill(5)
             system.config_manager.mark_host_down("hostA", 5)
-            system.hub.emit(sensor, "host_failed", {"host": "hostA"}, 5)
+            system.run_until(5)
+            system.hub.emit(sensor, "host_failed", {"host": "hostA"})
             system.run_until(10)
             traces[enabled] = system.trace
         d_on = [e.get("cause") for e in traces[True].of_kind("decision")]
@@ -288,12 +295,15 @@ class TestRunPipeline:
         system.hosts.get("hostA").kill(0)
         system.config_manager.mark_host_down("hostA", 0)
         # Two failures 50 ticks apart never coincide in a 10-tick window.
-        system.hub.emit(sensor, "host_failed", {"host": "hostA"}, 0)
-        system.hub.emit(sensor, "host_failed", {"host": "hostA"}, 50)
+        system.hub.emit(sensor, "host_failed", {"host": "hostA"})
+        system.run_until(50)
+        system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         assert system.trace.of_kind("decision") == []
         # Two failures 5 ticks apart do.
-        system.hub.emit(sensor, "host_failed", {"host": "hostA"}, 60)
-        system.hub.emit(sensor, "host_failed", {"host": "hostA"}, 65)
+        system.run_until(60)
+        system.hub.emit(sensor, "host_failed", {"host": "hostA"})
+        system.run_until(65)
+        system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         assert len(system.trace.of_kind("decision")) == 1
 
     def test_max_actions_per_window(self, system, marker_analyzer):
@@ -308,7 +318,8 @@ class TestRunPipeline:
             Policy(directives={"max_actions_per_window": 2, "window": 100}),
         )
         for t in range(4):
-            system.hub.emit(s, "tick", {"n": t}, t)
+            system.run_until(t)
+            system.hub.emit(s, "tick", {"n": t})
         statuses = [e.get("status") for e in system.trace.of_kind("decision")]
         assert statuses == ["executed", "executed", "policy_suppressed", "policy_suppressed"]
 
@@ -324,7 +335,7 @@ class TestStrategies:
             d, AdaptationLogic("m", Retroactive(period=10), analyze=marker_analyzer)
         )
         for t in (1, 3, 7, 12, 18, 23):
-            system.clock.schedule(t, lambda t=t: system.hub.emit(s, "tick", {}, t))
+            system.clock.schedule(t, lambda: system.hub.emit(s, "tick", {}))
         system.run_until(40)
         scenario_times = [e.time for e in system.trace.of_kind("scenario")]
         assert scenario_times  # batches did evaluate
@@ -361,7 +372,7 @@ class TestStrategies:
         fired = None
         while t <= 100:
             system.clock.run_until(t)
-            system.hub.emit(sensor, "resource_sample", {"host": "hostA", "level": level}, t)
+            system.hub.emit(sensor, "resource_sample", {"host": "hostA", "level": level})
             if system.trace.of_kind("decision"):
                 fired = (t, level)
                 break
@@ -387,7 +398,8 @@ class TestStrategies:
         )
         horizon = 200
         for t in range(0, horizon, 5):  # interval 5 < cooldown 25
-            system.hub.emit(s, "same_fault", {}, t)
+            system.run_until(t)
+            system.hub.emit(s, "same_fault", {})
         executed = len(system.trace.of_kind("scenario"))
         assert executed <= math.ceil(horizon / cooldown)
         assert executed >= 1
@@ -397,7 +409,8 @@ class TestStrategies:
             system, healing, sensor = healing_system()
             system.hosts.get("hostA").kill(5)
             system.config_manager.mark_host_down("hostA", 5)
-            system.hub.emit(sensor, "host_failed", {"host": "hostA"}, 5)
+            system.run_until(5)
+            system.hub.emit(sensor, "host_failed", {"host": "hostA"})
             system.run_until(20)
             return system.trace.lines()
 
@@ -442,13 +455,15 @@ class TestCommandsIntoPipeline:
 class TestAudit:
     def test_healthy_tree_is_clean(self):
         system, healing, sensor = healing_system()
-        system.hub.emit(sensor, "host_failed", {"host": "hostB"}, 1)
+        system.run_until(1)
+        system.hub.emit(sensor, "host_failed", {"host": "hostB"})
         findings = system.engine.audit_tick(healing, 2)
         assert findings == []
 
     def test_stale_sensor_detected(self):
         system, healing, sensor = healing_system()
-        system.hub.emit(sensor, "host_failed", {"host": "hostB"}, 1)
+        system.run_until(1)
+        system.hub.emit(sensor, "host_failed", {"host": "hostB"})
         findings = system.engine.audit_tick(healing, 100)
         assert any(f.kind == "sensor_stale" and f.subject == sensor for f in findings)
 
@@ -461,16 +476,19 @@ class TestAudit:
         system, healing, sensor = healing_system()
         system.hosts.get("hostA").kill(5)
         system.config_manager.mark_host_down("hostA", 5)
-        system.hub.emit(sensor, "host_failed", {"host": "hostA"}, 5)
+        system.run_until(5)
+        system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         system.run_until(10)
-        system.hub.emit(sensor, "host_failed", {"host": "hostB"}, 12)
+        system.run_until(12)
+        system.hub.emit(sensor, "host_failed", {"host": "hostB"})
         system.registry.exclude(healing, "hostA")
         findings = system.engine.audit_tick(healing, 20)
         assert any(f.kind == "dangling_reference" and f.detail == "hostA" for f in findings)
 
     def test_orphans_reported(self):
         system, healing, sensor = healing_system()
-        system.hub.emit(sensor, "host_failed", {"host": "hostB"}, 1)
+        system.run_until(1)
+        system.hub.emit(sensor, "host_failed", {"host": "hostB"})
         stray = system.registry.register(Kind.PLAIN)
         findings = system.engine.audit_tick(healing, 2)
         assert any(f.kind == "orphaned_object" and f.subject == stray for f in findings)
@@ -478,7 +496,8 @@ class TestAudit:
     def test_findings_become_events(self):
         system, healing, sensor = healing_system()
         findings = system.engine.audit_tick(healing, 100)
-        routed = system.engine.findings_to_events(findings, sensor, 101)
+        system.run_until(101)
+        routed = system.engine.findings_to_events(findings, sensor)
         assert routed >= len(findings)
 
 

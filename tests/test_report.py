@@ -3,20 +3,24 @@
 `ReferenceEntry`, `reference_verify_report` and `reference_report_parse`
 are the line-splitting parser, the pairwise verifier and the line-by-line
 section reader that the streaming `TraceEntry.parse`, the one-pass
-`verify_report` and the marker-slicing `RunReport.parse` replaced. The
-properties below require the replacements to give the same values, errors
-and problem lists, order included.
+`verify_report` and the marker-slicing `RunReport.parse` replaced, and
+`reference_record_line` is the encoding loop `TraceLog.record` had before
+it encoded exact `str` and `int` values inline. The properties below
+require the replacements to give the same values, errors, problem lists
+and lines, order included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptdom.errors import ParseError, UnknownVersion
+from adaptdom.paths import PathName
 from adaptdom.persistence import load_config
 from adaptdom.report import (
     REPORT_HEADER,
@@ -25,6 +29,7 @@ from adaptdom.report import (
     parse_graph_lines,
     verify_report,
 )
+from adaptdom.registry import Kind, ObjectId
 from adaptdom.simharness import Simulator
 from adaptdom.trace import TraceEntry, TraceLog, format_scalar
 
@@ -447,6 +452,48 @@ def test_recorded_values_parse_back(time, kind, fields):
     assert entry.get("absent key") is None
     assert log.count(kind) == 1 + (kind == "first")
     assert [e.kind for e in log.of_kind(kind)] == [kind] * log.count(kind)
+
+
+def reference_record_line(time: int, seq: int, kind: str, **fields) -> str:
+    line = f"t={time} s={seq} {kind}"
+    for key, value in fields.items():
+        value = value.replace(" ", "_") if isinstance(value, str) else format_scalar(value)
+        line += f" {key}={value}"
+    return line
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 20
+
+
+class Label(str):
+    pass
+
+
+record_values = st.one_of(
+    st.text(alphabet=" ab=_.é", max_size=8), st.text(max_size=8),
+    st.text(alphabet=" ab", max_size=6).map(Label),
+    st.integers(), st.booleans(), st.sampled_from(Level),
+    st.floats(), st.sampled_from((-0.0, 0.0, float("inf"), float("-inf"), float("nan"))),
+    st.builds(ObjectId, st.integers(0, 10**6), st.sampled_from(Kind)),
+    st.lists(st.sampled_from(("a", "b1", "x_y")), max_size=3).map(
+        lambda segments: PathName(tuple(segments))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.from_regex(r"[a-z_]{1,10}", fullmatch=True),
+                          st.dictionaries(field_keys, record_values, max_size=5)),
+                min_size=1, max_size=4))
+def test_record_equals_reference(records):
+    log = TraceLog()
+    for time, kind, fields in records:
+        log.record(time, kind, **fields)
+    assert log.lines() == [
+        reference_record_line(time, seq, kind, **fields)
+        for seq, (time, kind, fields) in enumerate(records)
+    ]
 
 
 def test_lines_returns_a_copy():

@@ -7,7 +7,6 @@ import pytest
 from adaptdom.errors import (
     EmptyItinerary,
     NotAChild,
-    TimeRegression,
     UnknownAction,
     UnknownId,
     UnknownSensor,
@@ -27,14 +26,16 @@ class TestSensors:
         system.registry.include(system.registry.root, d, "d")
         system.registry.include(d, s, "s")
         system.hub.register_sensor(s, heartbeat=10)
+        system.run_until(5)
         # Routed to /d and to / (indirect membership).
-        assert system.hub.emit(s, "ping", {"v": 1}, 5) == 2
+        assert system.hub.emit(s, "ping", {"v": 1}) == 2
 
     def test_plain_object_may_act_as_sensor(self, system):
         obj = system.registry.register(Kind.PLAIN)
         system.registry.include(system.registry.root, obj, "thing")
         system.hub.register_sensor(obj, heartbeat=0)
-        assert system.hub.emit(obj, "observation", {}, 1) == 1
+        system.run_until(1)
+        assert system.hub.emit(obj, "observation", {}) == 1
 
     def test_register_unknown_id(self, system):
         from adaptdom.registry import ObjectId
@@ -45,15 +46,19 @@ class TestSensors:
     def test_emit_unregistered_sensor(self, system):
         s = system.registry.register(Kind.SENSOR)
         with pytest.raises(UnknownSensor):
-            system.hub.emit(s, "ping", {}, 0)
+            system.hub.emit(s, "ping", {})
 
     def test_time_regression(self, system):
+        # Emits are stamped by the clock, so a sensor's emissions can never
+        # go back in time: each one carries the clock's time when it is made.
         s = system.registry.register(Kind.SENSOR)
         system.registry.include(system.registry.root, s, "s")
         system.hub.register_sensor(s, 0)
-        system.hub.emit(s, "ping", {}, 10)
-        with pytest.raises(TimeRegression):
-            system.hub.emit(s, "ping", {}, 9)
+        system.hub.emit(s, "ping", {})
+        system.run_until(10)
+        system.hub.emit(s, "ping", {})
+        assert [e.time for e in system.trace.of_kind("event")] == [0, 10]
+        assert system.hub.last_emit_of(s) == 10
 
     def test_routed_count_matches_containing_domains(self, system):
         d1 = system.registry.register(Kind.DOMAIN)
@@ -69,12 +74,12 @@ class TestSensors:
             dom for dom in (system.registry.root, d1, d2)
             if any(m == s for _, m in system.registry.enumerate(dom, EnumerateMode.INDIRECT))
         ]
-        assert system.hub.emit(s, "ping", {}, 0) == len(containing) == 3
+        assert system.hub.emit(s, "ping", {}) == len(containing) == 3
 
     def test_orphan_sensor_routes_nowhere(self, system):
         s = system.registry.register(Kind.SENSOR)
         system.hub.register_sensor(s, 0)
-        assert system.hub.emit(s, "ping", {}, 0) == 0
+        assert system.hub.emit(s, "ping", {}) == 0
 
     def test_event_ids_strictly_increase_across_sources(self, system):
         sensors = []
@@ -85,7 +90,8 @@ class TestSensors:
             sensors.append(s)
         rng = random.Random(1)
         for t in range(40):
-            system.hub.emit(rng.choice(sensors), "tick", {}, t)
+            system.run_until(t)
+            system.hub.emit(rng.choice(sensors), "tick", {})
         ids = [int(e.get("id")) for e in system.trace.of_kind("event")]
         assert ids == sorted(ids) and len(set(ids)) == len(ids)
 
@@ -146,7 +152,7 @@ class TestClockStamps:
         agent = system.registry.register(Kind.AGENT)
         system.registry.include(root, agent, "agent")
         system.run_until(10)
-        system.hub.emit(sensor, "ping", {}, 10)
+        system.hub.emit(sensor, "ping", {})
         system.hub.send_command(AdaptationCommand(root, child, "set_policy", {}))
         report = system.hub.launch_agent(
             root, MobileAgent(agent, (PathName(("stop",)),), "noop")
@@ -157,6 +163,28 @@ class TestClockStamps:
         assert report.started == 10 and report.finished == 11
         assert [e.time for e in system.trace.entries] == [10, 10, 11, 11, 11]
         rendered = RunReport("clock", 0, 20, system.trace.lines(),
+                             system.graph.canonical_lines()).render()
+        assert verify_report(rendered) == []
+
+
+    def test_emit_then_command_keeps_time_order(self, system):
+        # An emit used to take its time from the caller: emitting at t=10
+        # with the clock at 0 and then sending a command wrote the command
+        # at t=0 after the event at t=10, and replay failed.
+        root = system.registry.root
+        child = system.registry.register(Kind.DOMAIN)
+        system.registry.include(root, child, "child")
+        sensor = system.registry.register(Kind.SENSOR)
+        system.registry.include(child, sensor, "s")
+        system.hub.register_sensor(sensor, 0)
+        system.hub.emit(sensor, "ping", {})
+        system.run_until(10)
+        system.hub.emit(sensor, "ping", {})
+        system.hub.send_command(AdaptationCommand(root, child, "set_policy", {}))
+        assert [(e.time, e.kind) for e in system.trace.entries] == [
+            (0, "event"), (10, "event"), (10, "command"),
+        ]
+        rendered = RunReport("clock", 0, 10, system.trace.lines(),
                              system.graph.canonical_lines()).render()
         assert verify_report(rendered) == []
 
@@ -241,7 +269,8 @@ class TestAgents:
         actor = system.registry.register(Kind.AGENT)
         system.registry.include(system.registry.root, actor, "actor")
         system.hub.register_sensor(actor, 0)
-        system.hub.emit(actor, "observation", {}, 1)
+        system.run_until(1)
+        system.hub.emit(actor, "observation", {})
         target = system.registry.register(Kind.PLAIN)
         system.registry.include(system.registry.root, target, "t")
         system.clock.run_until(2)

@@ -147,6 +147,85 @@ class TestQuiescence:
         assert before == after
 
 
+HEAL_TRAFFIC_SCENARIO = """adaptdom-config 1
+[system]
+root = 1
+[objects]
+object 1 domain
+object 2 domain
+object 3 plain
+object 4 plain
+object 5 sensor
+[domain 1 /]
+healing = 2
+[domain 2 /healing]
+hostA = 3
+hostB = 4
+liveA = 5
+[logic 2 /healing]
+analyze = failure_count
+execute = actuate
+monitor = event_type_filter
+name = healing
+param.count = 1
+param.event_types = host_failed
+policy.cooldown = 50
+regulate = cooldown
+strategy = reactive
+[sensors]
+sensor 5 heartbeat=0.0
+[hosts]
+host hostA capacity=1000.0 leak=0.0 level=1000.0 status=up
+host hostB capacity=1000.0 leak=0.0 level=1000.0 status=up
+[graph]
+component c1 kind=web host=hostB state=active
+component c2 kind=app host=hostA state=active
+component c3 kind=db host=hostB state=active
+connection c1 out -> c2 in
+connection c2 out -> c3 in
+[scenario]
+host_object.hostA = 3
+host_object.hostB = 4
+liveness_period = 10
+name = heal-traffic
+reconfig_latency = 1
+resource_period = 0
+fault 15 kill hostA
+probe 5 liveness hostA
+traffic c3,c1 period=11 start=9
+traffic c2 period=10 start=16
+end-config
+"""
+
+
+class TestTrafficThroughCommits:
+    def test_stall_resumes_and_hops_see_the_moved_component(self):
+        # hostA dies at 15 and is detected at 20. The heal moves c2 to hostB
+        # and blocks c1 and c2 from 20 to its commit at 21. Flow 3 entered
+        # c3 at 20, before the block; at 21 it finds c1 blocked and stalls,
+        # because its retry was queued before the commit ran, so it enters
+        # c1 one tick after the unblock. Flow 2 drops at c2 while c2 is down;
+        # flow 4 hops on c2 after the commit moved it to hostB.
+        sim = Simulator(load_config(HEAL_TRAFFIC_SCENARIO), seed=0)
+        sim.run_until(25)
+        assert sim.system.graph.components["c2"].host == "hostB"
+        report = sim.run(30)
+        traffic = [line for line in report.trace_lines
+                   if " app_hop " in line or " app_drop " in line or " txn_" in line]
+        assert traffic == [
+            "t=9 s=0 app_hop flow=1 comp=c3",
+            "t=10 s=1 app_hop flow=1 comp=c1",
+            "t=16 s=3 app_drop flow=2 comp=c2",
+            "t=20 s=4 app_hop flow=3 comp=c3",
+            "t=20 s=7 txn_submit id=heal-1 edits=move:c2:hostB block=c1|c2 status=started",
+            "t=20 s=8 txn_block id=heal-1 components=c1|c2",
+            "t=21 s=10 txn_commit id=heal-1 components=c1|c2",
+            "t=22 s=11 app_hop flow=3 comp=c1",
+            "t=26 s=12 app_hop flow=4 comp=c2",
+        ]
+        assert verify_report(report.render()) == []
+
+
 class TestSnapshot:
     def test_initial_snapshot_matches_declared_state(self):
         system = load_config(SCENARIOS["healing"])
