@@ -37,8 +37,6 @@ from .confgraph import (
     RemoveComponent,
     RemoveConnection,
     ReplaceComponent,
-    apply,
-    can_run_concurrently,
     compute_block_set,
     validate,
 )
@@ -103,8 +101,6 @@ __all__ = [
     "Scenario",
     "Simulator",
     "System",
-    "apply",
-    "can_run_concurrently",
     "compute_block_set",
     "forecast_exhaustion",
     "load_config",

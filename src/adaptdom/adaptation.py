@@ -29,13 +29,11 @@ from .confgraph import (
 )
 from .errors import (
     AdaptdomError,
-    ConsistencyRejected,
     InsufficientSamples,
     InvalidPolicy,
     NoLogicLoaded,
     NoParent,
     NotADomain,
-    PolicySuppressed,
     UnknownId,
     UnknownSensor,
     UnknownStage,
@@ -662,21 +660,6 @@ class AdaptationEngine:
 
     # --- pipeline ---
 
-    def run_pipeline(self, domain: ObjectId, inputs: list[AdaptationEvent]) -> Optional[Scenario]:
-        """Public single-shot pipeline run; raises on suppression so callers
-        see why nothing executed. Event-driven dispatch uses the internal
-        variant, which records outcomes instead of raising."""
-        binding = self._bindings.get(domain)
-        if binding is None or binding.logic is None:
-            raise NoLogicLoaded(f"{domain} has no adaptation logic loaded")
-        now = max((e.timestamp for e in inputs), default=self.clock.now)
-        outcome = self._pipeline(domain, binding, inputs, now)
-        if outcome.status == PIPELINE_CONSISTENCY_REJECTED:
-            raise ConsistencyRejected(outcome.decision.detail if outcome.decision else "rejected")
-        if outcome.status == PIPELINE_POLICY_SUPPRESSED:
-            raise PolicySuppressed(f"policy suppressed execution for {domain}")
-        return outcome.scenario
-
     def retro_boundary(self, domain: ObjectId, now: int) -> PipelineOutcome:
         binding = self._bindings.get(domain)
         if binding is None or binding.logic is None:
@@ -839,7 +822,9 @@ class AdaptationEngine:
 
     # --- audits ---
 
-    def audit_tick(self, domain: ObjectId, now: int) -> list[AuditFinding]:
+    def audit_tick(self, domain: ObjectId) -> list[AuditFinding]:
+        """Audit `domain` at the clock's time; each finding is traced."""
+        now = self.clock.now
         binding = self._binding(domain)
         findings: list[AuditFinding] = []
         entries = self.registry.enumerate(domain, EnumerateMode.INDIRECT)

@@ -14,19 +14,31 @@ components and ports the edits touch, plus any violation the graph
 already had. So preparing, validating and committing a transaction cost
 what it touches, not the size of the graph. Commits write into the live
 graph in place through the one function that changes the indexes.
+
+This module owns the graph-line grammar that documents and reports share:
+
+    component <id> kind=<kind> host=<host> state=active|blocked|down
+    connection <src> <src_port> -> <dst> <dst_port>
+
+`encode_graph` is its one encoder and `decode_graph` its one decoder. The
+decoder accepts exactly the encoder's shape: single spaces, token names
+(see `paths.TOKEN_RE`), the attributes in that order, a known state, and
+each component id once. It rejects anything else with a `ParseError`
+naming the line.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from enum import Enum
-from typing import Callable, Optional, Protocol
+from typing import Callable, Iterable, NoReturn, Optional, Protocol
 
-from .errors import InvalidTxn
-from .paths import check_tokens
+from .errors import InvalidTxn, ParseError
+from .paths import TOKEN_RE, check_tokens
 from .trace import TraceLog
 
 
@@ -119,19 +131,76 @@ class ConfigGraph:
         return len(self._ix.by_host.get(host, ()))
 
     def canonical_lines(self) -> list[str]:
-        lines = [
-            f"component {cid} kind={comp.kind} host={comp.host} state={comp.state.value}"
-            for cid, comp in sorted(self.components.items())
-        ]
-        lines.extend(
-            f"connection {conn.render()}"
-            for conn in sorted(self.connections, key=lambda c: c.render())
+        return encode_graph(
+            ((cid, c.kind, c.host, c.state.value) for cid, c in self.components.items()),
+            ((c.src, c.src_port, c.dst, c.dst_port) for c in self.connections),
         )
-        return lines
 
     def structural_violations(self) -> list["Violation"]:
         """Dangling connections, then port conflicts, each in render order."""
         return list(prepare(self, ReconfigTxn("check")).violations)
+
+
+# --- the graph-line grammar ---
+
+_T = TOKEN_RE.pattern
+_GRAPH_LINE = re.compile(
+    rf"component ({_T}) kind=({_T}) host=({_T}) state=(active|blocked|down)"
+    rf"|connection ({_T}) ({_T}) -> ({_T}) ({_T})"
+)
+
+
+def encode_graph(components: Iterable[tuple[str, ...]],
+                 connections: Iterable[tuple[str, ...]]) -> list[str]:
+    """Graph lines for `(cid, kind, host, state)` and `(src, src_port,
+    dst, dst_port)` rows: the components' lines sorted, then the
+    connections'. For token names line order is row order, because every
+    token character sorts above the space that ends a name."""
+    lines = sorted(
+        f"component {cid} kind={kind} host={host} state={state}"
+        for cid, kind, host, state in components
+    )
+    lines += sorted(
+        f"connection {src} {src_port} -> {dst} {dst_port}"
+        for src, src_port, dst, dst_port in connections
+    )
+    return lines
+
+
+def decode_graph(lines: Iterable[tuple[int, str]]):
+    """The component and connection rows of numbered graph lines, given
+    as `(line number, text)` pairs, in line order. Raises `ParseError`
+    naming the first line outside the grammar or repeating a component id."""
+    components: list[tuple[str, ...]] = []
+    connections: list[tuple[str, ...]] = []
+    ids: set[str] = set()
+    match = _GRAPH_LINE.fullmatch
+    for lineno, line in lines:
+        found = match(line)
+        if found is None:
+            _raise_graph_error(line, lineno)
+        row = found.groups()
+        if row[0] is None:
+            connections.append(row[4:])
+        elif row[0] in ids:
+            raise ParseError(f"duplicate component {row[0]!r}", line=lineno)
+        else:
+            ids.add(row[0])
+            components.append(row[:4])
+    return components, connections
+
+
+def _raise_graph_error(line: str, lineno: int) -> NoReturn:
+    """Raise the error for a line the grammar rejects: the first field
+    value that is not a token, else a bad line."""
+    head, _, rest = line.partition(" ")
+    if head not in ("component", "connection"):
+        raise ParseError(f"bad graph line {line!r}", line=lineno)
+    for part in rest.split(" "):
+        name = part.partition("=")[2] if "=" in part else part
+        if part not in ("", "->") and not TOKEN_RE.fullmatch(name):
+            raise ParseError(f"BadToken: invalid token: {name!r}", line=lineno)
+    raise ParseError(f"bad {head} line {line!r}", line=lineno)
 
 
 # --- edits and transactions ---
@@ -244,13 +313,6 @@ class NetDelta:
     replaced: frozenset[str]
     conns_added: frozenset[Connection]
     conns_removed: frozenset[Connection]
-
-    @property
-    def is_noop(self) -> bool:
-        return not (
-            self.added or self.removed or self.moved or self.replaced
-            or self.conns_added or self.conns_removed
-        )
 
 
 @dataclass(frozen=True)
@@ -427,15 +489,12 @@ def _write(graph: ConfigGraph, prepared: Prepared) -> None:
 
 def apply_in_place(graph: ConfigGraph, txn: ReconfigTxn) -> Prepared:
     """Commit the transaction into `graph`; raises InvalidTxn, leaving the
-    graph as it was, when the transaction does not validate."""
+    graph as it was, when the transaction does not validate. Moved and
+    replaced components come out active: each is a restart."""
     prepared = prepare(graph, txn)
     _raise_if_invalid(txn, prepared)
     _write(graph, prepared)
     return prepared
-
-
-def net_delta(graph: ConfigGraph, txn: ReconfigTxn) -> NetDelta:
-    return prepare(graph, txn).delta
 
 
 def validate(
@@ -447,17 +506,6 @@ def validate(
     return ValidationReport(prepare(graph, txn, hosts).violations)
 
 
-def apply(graph: ConfigGraph, txn: ReconfigTxn) -> ConfigGraph:
-    """Pure post-state computation; raises InvalidTxn on a bad transaction.
-
-    Moved and replaced components come out active: a move is a restart on
-    the target host, a replace is the restart used by rejuvenation.
-    """
-    out = graph.copy()
-    apply_in_place(out, txn)
-    return out
-
-
 def compute_block_set(
     graph: ConfigGraph,
     txn: ReconfigTxn,
@@ -467,13 +515,6 @@ def compute_block_set(
     prepared = prepare(graph, txn, hosts)
     _raise_if_invalid(txn, prepared)
     return prepared.block_set
-
-
-def can_run_concurrently(
-    a: ReconfigTxn, b: ReconfigTxn, graph: ConfigGraph,
-    hosts: Optional[HostStatusView] = None,
-) -> bool:
-    return not (compute_block_set(graph, a, hosts) & compute_block_set(graph, b, hosts))
 
 
 # --- the live manager ---

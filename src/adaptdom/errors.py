@@ -68,14 +68,6 @@ class InvalidPolicy(AdaptdomError):
     """Policy directives contain keys outside the fixed vocabulary."""
 
 
-class ConsistencyRejected(AdaptdomError):
-    """A proposed decision failed its consistency check."""
-
-
-class PolicySuppressed(AdaptdomError):
-    """Policy disabled or limits exceeded; execution suppressed."""
-
-
 class InsufficientSamples(AdaptdomError):
     """Fewer than two distinct-time samples supplied to the forecaster."""
 

@@ -7,13 +7,18 @@ registrations, the host table, the initial component graph, and scenario
 parameters. Serialization is canonical (sorted keys, fixed section
 order, stable ids) so save - load - save is byte-identical, and every
 document ends with an explicit terminator so truncation is detectable.
+
+The `[graph]` section is written with `confgraph.encode_graph` and read
+back with `confgraph.decode_graph` once the rest of the document is
+parsed. So a graph line with a bad shape, a name that is not a token, an
+unknown state or a repeated component id fails the parse, naming its
+line.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Optional
 
 from .adaptation import (
@@ -26,9 +31,15 @@ from .adaptation import (
     Strategy,
     strategy_name,
 )
-from .confgraph import Component, ComponentState, ConfigGraph, Connection
+from .confgraph import (
+    Component,
+    ComponentState,
+    ConfigGraph,
+    Connection,
+    decode_graph,
+    encode_graph,
+)
 from .errors import (
-    BadToken,
     DanglingReference,
     DirtyRegistry,
     IoFailure,
@@ -166,10 +177,7 @@ def render_document(doc: ConfigDocument) -> str:
             lines.append(f"link {a} {b} quality={format_scalar(quality)}")
     if doc.components or doc.connections:
         lines.append("[graph]")
-        for cid, kind, host, state in sorted(doc.components):
-            lines.append(f"component {cid} kind={kind} host={host} state={state}")
-        for src, sport, dst, dport in sorted(doc.connections):
-            lines.append(f"connection {src} {sport} -> {dst} {dport}")
+        lines.extend(encode_graph(doc.components, doc.connections))
     lines.append("[scenario]")
     for key in sorted(doc.scenario_keys):
         lines.append(f"{key} = {format_scalar(doc.scenario_keys[key])}")
@@ -192,26 +200,9 @@ _STAGE_KEYS = {"monitor", "audit", "analyze", "regulate", "execute"}
 
 
 def parse_document(text: str) -> ConfigDocument:
-    """Parse a document. Each component id, kind, host and port it names
-    must be a token; the first line naming one that is not is an error."""
-    doc = _parse(text, check_names=False)
-    try:
-        check_tokens(_names(doc))
-    except BadToken:
-        _parse(text, check_names=True)  # raises, naming the line
-        raise
-    return doc
-
-
-def _names(doc: ConfigDocument) -> list[str]:
-    flat = chain.from_iterable
-    return [*flat(c[:3] for c in doc.components), *flat(doc.connections),
-            *flat(f.path for f in doc.flows), *(h[0] for h in doc.hosts),
-            *flat(link[:2] for link in doc.links)]
-
-
-def _parse(text: str, check_names: bool) -> ConfigDocument:
-    """With `check_names`, check each body line's names as it is parsed."""
+    """Parse a document. Every host, link end and traffic hop it names
+    must be a token, checked as its line is parsed; the graph section is
+    decoded after the other lines."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != FORMAT_HEADER:
         head = lines[0].strip() if lines else ""
@@ -222,9 +213,10 @@ def _parse(text: str, check_names: bool) -> ConfigDocument:
     section: Optional[str] = None
     current_domain: Optional[DomainSection] = None
     current_logic: Optional[LogicSection] = None
+    graph: list[int] = []  # line numbers, so the lines are not held twice
     terminated = False
     for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.split("#", 1)[0].rstrip()
+        line = _content(raw)
         if not line.strip():
             continue
         if terminated:
@@ -254,18 +246,25 @@ def _parse(text: str, check_names: bool) -> ConfigDocument:
             continue
         if section is None:
             raise ScenarioParseError(f"content outside any section: {line!r}", line=lineno)
-        target = ConfigDocument() if check_names else doc
+        if section == "graph":
+            graph.append(lineno)
+            continue
         try:
-            _parse_body_line(target, section, current_domain, current_logic, line, lineno)
-            if check_names:
-                check_tokens(_names(target))
+            _parse_body_line(doc, section, current_domain, current_logic, line, lineno)
         except ParseError:
             raise
         except Exception as exc:
             raise ScenarioParseError(f"{type(exc).__name__}: {exc}", line=lineno)
+    doc.components, doc.connections = decode_graph(
+        (lineno, _content(lines[lineno - 1])) for lineno in graph)
     if not terminated:
         raise ScenarioParseError("missing end marker (truncated file?)", line=len(lines))
     return doc
+
+
+def _content(raw: str) -> str:
+    """A line without its comment and trailing whitespace."""
+    return raw.split("#", 1)[0].rstrip()
 
 
 def _parse_kv(line: str, lineno: int) -> tuple[str, str]:
@@ -325,6 +324,7 @@ def _parse_body_line(doc, section, current_domain, current_logic, line, lineno):
     elif section == "hosts":
         parts = line.split()
         if parts[0] == "host":
+            check_tokens(parts[1:2])
             attrs = _parse_attrs(parts[2:], lineno)
             doc.hosts.append((
                 parts[1],
@@ -334,21 +334,11 @@ def _parse_body_line(doc, section, current_domain, current_logic, line, lineno):
                 attrs["status"],
             ))
         elif parts[0] == "link":
+            check_tokens(parts[1:3])
             attrs = _parse_attrs(parts[3:], lineno)
             doc.links.append((parts[1], parts[2], float(attrs["quality"])))
         else:
             raise ScenarioParseError(f"bad hosts line {line!r}", line=lineno)
-    elif section == "graph":
-        parts = line.split()
-        if parts[0] == "component":
-            attrs = _parse_attrs(parts[2:], lineno)
-            doc.components.append((parts[1], attrs["kind"], attrs["host"], attrs["state"]))
-        elif parts[0] == "connection":
-            if len(parts) != 6 or parts[3] != "->":
-                raise ScenarioParseError(f"bad connection line {line!r}", line=lineno)
-            doc.connections.append((parts[1], parts[2], parts[4], parts[5]))
-        else:
-            raise ScenarioParseError(f"bad graph line {line!r}", line=lineno)
     elif section == "scenario":
         parts = line.split()
         if parts[0] == "fault":
@@ -356,9 +346,11 @@ def _parse_body_line(doc, section, current_domain, current_logic, line, lineno):
         elif parts[0] == "probe":
             doc.probes.append(ProbeDecl(int(parts[1]), parts[2], tuple(parts[3:])))
         elif parts[0] == "traffic":
+            path = parts[1].split(",")
+            check_tokens(path)
             attrs = _parse_attrs(parts[2:], lineno)
             doc.flows.append(FlowDecl(
-                tuple(parts[1].split(",")),
+                tuple(path),
                 int(attrs["period"]),
                 int(attrs.get("start", 0)),
             ))

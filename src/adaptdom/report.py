@@ -9,6 +9,11 @@ transaction block intervals only when block sets were disjoint, and
 final-graph consistency. It reads the trace in one pass that keeps no
 list of entries, then checks quiescence and overlap in one sweep over
 (time, sequence), so it is linear in report length.
+
+The graph section holds `confgraph.encode_graph` lines and is read back
+with `confgraph.decode_graph`, so replay reports a line outside that
+grammar (a bad shape, a name that is not a token, an unknown state or a
+repeated component id) as a graph problem naming the section's line.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .confgraph import Component, ComponentState, ConfigGraph, Connection
+from .confgraph import Component, ComponentState, ConfigGraph, Connection, decode_graph
 from .errors import ParseError, UnknownVersion
 from .trace import TraceEntry, format_scalar
 
@@ -118,28 +123,6 @@ class RunReport:
         return cls(scenario, seed, until, sections["trace"], sections["graph"], metrics)
 
 
-def parse_graph_lines(lines: list[str]) -> ConfigGraph:
-    components: dict[str, Component] = {}
-    connections: set[Connection] = set()
-    for lineno, line in enumerate(lines, start=1):
-        parts = line.split()
-        if parts and parts[0] == "component":
-            attrs = dict(p.partition("=")[::2] for p in parts[2:])
-            try:
-                cid = parts[1]
-                component = Component(attrs["kind"], attrs["host"], ComponentState(attrs["state"]))
-            except (IndexError, KeyError, ValueError):
-                raise ParseError(f"bad component line {line!r}", line=lineno) from None
-            components[cid] = component
-        elif parts and parts[0] == "connection":
-            if len(parts) != 6 or parts[3] != "->":
-                raise ParseError(f"bad connection line {line!r}", line=lineno)
-            connections.add(Connection(parts[1], parts[2], parts[4], parts[5]))
-        else:
-            raise ParseError(f"bad graph line {line!r}", line=lineno)
-    return ConfigGraph(components, connections)
-
-
 def _checksum_ok(text: str) -> bool:
     marker = "checksum sha256="
     idx = text.rfind(marker)
@@ -211,13 +194,24 @@ def verify_report(text: str) -> list[str]:
     problems.extend(event_ids)
     problems.extend(_block_problems(hops, intervals))
     try:
-        final = parse_graph_lines(report.graph_lines)
+        final = _final_graph(report.graph_lines)
     except ParseError as exc:
         problems.append(f"graph: {exc}")
     else:
         for violation in final.structural_violations():
             problems.append(f"final graph: {violation}")
     return problems
+
+
+def _final_graph(lines: list[str]) -> ConfigGraph:
+    """The graph the section's lines describe. The decoded rows are freed
+    on return, before the structural check builds the graph's indexes."""
+    components, connections = decode_graph(enumerate(lines, 1))
+    return ConfigGraph(
+        {cid: Component(kind, host, ComponentState(state))
+         for cid, kind, host, state in components},
+        {Connection(*row) for row in connections},
+    )
 
 
 # Sweep phases at one stamp. Ends go first and begins last, so an interval

@@ -108,7 +108,7 @@ class Simulator:
                         lambda now, f=flow: self._spawn_flow(f, now))
         if self.audit_period > 0:
             self._every(self.audit_period, self.audit_period,
-                        lambda now: self.system.run_audits(now))
+                        lambda now: self.system.run_audits())
 
     def _every(self, start: int, period: int, fn) -> None:
         clock = self.clock

@@ -253,6 +253,6 @@ class System:
         self.hub.record_event(event, 1)
         self.engine._deliver(owner, event)
 
-    def run_audits(self, now: int) -> None:
+    def run_audits(self) -> None:
         for domain in self.engine.bound_domains():
-            self.engine.audit_tick(domain, now)
+            self.engine.audit_tick(domain)

@@ -118,10 +118,3 @@ class TraceLog:
 
     def count(self, kind: str) -> int:
         return self._counts.get(kind, 0)
-
-    @property
-    def entries(self) -> list[TraceEntry]:
-        return [TraceEntry.parse(line) for line in self._lines]
-
-    def of_kind(self, kind: str) -> list[TraceEntry]:
-        return [entry for entry in self.entries if entry.kind == kind]

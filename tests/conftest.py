@@ -10,9 +10,11 @@ from adaptdom.confgraph import (
     Component,
     ConfigGraph,
     Connection,
+    apply_in_place,
 )
 from adaptdom.registry import Kind, Registry
 from adaptdom.system import Host, System
+from adaptdom.trace import TraceEntry
 
 SCENARIOS = {
     "healing": "scenarios/healing.cfg",
@@ -33,6 +35,24 @@ def system():
     sys_ = System()
     sys_.registry.create_root()
     return sys_
+
+
+def entries(trace):
+    """Every line of `trace`, parsed."""
+    return [TraceEntry.parse(line) for line in trace.lines()]
+
+
+def of_kind(trace, kind):
+    """The parsed lines of `trace` with the given kind, in order."""
+    return [entry for entry in entries(trace) if entry.kind == kind]
+
+
+def applied(graph, txn):
+    """The graph after `txn`, leaving `graph` as it was; raises InvalidTxn
+    when the transaction does not validate."""
+    out = graph.copy()
+    apply_in_place(out, txn)
+    return out
 
 
 def make_hosts(system, names, capacity=1000.0):

@@ -26,7 +26,6 @@ from adaptdom.confgraph import (
     ReconfigTxn,
     RemoveComponent,
     ReplaceComponent,
-    apply as apply_txn,
     validate,
 )
 from adaptdom.errors import InvalidTxn
@@ -45,7 +44,7 @@ from adaptdom.report import verify_report
 from adaptdom.simharness import Simulator
 from adaptdom.system import Host, System
 
-from conftest import SCENARIOS
+from conftest import SCENARIOS, applied, of_kind
 from test_persistence import random_system, structural_fingerprint
 
 
@@ -274,7 +273,7 @@ def test_criterion_3_concurrent_reconfiguration():
                 ok = True
                 for txn in order:
                     try:
-                        g = apply_txn(g, txn)
+                        g = applied(g, txn)
                     except InvalidTxn:
                         ok = False
                         break
@@ -292,7 +291,7 @@ def test_criterion_4_dynamic_attribute_acquisition():
 
         def txns_touching_r(trace, lo, hi):
             out = []
-            for entry in trace.of_kind("txn_submit"):
+            for entry in of_kind(trace, "txn_submit"):
                 if lo < entry.time <= hi and "replace:r1" in entry.get("edits", ""):
                     out.append(entry)
             return out
@@ -309,11 +308,11 @@ def test_criterion_4_dynamic_attribute_acquisition():
         sim.run_until(2200)
         renewed = txns_touching_r(system.trace, 1400, 2200)
         assert renewed, "re-included object never rejuvenated again"
-        commits = [e for e in system.trace.of_kind("txn_commit")
+        commits = [e for e in of_kind(system.trace, "txn_commit")
                    if 1400 < e.time <= 2200 and e.get("id", "").startswith("rejuv")]
         assert commits
         # The renewed cycle still reset the pool before exhaustion.
-        reset_times = [e.time for e in system.trace.of_kind("host_reset")]
+        reset_times = [e.time for e in of_kind(system.trace, "host_reset")]
         assert len(reset_times) >= 2
         assert system.hosts.get("hostA").level(system.clock.now) > 0.0
 

@@ -16,20 +16,27 @@ from adaptdom.adaptation import (
     Retroactive,
     plan_placement_moves,
 )
-from adaptdom.confgraph import Component, ConfigGraph, MoveComponent
+from adaptdom.confgraph import (
+    Component,
+    ConfigGraph,
+    MoveComponent,
+    ReconfigTxn,
+    apply_in_place,
+)
 from adaptdom.errors import (
-    ConsistencyRejected,
     InvalidPolicy,
     NoLogicLoaded,
     NoParent,
     NotADomain,
-    PolicySuppressed,
     UnknownSensor,
     UnknownStage,
 )
 from adaptdom.registry import Kind
+from adaptdom.report import RunReport, verify_report
 from adaptdom.sensing import AdaptationCommand, AdaptationEvent
 from adaptdom.system import Host, System
+
+from conftest import of_kind
 
 
 def healing_system(cooldown=0, enabled=True, count=1):
@@ -99,7 +106,7 @@ class TestLoadUnload:
         system, healing, sensor = healing_system()
         system.run_until(5)
         system.hub.emit(sensor, "host_failed", {"host": "hostA"})
-        decisions = [e for e in system.trace.of_kind("decision")]
+        decisions = [e for e in of_kind(system.trace, "decision")]
         assert len(decisions) == 1
         assert decisions[0].get("status") == "executed"
 
@@ -131,10 +138,10 @@ class TestLoadUnload:
         system.engine.unload_logic(healing)
         system.run_until(5)
         routed = system.hub.emit(sensor, "host_failed", {"host": "hostA"})
-        assert system.trace.of_kind("decision") == []
+        assert of_kind(system.trace, "decision") == []
         # The event still reaches /healing (and the root containing it).
         assert healing in system.registry.domains_containing(sensor)
-        [event] = system.trace.of_kind("event")
+        [event] = of_kind(system.trace, "event")
         assert routed == 2
         assert event.get("domains") == "2"
 
@@ -213,14 +220,17 @@ class TestDispatch:
 
 class TestRunPipeline:
     def test_empty_inputs_reactive_no_scenario(self):
-        system, healing, _ = healing_system()
-        assert system.engine.run_pipeline(healing, []) is None
+        # The monitor drops an event of another type: analyze gets no input.
+        system, _, sensor = healing_system()
+        system.hub.emit(sensor, "tick", {})
+        assert of_kind(system.trace, "decision") == []
+        assert of_kind(system.trace, "scenario") == []
 
     def test_no_logic_raises(self, system):
         d = system.registry.register(Kind.DOMAIN)
         system.registry.include(system.registry.root, d, "d")
         with pytest.raises(NoLogicLoaded):
-            system.engine.run_pipeline(d, [])
+            system.engine.retro_boundary(d, 0)
 
     def test_nonexistent_target_is_consistency_rejected(self, system, bad_target_analyzer):
         d = system.registry.register(Kind.DOMAIN)
@@ -229,11 +239,10 @@ class TestRunPipeline:
         system.registry.include(d, s, "s")
         system.hub.register_sensor(s, 0)
         system.engine.load_logic(d, AdaptationLogic("m", Reactive(), analyze=bad_target_analyzer))
-        event = AdaptationEvent(1, s, "tick", {}, 0)
-        with pytest.raises(ConsistencyRejected):
-            system.engine.run_pipeline(d, [event])
-        decisions = system.trace.of_kind("decision")
+        system.hub.emit(s, "tick", {})
+        decisions = of_kind(system.trace, "decision")
         assert decisions and decisions[-1].get("ok") == "0"
+        assert decisions[-1].get("status") == "consistency_rejected"
 
     def test_refire_within_cooldown_yields_one_scenario(self):
         # Oracle: count executed scenarios in the replayed trace.
@@ -244,26 +253,25 @@ class TestRunPipeline:
         system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         # Undo the heal so the same decision would be proposed again.
         system.run_until(10)
-        from adaptdom.confgraph import MoveComponent, ReconfigTxn, apply as apply_txn
-
-        system.config_manager.graph = apply_txn(system.graph, ReconfigTxn(
+        apply_in_place(system.graph, ReconfigTxn(
             "undo", (MoveComponent("w1", "hostA"), MoveComponent("w2", "hostA"))
         ))
         system.run_until(20)
         system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         system.run_until(30)
-        scenarios = system.trace.of_kind("scenario")
+        scenarios = of_kind(system.trace, "scenario")
         assert len(scenarios) == 1
-        sigs = [e.get("status") for e in system.trace.of_kind("decision")]
+        sigs = [e.get("status") for e in of_kind(system.trace, "decision")]
         assert sigs.count("cooldown_suppressed") == 1
 
-    def test_policy_disabled_raises_on_direct_call(self):
+    def test_policy_disabled_suppresses_execution(self):
         system, healing, sensor = healing_system(enabled=False)
         system.hosts.get("hostA").kill(5)
         system.config_manager.mark_host_down("hostA", 5)
-        event = AdaptationEvent(1, sensor, "host_failed", {"host": "hostA"}, 5)
-        with pytest.raises(PolicySuppressed):
-            system.engine.run_pipeline(healing, [event])
+        system.run_until(5)
+        system.hub.emit(sensor, "host_failed", {"host": "hostA"})
+        [decision] = of_kind(system.trace, "decision")
+        assert decision.get("status") == "policy_suppressed"
 
     def test_policy_monotonicity(self):
         # Disabling the policy empties the executed-action set but leaves
@@ -277,12 +285,12 @@ class TestRunPipeline:
             system.hub.emit(sensor, "host_failed", {"host": "hostA"})
             system.run_until(10)
             traces[enabled] = system.trace
-        d_on = [e.get("cause") for e in traces[True].of_kind("decision")]
-        d_off = [e.get("cause") for e in traces[False].of_kind("decision")]
+        d_on = [e.get("cause") for e in of_kind(traces[True], "decision")]
+        d_off = [e.get("cause") for e in of_kind(traces[False], "decision")]
         assert d_on == d_off
-        assert traces[True].of_kind("txn_submit")
-        assert not traces[False].of_kind("txn_submit")
-        assert not traces[False].of_kind("scenario")
+        assert of_kind(traces[True], "txn_submit")
+        assert not of_kind(traces[False], "txn_submit")
+        assert not of_kind(traces[False], "scenario")
 
     def test_failure_count_respects_window(self):
         system, healing, sensor = healing_system(count=2)
@@ -298,13 +306,13 @@ class TestRunPipeline:
         system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         system.run_until(50)
         system.hub.emit(sensor, "host_failed", {"host": "hostA"})
-        assert system.trace.of_kind("decision") == []
+        assert of_kind(system.trace, "decision") == []
         # Two failures 5 ticks apart do.
         system.run_until(60)
         system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         system.run_until(65)
         system.hub.emit(sensor, "host_failed", {"host": "hostA"})
-        assert len(system.trace.of_kind("decision")) == 1
+        assert len(of_kind(system.trace, "decision")) == 1
 
     def test_max_actions_per_window(self, system, marker_analyzer):
         d = system.registry.register(Kind.DOMAIN)
@@ -320,7 +328,7 @@ class TestRunPipeline:
         for t in range(4):
             system.run_until(t)
             system.hub.emit(s, "tick", {"n": t})
-        statuses = [e.get("status") for e in system.trace.of_kind("decision")]
+        statuses = [e.get("status") for e in of_kind(system.trace, "decision")]
         assert statuses == ["executed", "executed", "policy_suppressed", "policy_suppressed"]
 
 
@@ -337,10 +345,10 @@ class TestStrategies:
         for t in (1, 3, 7, 12, 18, 23):
             system.clock.schedule(t, lambda: system.hub.emit(s, "tick", {}))
         system.run_until(40)
-        scenario_times = [e.time for e in system.trace.of_kind("scenario")]
+        scenario_times = [e.time for e in of_kind(system.trace, "scenario")]
         assert scenario_times  # batches did evaluate
         assert all(t % 10 == 0 for t in scenario_times)
-        decision_times = [e.time for e in system.trace.of_kind("decision")]
+        decision_times = [e.time for e in of_kind(system.trace, "decision")]
         assert all(t % 10 == 0 for t in decision_times)
 
     def test_proactive_guard_crossing_rejuvenates(self):
@@ -373,7 +381,7 @@ class TestStrategies:
         while t <= 100:
             system.clock.run_until(t)
             system.hub.emit(sensor, "resource_sample", {"host": "hostA", "level": level})
-            if system.trace.of_kind("decision"):
+            if of_kind(system.trace, "decision"):
                 fired = (t, level)
                 break
             level -= 100.0
@@ -382,7 +390,7 @@ class TestStrategies:
         assert fired[1] <= 100.0  # only once the guard level was crossed
         system.run_until(t + 10)
         assert resets == ["/rejuv/hostA"]
-        replaced = system.trace.of_kind("txn_commit")
+        replaced = of_kind(system.trace, "txn_commit")
         assert replaced and "r1" in replaced[0].get("components")
 
     def test_flapping_sensor_bounded_by_cooldown(self, system, marker_analyzer):
@@ -400,7 +408,7 @@ class TestStrategies:
         for t in range(0, horizon, 5):  # interval 5 < cooldown 25
             system.run_until(t)
             system.hub.emit(s, "same_fault", {})
-        executed = len(system.trace.of_kind("scenario"))
+        executed = len(of_kind(system.trace, "scenario"))
         assert executed <= math.ceil(horizon / cooldown)
         assert executed >= 1
 
@@ -457,19 +465,22 @@ class TestAudit:
         system, healing, sensor = healing_system()
         system.run_until(1)
         system.hub.emit(sensor, "host_failed", {"host": "hostB"})
-        findings = system.engine.audit_tick(healing, 2)
+        system.run_until(2)
+        findings = system.engine.audit_tick(healing)
         assert findings == []
 
     def test_stale_sensor_detected(self):
         system, healing, sensor = healing_system()
         system.run_until(1)
         system.hub.emit(sensor, "host_failed", {"host": "hostB"})
-        findings = system.engine.audit_tick(healing, 100)
+        system.run_until(100)
+        findings = system.engine.audit_tick(healing)
         assert any(f.kind == "sensor_stale" and f.subject == sensor for f in findings)
 
     def test_never_emitting_sensor_is_stale(self):
         system, healing, sensor = healing_system()
-        findings = system.engine.audit_tick(healing, 31)
+        system.run_until(31)
+        findings = system.engine.audit_tick(healing)
         assert any(f.kind == "sensor_stale" for f in findings)
 
     def test_dangling_reference_after_exclusion(self):
@@ -482,7 +493,8 @@ class TestAudit:
         system.run_until(12)
         system.hub.emit(sensor, "host_failed", {"host": "hostB"})
         system.registry.exclude(healing, "hostA")
-        findings = system.engine.audit_tick(healing, 20)
+        system.run_until(20)
+        findings = system.engine.audit_tick(healing)
         assert any(f.kind == "dangling_reference" and f.detail == "hostA" for f in findings)
 
     def test_orphans_reported(self):
@@ -490,15 +502,29 @@ class TestAudit:
         system.run_until(1)
         system.hub.emit(sensor, "host_failed", {"host": "hostB"})
         stray = system.registry.register(Kind.PLAIN)
-        findings = system.engine.audit_tick(healing, 2)
+        system.run_until(2)
+        findings = system.engine.audit_tick(healing)
         assert any(f.kind == "orphaned_object" and f.subject == stray for f in findings)
 
     def test_findings_become_events(self):
         system, healing, sensor = healing_system()
-        findings = system.engine.audit_tick(healing, 100)
+        system.run_until(100)
+        findings = system.engine.audit_tick(healing)
         system.run_until(101)
         routed = system.engine.findings_to_events(findings, sensor)
         assert routed >= len(findings)
+
+    def test_audit_then_emit_replays_clean(self):
+        # An audit is stamped with the clock's time, like the emit after it.
+        system, healing, sensor = healing_system()
+        system.run_until(40)
+        findings = system.engine.audit_tick(healing)
+        system.hub.emit(sensor, "host_failed", {"host": "hostB"})
+        system.run_until(50)
+        assert findings
+        assert {e.time for e in of_kind(system.trace, "audit")} == {40}
+        report = RunReport("audit", 0, 50, system.trace.lines(), system.graph.canonical_lines())
+        assert verify_report(report.render()) == []
 
 
 class TestPropagation:
@@ -514,9 +540,9 @@ class TestPropagation:
             parent, AdaptationLogic("escalation", Reactive(), analyze=marker_analyzer)
         )
         event = AdaptationEvent(7, s, "unresolved_failure", {}, 4)
-        before = len(system.trace.of_kind("decision"))
+        before = len(of_kind(system.trace, "decision"))
         system.engine.propagate_to_parent(child, event)
-        decisions = system.trace.of_kind("decision")
+        decisions = of_kind(system.trace, "decision")
         assert len(decisions) == before + 1
 
     def test_root_has_no_parent(self, system):

@@ -49,6 +49,14 @@ class TestTree:
         assert capsys.readouterr().out == first
 
 
+MINIMAL_DOCUMENT = (
+    "adaptdom-config 1", "[system]", "root = 1", "[objects]", "object 1 domain",
+    "[hosts]", "host h1 capacity=100.0 leak=0.0 level=100.0 status=up",
+    "[graph]", "component c kind=svc host=h1 state=active",
+    "[scenario]", "traffic c period=5 start=0", "end-config",
+)
+
+
 class TestValidate:
     def test_valid_scenario(self, capsys):
         assert cli_main(["validate", SCENARIOS["rejuvenation"]]) == 0
@@ -63,22 +71,36 @@ class TestValidate:
         "component a kind=s.v host=h1 state=active",
         "connection c out -> c in:1",
         "host h|2 capacity=100.0 leak=0.0 level=100.0 status=up",
+        "component c0!1 kind=w@b host=h$ state=active",
     ])
     def test_bad_token_exits_2(self, tmp_path, capsys, line):
         # Trace fields join names with `|`, `,`, `:`, `.` and `>`; a name
         # holding one would pass through a run and its replay misread.
-        lines = [
-            "adaptdom-config 1", "[system]", "root = 1", "[objects]", "object 1 domain",
-            "[hosts]", "host h1 capacity=100.0 leak=0.0 level=100.0 status=up",
-            "[graph]", "component c kind=svc host=h1 state=active",
-            "[scenario]", "traffic c period=5 start=0", "end-config",
-        ]
+        lines = list(MINIMAL_DOCUMENT)
         section = "[hosts]" if line.startswith("host") else "[graph]"
         lines.insert(lines.index(section) + 1, line)
         bad = tmp_path / "bad.cfg"
         bad.write_text("\n".join(lines) + "\n")
         assert cli_main(["validate", str(bad)]) == 2
         assert f"line {lines.index(line) + 1}: BadToken" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, problem", [
+        ("component d kind=svc host=h1 state=bogus", "bad component line"),
+        ("component d kind=svc host=h1", "bad component line"),
+        ("component d  kind=svc host=h1 state=active", "bad component line"),
+        ("connection c out c in", "bad connection line"),
+        ("component c kind=db host=h1 state=active", "duplicate component 'c'"),
+    ])
+    def test_bad_graph_line_exits_2(self, tmp_path, capsys, line, problem):
+        # The last line of the graph section is the bad one.
+        lines = list(MINIMAL_DOCUMENT)
+        lines.insert(lines.index("[scenario]"), line)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("\n".join(lines) + "\n")
+        assert cli_main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {lines.index('[scenario]')}: {problem}" in err
+        assert "Traceback" not in err
 
     def test_bar_in_ids_exits_2(self, tmp_path):
         bad = tmp_path / "bar.cfg"
@@ -127,9 +149,15 @@ class TestReplay:
         "component a kind=web state=active",
         "component a kind=web host=h1 state=bogus",
         "component",
+        "component c01 kind=web host=hostB state=active",
+        "component c0!1 kind=w@b host=h$ state=active",
     ])
     def test_malformed_graph_line_is_a_graph_problem(self, report_file, tmp_path, capsys,
                                                        graph_line):
+        problem = {
+            "component c01 kind=web host=hostB state=active": "duplicate component 'c01'",
+            "component c0!1 kind=w@b host=h$ state=active": "BadToken: invalid token: 'c0!1'",
+        }.get(graph_line, "bad component line")
         report = RunReport.parse(report_file.read_text())
         report.graph_lines.append(graph_line)
         bad = tmp_path / "graph.report"
@@ -137,7 +165,7 @@ class TestReplay:
         capsys.readouterr()
         assert cli_main(["replay", str(bad)]) == 1
         err = capsys.readouterr().err
-        assert f"graph: line {len(report.graph_lines)}: bad component line" in err
+        assert f"graph: line {len(report.graph_lines)}: {problem}" in err
         assert "Traceback" not in err
 
 

@@ -14,14 +14,14 @@ from adaptdom.confgraph import (
     ConfigManager,
     Connection,
     MoveComponent,
+    NetDelta,
     ReconfigTxn,
     RemoveComponent,
     RemoveConnection,
     ReplaceComponent,
-    apply,
-    can_run_concurrently,
+    apply_in_place,
     compute_block_set,
-    net_delta,
+    prepare,
     validate,
 )
 from adaptdom.errors import BadToken, InvalidTxn
@@ -29,6 +29,8 @@ from adaptdom.registry import Kind
 from adaptdom.report import RunReport, verify_report
 from adaptdom.system import Host, System
 from adaptdom.trace import TraceLog
+
+from conftest import applied, entries, of_kind
 
 
 
@@ -99,7 +101,7 @@ class TestValidate:
         graph = fan_in_graph()
         report = validate(graph, txn)
         assert report.ok
-        assert apply(graph, txn).structural_violations() == []
+        assert applied(graph, txn).structural_violations() == []
 
     def test_duplicate_port_binding(self):
         txn = ReconfigTxn("dup", (
@@ -133,13 +135,13 @@ class TestNetDelta:
             RemoveComponent("X"),
         ))
         graph = fan_in_graph()
-        assert net_delta(graph, txn).is_noop
+        assert prepare(graph, txn).delta == NetDelta(*[frozenset()] * 6)
         assert compute_block_set(graph, txn) == frozenset()
 
     def test_same_kind_replace_still_counts(self):
         # A restart with an identical kind is an observable reconfiguration.
         txn = ReconfigTxn("restart", (ReplaceComponent("C", "svc"),))
-        delta = net_delta(fan_in_graph(), txn)
+        delta = prepare(fan_in_graph(), txn).delta
         assert delta.replaced == {"C"}
 
     def test_move_back_still_counts(self):
@@ -147,7 +149,7 @@ class TestNetDelta:
             MoveComponent("A", "h9"),
             MoveComponent("A", "h1"),
         ))
-        delta = net_delta(fan_in_graph(), txn)
+        delta = prepare(fan_in_graph(), txn).delta
         assert delta.moved == {"A"}
 
 
@@ -185,7 +187,7 @@ class TestConcurrency:
         })
         a = ReconfigTxn("ta", (ReplaceComponent("A", "svc"),))
         b = ReconfigTxn("tb", (ReplaceComponent("B", "svc"),))
-        assert can_run_concurrently(a, b, graph)
+        assert not (prepare(graph, a).block_set & prepare(graph, b).block_set)
 
     def test_same_component_conflicts(self):
         graph = fan_in_graph()
@@ -195,19 +197,19 @@ class TestConcurrency:
             RemoveComponent("C"),
         ))
         b = ReconfigTxn("tb", (ReplaceComponent("C", "svc"),))
-        assert not can_run_concurrently(a, b, graph)
+        assert prepare(graph, a).block_set & prepare(graph, b).block_set
 
     def test_noop_runs_with_anything(self):
         graph = fan_in_graph()
         noop = ReconfigTxn("noop")
         other = ReconfigTxn("t", (ReplaceComponent("C", "svc"),))
-        assert can_run_concurrently(noop, other, graph)
+        assert not (prepare(graph, noop).block_set & prepare(graph, other).block_set)
 
 
 class TestApply:
     def test_noop_identity(self):
         graph = fan_in_graph()
-        out = apply(graph, ReconfigTxn("noop"))
+        out = applied(graph, ReconfigTxn("noop"))
         assert out.components == graph.components
         assert out.connections == graph.connections
 
@@ -223,28 +225,28 @@ class TestApply:
             RemoveConnection(conn),
             RemoveComponent("D"),
         ))
-        out = apply(apply(graph, fwd), bwd)
+        out = applied(applied(graph, fwd), bwd)
         assert out.components == graph.components
         assert out.connections == graph.connections
 
     def test_replace_preserves_incident_connections(self):
         graph = fan_in_graph()
         before = graph.incident("C")
-        out = apply(graph, ReconfigTxn("swap", (ReplaceComponent("C", "cache"),)))
+        out = applied(graph, ReconfigTxn("swap", (ReplaceComponent("C", "cache"),)))
         assert out.incident("C") == before
         assert out.components["C"].kind == "cache"
 
     def test_move_and_replace_restart_components(self):
         graph = fan_in_graph()
         graph.components["A"] = Component("svc", "h1", ComponentState.DOWN)
-        out = apply(graph, ReconfigTxn("mv", (MoveComponent("A", "h2"),)))
+        out = applied(graph, ReconfigTxn("mv", (MoveComponent("A", "h2"),)))
         assert out.components["A"].state is ComponentState.ACTIVE
         assert out.components["A"].host == "h2"
 
     def test_apply_is_pure(self):
         graph = fan_in_graph()
         snapshot = graph.canonical_lines()
-        apply(graph, ReconfigTxn("swap", (ReplaceComponent("C", "cache"),)))
+        apply_in_place(graph.copy(), ReconfigTxn("swap", (ReplaceComponent("C", "cache"),)))
         assert graph.canonical_lines() == snapshot
 
 
@@ -257,7 +259,7 @@ def manager_on(graph, latency=1):
 
 def block_interval(trace: TraceLog, txn_id: str):
     begin = end = None
-    for entry in trace.entries:
+    for entry in entries(trace):
         if entry.get("id") != txn_id:
             continue
         if entry.kind == "txn_block":
@@ -351,7 +353,7 @@ class TestSubmit:
         system.run_until(10)
         assert queued.result.status == "aborted"
         assert queued.result.reason == "HostDown: B -> h2"
-        [event] = [e for e in system.trace.of_kind("event") if e.get("type") == "reconfig_aborted"]
+        [event] = [e for e in of_kind(system.trace, "event") if e.get("type") == "reconfig_aborted"]
         assert "HostDown:_B_->_h2" in event.get("payload")
         report = RunReport("abort", 0, 10, system.trace.lines(), system.graph.canonical_lines())
         assert verify_report(report.render()) == []
@@ -418,7 +420,7 @@ def test_random_valid_txns_preserve_invariants(seed):
     graph = random_graph(rng)
     for i in range(1250):
         txn = random_valid_txn(rng, graph, str(i))
-        graph = apply(graph, txn)
+        graph = applied(graph, txn)
         assert graph.structural_violations() == []
 
 
@@ -442,7 +444,7 @@ def test_serializability_matches_some_serial_order():
             ok = True
             for txn in order:
                 try:
-                    g = apply(g, txn)
+                    g = applied(g, txn)
                 except InvalidTxn:
                     ok = False
                     break

@@ -24,7 +24,7 @@ from adaptdom.adaptation import (
     forecast_exhaustion,
 )
 from adaptdom.confgraph import Component, ConfigGraph, ReconfigTxn, ReplaceComponent
-from adaptdom.errors import ConsistencyRejected, InsufficientSamples, PolicySuppressed
+from adaptdom.errors import InsufficientSamples
 from adaptdom.registry import Kind
 from adaptdom.sensing import AdaptationEvent, AgentLaunchAction, GraphEditAction, MobileAgent
 from adaptdom.system import Host, System
@@ -275,16 +275,21 @@ def sample_batches(draw):
     return batches
 
 
+def _run_batch(engine, domain, events):
+    """One pipeline run over a batch, at its latest time: the status and the
+    executed scenario."""
+    now = max(event.timestamp for event in events)
+    outcome = engine._pipeline(domain, engine._bindings[domain], events, now)
+    return outcome.status, outcome.scenario
+
+
 def _run_batches(analyze, params, batches):
     system, rejuv, sensor = forecast_system(analyze, *params)
     outcomes = []
     for batch in batches:
         events = [AdaptationEvent(eid, sensor, kind, dict(payload), t)
                   for eid, kind, payload, t in batch]
-        try:
-            outcomes.append(system.engine.run_pipeline(rejuv, events))
-        except (ConsistencyRejected, PolicySuppressed) as exc:
-            outcomes.append(repr(exc))
+        outcomes.append(_run_batch(system.engine, rejuv, events))
     series = system.engine._bindings[rejuv].stage_state.get("series", {})
     return outcomes, system.trace.lines(), series
 

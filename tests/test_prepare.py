@@ -26,11 +26,12 @@ from adaptdom.confgraph import (
     RemoveConnection,
     ReplaceComponent,
     Violation,
-    apply,
     apply_in_place,
     prepare,
 )
 from adaptdom.errors import InvalidTxn
+
+from conftest import applied
 
 IDS = ("a", "b", "c", "d", "e")
 HOSTS = ("h1", "h2", "h3")
@@ -209,13 +210,13 @@ def test_prepare_matches_full_scan_reference(graph, txn):
     # Apply checks the post-state only: the host checks do not apply.
     if any(v.code not in ("UnknownHost", "HostDown") for v in violations):
         try:
-            apply(graph, txn)
+            applied(graph, txn)
         except InvalidTxn:
             pass
         else:
             raise AssertionError("apply accepted an invalid transaction")
     else:
-        post = apply(graph, txn)
+        post = applied(graph, txn)
         assert post.components == comps
         assert post.connections == conns
     assert graph.structural_violations() == ref_structural_violations(

@@ -26,14 +26,14 @@ from adaptdom.report import (
     REPORT_HEADER,
     RunReport,
     _checksum_ok,
-    parse_graph_lines,
     verify_report,
 )
 from adaptdom.registry import Kind, ObjectId
 from adaptdom.simharness import Simulator
 from adaptdom.trace import TraceEntry, TraceLog, format_scalar
 
-from conftest import SCENARIOS
+from conftest import SCENARIOS, of_kind
+from test_graph_grammar import reference_parse_graph_lines
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ def reference_verify_report(text: str) -> list[str]:
                 )
 
     try:
-        final = parse_graph_lines(report.graph_lines)
+        final = reference_parse_graph_lines(report.graph_lines)
     except ParseError as exc:
         problems.append(f"graph: {exc}")
     else:
@@ -451,7 +451,7 @@ def test_recorded_values_parse_back(time, kind, fields):
         assert entry.get(key) == value
     assert entry.get("absent key") is None
     assert log.count(kind) == 1 + (kind == "first")
-    assert [e.kind for e in log.of_kind(kind)] == [kind] * log.count(kind)
+    assert [e.kind for e in of_kind(log, kind)] == [kind] * log.count(kind)
 
 
 def reference_record_line(time: int, seq: int, kind: str, **fields) -> str:
@@ -511,5 +511,5 @@ def test_run_metrics_count_the_trace(name):
     for metric, kind in (("adaptations_executed", "scenario"),
                          ("events_emitted", "event"),
                          ("txns_committed", "txn_commit")):
-        assert metrics[metric] == len(sim.trace.of_kind(kind))
+        assert metrics[metric] == len(of_kind(sim.trace, kind))
     assert metrics["events_emitted"] > 0

@@ -16,7 +16,7 @@ from adaptdom.registry import EnumerateMode, Kind
 from adaptdom.report import RunReport, verify_report
 from adaptdom.sensing import AdaptationCommand, MobileAgent
 
-from conftest import random_hierarchy
+from conftest import entries, of_kind, random_hierarchy
 
 
 class TestSensors:
@@ -57,7 +57,7 @@ class TestSensors:
         system.hub.emit(s, "ping", {})
         system.run_until(10)
         system.hub.emit(s, "ping", {})
-        assert [e.time for e in system.trace.of_kind("event")] == [0, 10]
+        assert [e.time for e in of_kind(system.trace, "event")] == [0, 10]
         assert system.hub.last_emit_of(s) == 10
 
     def test_routed_count_matches_containing_domains(self, system):
@@ -92,7 +92,7 @@ class TestSensors:
         for t in range(40):
             system.run_until(t)
             system.hub.emit(rng.choice(sensors), "tick", {})
-        ids = [int(e.get("id")) for e in system.trace.of_kind("event")]
+        ids = [int(e.get("id")) for e in of_kind(system.trace, "event")]
         assert ids == sorted(ids) and len(set(ids)) == len(ids)
 
 
@@ -158,10 +158,10 @@ class TestClockStamps:
             root, MobileAgent(agent, (PathName(("stop",)),), "noop")
         )
         system.run_until(20)
-        [command] = system.trace.of_kind("command")
+        [command] = of_kind(system.trace, "command")
         assert command.time == 10
         assert report.started == 10 and report.finished == 11
-        assert [e.time for e in system.trace.entries] == [10, 10, 11, 11, 11]
+        assert [e.time for e in entries(system.trace)] == [10, 10, 11, 11, 11]
         rendered = RunReport("clock", 0, 20, system.trace.lines(),
                              system.graph.canonical_lines()).render()
         assert verify_report(rendered) == []
@@ -181,7 +181,7 @@ class TestClockStamps:
         system.run_until(10)
         system.hub.emit(sensor, "ping", {})
         system.hub.send_command(AdaptationCommand(root, child, "set_policy", {}))
-        assert [(e.time, e.kind) for e in system.trace.entries] == [
+        assert [(e.time, e.kind) for e in entries(system.trace)] == [
             (0, "event"), (10, "event"), (10, "command"),
         ]
         rendered = RunReport("clock", 0, 10, system.trace.lines(),
@@ -251,7 +251,7 @@ class TestAgents:
         report = system.hub.launch_agent(system.registry.root, agent)
         system.run_until(10)
         assert len(report.outcomes) == len(agent.itinerary)
-        hops = [e for e in system.trace.of_kind("agent_hop")]
+        hops = [e for e in of_kind(system.trace, "agent_hop")]
         visited = [e.get("stop") for e in hops]
         assert len(visited) == len(set(visited)) == 4
 
@@ -260,7 +260,7 @@ class TestAgents:
         agent = MobileAgent(agent_id, tuple(stops), "noop")
         system.hub.launch_agent(system.registry.root, agent)
         system.run_until(10)
-        events = system.trace.of_kind("event")
+        events = of_kind(system.trace, "event")
         assert any(e.get("type") == "agent_report" for e in events)
 
     def test_acting_object_symmetry(self, system):
@@ -277,7 +277,7 @@ class TestAgents:
         agent = MobileAgent(actor, (PathName(("t",)),), "noop")
         system.hub.launch_agent(system.registry.root, agent)
         system.run_until(10)
-        kinds = [(e.time, e.kind) for e in system.trace.entries
+        kinds = [(e.time, e.kind) for e in entries(system.trace)
                  if e.kind in ("event", "agent_hop")]
         assert kinds == sorted(kinds, key=lambda x: x[0])
         assert {k for _, k in kinds} == {"event", "agent_hop"}

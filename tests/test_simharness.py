@@ -9,7 +9,7 @@ from adaptdom.report import verify_report
 from adaptdom.simharness import Simulator
 from adaptdom.system import Host, System
 
-from conftest import SCENARIOS
+from conftest import SCENARIOS, of_kind
 
 EMPTY_SCENARIO = """adaptdom-config 1
 [system]
@@ -70,7 +70,7 @@ class TestFaults:
             (entry.time, float(dict(
                 kv.split(":") for kv in entry.get("payload").split(",")
             )["level"]))
-            for entry in sim.trace.of_kind("event")
+            for entry in of_kind(sim.trace, "event")
             if entry.get("type") == "resource_sample"
             and "host:hostA" in entry.get("payload")
         ]
