@@ -616,7 +616,7 @@ class AdaptationEngine:
 
         def fire():
             if binding.generation == generation:
-                self.retro_boundary(domain, self.clock.now)
+                self.retro_boundary(domain)
                 self._schedule_retro(domain, generation)
 
         self.clock.schedule(self.clock.now + binding.logic.strategy.period, fire)
@@ -660,10 +660,13 @@ class AdaptationEngine:
 
     # --- pipeline ---
 
-    def retro_boundary(self, domain: ObjectId, now: int) -> PipelineOutcome:
+    def retro_boundary(self, domain: ObjectId) -> PipelineOutcome:
+        """Run the domain's pipeline over the events accumulated since the
+        last boundary, stamped with the clock's time."""
         binding = self._bindings.get(domain)
         if binding is None or binding.logic is None:
             raise NoLogicLoaded(f"{domain} has no adaptation logic loaded")
+        now = self.clock.now
         inputs = binding.accumulated
         binding.accumulated = []
         self.trace.record(now, "retro_boundary", domain=domain, batch=len(inputs))

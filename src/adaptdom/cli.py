@@ -33,6 +33,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not valid UTF-8: {exc.reason}") from exc
 
 
 def cmd_run(args) -> int:

@@ -23,8 +23,8 @@ This module owns the graph-line grammar that documents and reports share:
 `encode_graph` is its one encoder and `decode_graph` its one decoder. The
 decoder accepts exactly the encoder's shape: single spaces, token names
 (see `paths.TOKEN_RE`), the attributes in that order, a known state, and
-each component id once. It rejects anything else with a `ParseError`
-naming the line.
+each component id and each connection once. It rejects anything else
+with a `ParseError` naming the line.
 """
 
 from __future__ import annotations
@@ -170,10 +170,12 @@ def encode_graph(components: Iterable[tuple[str, ...]],
 def decode_graph(lines: Iterable[tuple[int, str]]):
     """The component and connection rows of numbered graph lines, given
     as `(line number, text)` pairs, in line order. Raises `ParseError`
-    naming the first line outside the grammar or repeating a component id."""
+    naming the first line outside the grammar or repeating a component id
+    or a connection."""
     components: list[tuple[str, ...]] = []
     connections: list[tuple[str, ...]] = []
     ids: set[str] = set()
+    edges: set[tuple[str, ...]] = set()
     match = _GRAPH_LINE.fullmatch
     for lineno, line in lines:
         found = match(line)
@@ -181,7 +183,12 @@ def decode_graph(lines: Iterable[tuple[int, str]]):
             _raise_graph_error(line, lineno)
         row = found.groups()
         if row[0] is None:
-            connections.append(row[4:])
+            row = row[4:]
+            if row in edges:
+                raise ParseError(f"duplicate connection {line[len('connection '):]!r}",
+                                 line=lineno)
+            edges.add(row)
+            connections.append(row)
         elif row[0] in ids:
             raise ParseError(f"duplicate component {row[0]!r}", line=lineno)
         else:

@@ -11,8 +11,8 @@ document ends with an explicit terminator so truncation is detectable.
 The `[graph]` section is written with `confgraph.encode_graph` and read
 back with `confgraph.decode_graph` once the rest of the document is
 parsed. So a graph line with a bad shape, a name that is not a token, an
-unknown state or a repeated component id fails the parse, naming its
-line.
+unknown state, a repeated component id or a repeated connection fails
+the parse, naming its line.
 """
 
 from __future__ import annotations

@@ -10,20 +10,31 @@ final-graph consistency. It reads the trace in one pass that keeps no
 list of entries, then checks quiescence and overlap in one sweep over
 (time, sequence), so it is linear in report length.
 
+What replay keeps is sized to the report, not to objects per line. The
+checksum hashes one encoded copy of the text in place. The trace pass
+keeps nothing per line but the line's text from the section split; per
+`app_hop` it keeps three machine words (time, sequence and an index into
+a table of component names) and per `txn_block` one interval. Only hops
+through a component in some block set enter the sweep, and the trace
+lines and hop columns are released before the final graph is built. On
+a traffic-heavy report the peak is about three times the report's size.
+
 The graph section holds `confgraph.encode_graph` lines and is read back
 with `confgraph.decode_graph`, so replay reports a line outside that
 grammar (a bad shape, a name that is not a token, an unknown state or a
-repeated component id) as a graph problem naming the section's line.
+repeated component id or connection) as a graph problem naming the
+section's line.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass, field
 
 from .confgraph import Component, ComponentState, ConfigGraph, Connection, decode_graph
 from .errors import ParseError, UnknownVersion
-from .trace import TraceEntry, format_scalar
+from .trace import format_scalar, parse_lines, read_field
 
 REPORT_HEADER = "adaptdom-report 1"
 _MARKERS = ("begin-", "end-", "checksum sha256=")
@@ -124,13 +135,15 @@ class RunReport:
 
 
 def _checksum_ok(text: str) -> bool:
-    marker = "checksum sha256="
-    idx = text.rfind(marker)
+    marker = b"checksum sha256="
+    data = text.encode("utf-8")
+    # The marker is ASCII, so its last occurrence in the encoding is its
+    # last occurrence in the text; the body before it is hashed uncopied.
+    idx = data.rfind(marker)
     if idx < 0:
         return False
-    body, tail = text[:idx], text[idx:]
-    expected = tail[len(marker):].strip()
-    return hashlib.sha256(body.encode("utf-8")).hexdigest() == expected
+    expected = data[idx + len(marker):].decode("utf-8").strip()
+    return hashlib.sha256(memoryview(data)[:idx]).hexdigest() == expected
 
 
 def verify_report(text: str) -> list[str]:
@@ -143,22 +156,46 @@ def verify_report(text: str) -> list[str]:
     except (ParseError, UnknownVersion) as exc:
         problems.append(f"parse: {exc}")
         return problems
+    try:
+        try:
+            found, hops, intervals = _scan_trace(report.trace_lines, lambda: array("q"))
+        except OverflowError:
+            # A time or sequence number beyond 64 bits: hold the hop
+            # columns as lists of ints instead.
+            found, hops, intervals = _scan_trace(report.trace_lines, list)
+    except ParseError as exc:
+        problems.append(f"trace: {exc}")
+        return problems
+    graph_lines = report.graph_lines
+    del report  # frees the trace lines
+    problems.extend(found)
+    problems.extend(_block_problems(hops, intervals))
+    del hops
+    try:
+        final = _final_graph(graph_lines)
+    except ParseError as exc:
+        problems.append(f"graph: {exc}")
+    else:
+        for violation in final.structural_violations():
+            problems.append(f"final graph: {violation}")
+    return problems
 
+
+def _scan_trace(lines: list[str], column):
+    """One pass over the trace lines. Returns the ordering problems, then
+    the event-id ones; the hops, as `(times, seqs, comps, names)` where the
+    first three are `column()` columns and a hop's `comps` entry indexes
+    `names`; and the block intervals (txn, begin, end, components)."""
     ordering: list[str] = []
     event_ids: list[str] = []
-    hops: list[tuple[tuple[int, int], str]] = []  # (stamp, component)
-    # Block intervals (txn, begin, end, components), opened by transaction id.
+    times, seqs, comps = column(), column(), column()
+    comp_index: dict[str, int] = {}
     intervals: list[tuple[str | None, tuple[int, int], tuple[int, int], frozenset[str]]] = []
+    # Open block intervals by transaction id.
     open_blocks: dict[str | None, tuple[tuple[int, int], frozenset[str]]] = {}
     last_t, last_s = -1, -1
     last_event_id = 0
-    for lineno, line in enumerate(report.trace_lines, start=1):
-        try:
-            entry = TraceEntry.parse(line, lineno)
-        except ParseError as exc:
-            problems.append(f"trace: {exc}")
-            return problems
-        time, seq, kind = entry.time, entry.seq, entry.kind
+    for time, seq, kind, fields in parse_lines(lines):
         if time < last_t:
             ordering.append(f"time regression at seq {seq}")
         if seq <= last_s:
@@ -166,12 +203,14 @@ def verify_report(text: str) -> list[str]:
         last_t, last_s = time, seq
 
         if kind == "app_hop":
-            comp = entry.get("comp")
+            comp = read_field(fields, "comp")
             if comp is not None:
-                hops.append(((time, seq), comp))
+                times.append(time)
+                seqs.append(seq)
+                comps.append(comp_index.setdefault(comp, len(comp_index)))
         elif kind == "event":
             try:
-                eid = int(entry.get("id", "0"))
+                eid = int(read_field(fields, "id", "0"))
             except ValueError:
                 event_ids.append(f"unparseable event id at seq {seq}")
                 continue
@@ -179,28 +218,17 @@ def verify_report(text: str) -> list[str]:
                 event_ids.append(f"event id {eid} not strictly increasing")
             last_event_id = eid
         elif kind == "txn_block":
-            comps = entry.get("components", "-")
-            block = frozenset() if comps == "-" else frozenset(comps.split("|"))
-            open_blocks[entry.get("id")] = ((time, seq), block)
+            block = read_field(fields, "components", "-")
+            block = frozenset() if block == "-" else frozenset(block.split("|"))
+            open_blocks[read_field(fields, "id")] = ((time, seq), block)
         elif kind in ("txn_commit", "txn_abort"):
-            txn = entry.get("id")
+            txn = read_field(fields, "id")
             if txn in open_blocks:
                 begin, block = open_blocks.pop(txn)
                 intervals.append((txn, begin, (time, seq), block))
     for txn, (begin, block) in open_blocks.items():
         intervals.append((txn, begin, (last_t + 1, last_s + 1), block))
-
-    problems.extend(ordering)
-    problems.extend(event_ids)
-    problems.extend(_block_problems(hops, intervals))
-    try:
-        final = _final_graph(report.graph_lines)
-    except ParseError as exc:
-        problems.append(f"graph: {exc}")
-    else:
-        for violation in final.structural_violations():
-            problems.append(f"final graph: {violation}")
-    return problems
+    return ordering + event_ids, (times, seqs, comps, list(comp_index)), intervals
 
 
 def _final_graph(lines: list[str]) -> ConfigGraph:
@@ -219,16 +247,19 @@ def _final_graph(lines: list[str]) -> ConfigGraph:
 _END, _HOP, _PROBE, _BEGIN = range(4)
 
 
-def _block_problems(hops: list[tuple[tuple[int, int], str]], intervals: list[tuple]) -> list[str]:
+def _block_problems(hops: tuple, intervals: list[tuple]) -> list[str]:
     """Quiescence violations (a hop through a component while a transaction
     blocked it) and overlapping block sets of concurrent transactions, from
     one sweep over (time, seq) with an index of the open intervals by
-    component. Problems come in hop order, then interval order."""
+    component. Only the hops through a component in some block set enter
+    the sweep. Problems come in hop order, then interval order."""
+    times, seqs, comps, names = hops
     blocked = frozenset().union(*(block for _, _, _, block in intervals))
+    wanted = {index for index, name in enumerate(names) if name in blocked}
     sweep = [
-        (stamp, _HOP, index)
-        for index, (stamp, comp) in enumerate(hops)
-        if comp in blocked
+        ((times[hop], seqs[hop]), _HOP, hop)
+        for hop, comp in enumerate(comps)
+        if comp in wanted
     ]
     for index, (_, begin, end, block) in enumerate(intervals):
         if not block:
@@ -248,7 +279,7 @@ def _block_problems(hops: list[tuple[tuple[int, int], str]], intervals: list[tup
     overlaps: set[tuple[int, int]] = set()
     for _, phase, index in sweep:
         if phase == _HOP:
-            violations.extend((index, other) for other in open_by_comp.get(hops[index][1], ()))
+            violations.extend((index, other) for other in open_by_comp.get(names[comps[index]], ()))
             continue
         _, begin, _, block = intervals[index]
         for comp in block:
@@ -266,7 +297,7 @@ def _block_problems(hops: list[tuple[tuple[int, int], str]], intervals: list[tup
                 )
 
     problems = [
-        f"quiescence violation: hop through {hops[hop][1]} during {intervals[other][0]}"
+        f"quiescence violation: hop through {names[comps[hop]]} during {intervals[other][0]}"
         for hop, other in sorted(violations)
     ]
     problems.extend(

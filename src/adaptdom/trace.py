@@ -8,15 +8,16 @@ one line, encoded once when it is recorded:
 
 Lines are totally ordered by (time, sequence) so a trace replays
 byte-identically for a fixed seed and scenario. The log keeps only the
-encoded lines and a count per kind; `TraceEntry.parse` is the one parser
-that reads a line back.
+encoded lines and a count per kind. `parse_lines` is the one parser that
+reads lines back and `read_field` the one reader of their fields; `TraceEntry`
+wraps both for callers that want an object per line.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import Iterable, Iterator, NoReturn
 
 from .errors import ParseError
 
@@ -53,6 +54,37 @@ def _raise_parse_error(line: str, lineno: int) -> NoReturn:
     raise ParseError(f"malformed trace line: {line!r}", line=lineno)
 
 
+def parse_lines(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, int, str, str]]:
+    """The one trace line parser: `(time, seq, kind, field_text)` for each
+    line, numbered from `start`. The field text is the line's text after
+    the kind, a space before each `key=value`; `read_field` reads it. Raises
+    `ParseError` naming the first line outside the grammar."""
+    match = _LINE.fullmatch
+    for lineno, line in enumerate(lines, start):
+        found = match(line)
+        if found is None:
+            _raise_parse_error(line, lineno)
+        time, seq, kind, field_text = found.groups()
+        try:
+            time, seq = int(time), int(seq)
+        except ValueError:
+            raise ParseError(f"bad time/seq in trace line: {line!r}", line=lineno)
+        yield time, seq, kind, field_text
+
+
+def read_field(field_text: str, key: str, default: str | None = None) -> str | None:
+    """The value of the first field named `key` in a line's field text."""
+    if "=" in key or _FIELD_SEP in key:
+        return default
+    needle = f" {key}="
+    at = field_text.find(needle)
+    if at < 0:
+        return default
+    start = at + len(needle)
+    end = field_text.find(_FIELD_SEP, start)
+    return field_text[start:] if end < 0 else field_text[start:end]
+
+
 @dataclass(slots=True)
 class TraceEntry:
     """One parsed trace line. The fields stay as their line text, a space
@@ -69,27 +101,11 @@ class TraceEntry:
 
     def get(self, key: str, default: str | None = None) -> str | None:
         """The value of the first field named `key`."""
-        if "=" in key or _FIELD_SEP in key:
-            return default
-        needle = f" {key}="
-        text = self.field_text
-        at = text.find(needle)
-        if at < 0:
-            return default
-        start = at + len(needle)
-        end = text.find(_FIELD_SEP, start)
-        return text[start:] if end < 0 else text[start:end]
+        return read_field(self.field_text, key, default)
 
     @classmethod
     def parse(cls, line: str, lineno: int = 0) -> "TraceEntry":
-        match = _LINE.fullmatch(line)
-        if match is None:
-            _raise_parse_error(line, lineno)
-        time, seq, kind, field_text = match.groups()
-        try:
-            return cls(int(time), int(seq), kind, field_text)
-        except ValueError:
-            raise ParseError(f"bad time/seq in trace line: {line!r}", line=lineno)
+        return cls(*next(parse_lines((line,), lineno)))
 
 
 class TraceLog:

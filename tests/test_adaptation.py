@@ -230,7 +230,7 @@ class TestRunPipeline:
         d = system.registry.register(Kind.DOMAIN)
         system.registry.include(system.registry.root, d, "d")
         with pytest.raises(NoLogicLoaded):
-            system.engine.retro_boundary(d, 0)
+            system.engine.retro_boundary(d)
 
     def test_nonexistent_target_is_consistency_rejected(self, system, bad_target_analyzer):
         d = system.registry.register(Kind.DOMAIN)
@@ -524,6 +524,17 @@ class TestAudit:
         assert findings
         assert {e.time for e in of_kind(system.trace, "audit")} == {40}
         report = RunReport("audit", 0, 50, system.trace.lines(), system.graph.canonical_lines())
+        assert verify_report(report.render()) == []
+
+    def test_retro_boundary_then_emit_replays_clean(self):
+        # A boundary is stamped with the clock's time, like the emit after it.
+        system, healing, sensor = healing_system()
+        assert system.clock.now == 0
+        system.run_until(100)
+        system.engine.retro_boundary(healing)
+        system.hub.emit(sensor, "host_failed", {"host": "hostB"})
+        assert {e.time for e in of_kind(system.trace, "retro_boundary")} == {100}
+        report = RunReport("retro", 0, 100, system.trace.lines(), system.graph.canonical_lines())
         assert verify_report(report.render()) == []
 
 

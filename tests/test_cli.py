@@ -52,7 +52,7 @@ class TestTree:
 MINIMAL_DOCUMENT = (
     "adaptdom-config 1", "[system]", "root = 1", "[objects]", "object 1 domain",
     "[hosts]", "host h1 capacity=100.0 leak=0.0 level=100.0 status=up",
-    "[graph]", "component c kind=svc host=h1 state=active",
+    "[graph]", "component c kind=svc host=h1 state=active", "connection c out -> c in",
     "[scenario]", "traffic c period=5 start=0", "end-config",
 )
 
@@ -90,6 +90,7 @@ class TestValidate:
         ("component d  kind=svc host=h1 state=active", "bad component line"),
         ("connection c out c in", "bad connection line"),
         ("component c kind=db host=h1 state=active", "duplicate component 'c'"),
+        ("connection c out -> c in", "duplicate connection 'c out -> c in'"),
     ])
     def test_bad_graph_line_exits_2(self, tmp_path, capsys, line, problem):
         # The last line of the graph section is the bad one.
@@ -151,14 +152,18 @@ class TestReplay:
         "component",
         "component c01 kind=web host=hostB state=active",
         "component c0!1 kind=w@b host=h$ state=active",
+        "connection c01 out -> c05 in",
     ])
     def test_malformed_graph_line_is_a_graph_problem(self, report_file, tmp_path, capsys,
                                                        graph_line):
         problem = {
             "component c01 kind=web host=hostB state=active": "duplicate component 'c01'",
             "component c0!1 kind=w@b host=h$ state=active": "BadToken: invalid token: 'c0!1'",
+            "connection c01 out -> c05 in": "duplicate connection 'c01 out -> c05 in'",
         }.get(graph_line, "bad component line")
         report = RunReport.parse(report_file.read_text())
+        if graph_line.startswith("connection"):
+            assert graph_line in report.graph_lines
         report.graph_lines.append(graph_line)
         bad = tmp_path / "graph.report"
         bad.write_text(report.render())
@@ -174,6 +179,23 @@ class TestDumpGraph:
         assert cli_main(["dump-graph", str(report_file)]) == 0
         out = capsys.readouterr().out
         assert out.count("component ") == 12
+
+
+class TestUndecodable:
+    @pytest.mark.parametrize("command", ["replay", "validate", "tree", "dump-graph", "run"])
+    def test_a_byte_outside_utf8_exits_2_naming_the_file(self, report_file, tmp_path, capsys,
+                                                          command):
+        source = report_file if command in ("replay", "dump-graph") else SCENARIOS["healing"]
+        with open(source, "rb") as fh:
+            data = bytearray(fh.read())
+        data[len(data) // 2] = 0xFF
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert cli_main([command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad} is not valid UTF-8" in err
+        assert "Traceback" not in err
 
 
 class TestUsage:

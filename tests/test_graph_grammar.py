@@ -5,7 +5,8 @@
 `reference_parse_graph_lines` the report's graph decoder; `encode_graph`
 and `decode_graph` replaced all three. On token-valid graphs the new pair
 must give the same lines and the same graph; the decoder must also reject
-every line that leaves the encoder's shape, naming that line.
+every line that leaves the encoder's shape, and a repeated component id
+or connection, naming that line.
 """
 
 from __future__ import annotations
@@ -152,6 +153,24 @@ def test_a_repeated_component_id_is_rejected_on_its_second_line(rows, data):
         decode_graph(enumerate(lines, 1))
     assert raised.value.line == second + 1
     assert str(raised.value) == f"line {raised.value.line}: duplicate component {cid!r}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_rows(), st.data())
+def test_a_repeated_connection_is_rejected_on_its_second_line(rows, data):
+    components, connections = rows
+    if not connections:
+        return
+    lines = encode_graph(components, connections)
+    src, src_port, dst, dst_port = data.draw(st.sampled_from(connections))
+    repeated = f"connection {src} {src_port} -> {dst} {dst_port}"
+    lines.insert(data.draw(st.integers(0, len(lines))), repeated)
+    _, second = [i for i, line in enumerate(lines) if line == repeated]
+    with pytest.raises(ParseError) as raised:
+        decode_graph(enumerate(lines, 1))
+    assert raised.value.line == second + 1
+    assert str(raised.value) == (f"line {raised.value.line}: duplicate connection "
+                                 f"{repeated[len('connection '):]!r}")
 
 
 @pytest.mark.parametrize("line, message", [

@@ -12,6 +12,7 @@ and lines, order included.
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -256,6 +257,8 @@ def trace_fields(draw, kind: str, event_ids) -> list[str]:
         if draw(st.integers(0, 9)):
             comps = draw(st.lists(st.sampled_from(COMPS), max_size=3))
             fields.append(f"components={'|'.join(comps) or '-'}")
+        if draw(st.integers(0, 3)) == 0:  # a key inside another field's value
+            fields.append(f"note=components={draw(st.sampled_from(COMPS))}")
     elif kind in ("txn_commit", "txn_abort"):
         if draw(st.integers(0, 9)):
             fields.append(f"id={draw(st.sampled_from(TXNS + ('t9',)))}")
@@ -263,6 +266,8 @@ def trace_fields(draw, kind: str, event_ids) -> list[str]:
         fields.append("flow=1")
         if draw(st.integers(0, 9)):
             fields.append(f"comp={draw(st.sampled_from(COMPS + ('z',)))}")
+        if draw(st.integers(0, 3)) == 0:
+            fields.append(f"note=comp={draw(st.sampled_from(COMPS))}")
     elif kind == "event":
         choice = draw(st.integers(0, 9))
         if choice < 6:
@@ -324,12 +329,59 @@ def test_verify_report_equals_reference(text):
     assert verify_report(text) == reference_verify_report(text)
 
 
+def test_stamps_beyond_64_bits_verify_like_the_reference():
+    big = 2 ** 70
+    lines = [
+        "t=1 s=1 txn_block id=t1 components=a",
+        f"t={big} s={big} app_hop flow=1 comp=a",
+        f"t={big} s={big + 1} app_hop flow=1 comp=b",
+        f"t={big} s={big + 2} txn_commit id=t1",
+        f"t={big} s={big + 3} app_hop flow=1 comp=a",
+    ]
+    text = RunReport("big", 0, 10, lines, list(GOOD_GRAPH), {"m": 1}).render()
+    problems = verify_report(text)
+    assert problems == reference_verify_report(text)
+    assert "quiescence violation: hop through a during t1" in problems
+
+
+def _hop_report(hops: int) -> str:
+    """A clean report of `hops` application hops over ten components, with
+    one transaction blocking two of them between two hops."""
+    lines = []
+    seq = 0
+    for hop in range(hops):
+        if hop == hops // 2:
+            lines.append(f"t={seq // 4} s={seq} txn_block id=t1 components=c1|c2")
+            lines.append(f"t={seq // 4} s={seq + 1} txn_commit id=t1")
+            seq += 2
+        lines.append(f"t={seq // 4} s={seq} app_hop flow={hop % 7} comp=c{hop % 10}")
+        seq += 1
+    graph = [f"component c{i} kind=web host=h1 state=active" for i in range(10)]
+    return RunReport("hops", 0, seq, lines, graph, {"m": 1}).render()
+
+
+def test_verify_report_memory_stays_within_four_times_the_report():
+    # Replay keeps a few machine words per hop, not an object: its peak
+    # allocation is about three times the report's text, most of it the
+    # split lines. Holding a tuple and a string per hop took about nine.
+    text = _hop_report(20_000)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        problems = verify_report(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert problems == []
+    assert peak < 4 * len(text)
+
+
 def test_generated_reports_reach_every_problem_kind():
     """The generator is only useful if the reference finds each kind of
     problem on some of its reports."""
     seen: set[str] = set()
 
-    @settings(max_examples=120, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(reports())
     def collect(text):
         for problem in reference_verify_report(text):
