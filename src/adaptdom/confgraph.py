@@ -15,6 +15,13 @@ already had. So preparing, validating and committing a transaction cost
 what it touches, not the size of the graph. Commits write into the live
 graph in place through the one function that changes the indexes.
 
+`structural_violations` is the one structural check. It works from
+component ids and `(src, src_port, dst, dst_port)` connection rows and
+lists dangling connections, then port conflicts, each in render order.
+`ConfigGraph.structural_violations` calls it on a whole graph, `prepare`
+on the connections a transaction touches, and replay on the rows of a
+report's decoded graph section, without building a graph.
+
 This module owns the graph-line grammar that documents and reports share:
 
     component <id> kind=<kind> host=<host> state=active|blocked|down
@@ -35,7 +42,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from enum import Enum
-from typing import Callable, Iterable, NoReturn, Optional, Protocol
+from typing import Callable, Collection, Container, Iterable, NoReturn, Optional, Protocol
 
 from .errors import InvalidTxn, ParseError
 from .paths import TOKEN_RE, check_tokens
@@ -133,12 +140,12 @@ class ConfigGraph:
     def canonical_lines(self) -> list[str]:
         return encode_graph(
             ((cid, c.kind, c.host, c.state.value) for cid, c in self.components.items()),
-            ((c.src, c.src_port, c.dst, c.dst_port) for c in self.connections),
+            _rows(self.connections),
         )
 
     def structural_violations(self) -> list["Violation"]:
         """Dangling connections, then port conflicts, each in render order."""
-        return list(prepare(self, ReconfigTxn("check")).violations)
+        return structural_violations(self.components, _rows(self.connections))
 
 
 # --- the graph-line grammar ---
@@ -305,6 +312,40 @@ class ValidationReport:
         return not self.violations
 
 
+def _rows(connections: Iterable[Connection]) -> list[tuple[str, str, str, str]]:
+    return [(c.src, c.src_port, c.dst, c.dst_port) for c in connections]
+
+
+def _render(row: tuple[str, str, str, str]) -> str:
+    return "{} {} -> {} {}".format(*row)
+
+
+def structural_violations(component_ids: Container[str],
+                          connections: Collection[tuple[str, str, str, str]]
+                          ) -> list[Violation]:
+    """The one structural check, over component ids and `(src, src_port,
+    dst, dst_port)` connection rows: dangling connections, then port
+    conflicts (every connection but the first, in render order, on one
+    source port), each group in render order. It builds no graph, so
+    replay can check a decoded graph section with it directly."""
+    dangling = [
+        _render(row) for row in connections
+        if row[0] not in component_ids or row[2] not in component_ids
+    ]
+    first: dict[str, tuple[str, ...]] = {}
+    shared: set[str] = set()
+    for row in connections:
+        if first.setdefault(row[0], row) is not row:
+            shared.add(row[0])
+    by_port: dict[tuple[str, str], list[str]] = defaultdict(list)
+    for row in connections:
+        if row[0] in shared:
+            by_port[row[0], row[1]].append(_render(row))
+    conflicts = [name for names in by_port.values() for name in sorted(names)[1:]]
+    return ([Violation("DanglingConnection", name) for name in sorted(dangling)]
+            + [Violation("PortConflict", name) for name in sorted(conflicts)])
+
+
 class HostStatusView(Protocol):
     def host_exists(self, host_id: str) -> bool: ...
     def host_is_up(self, host_id: str) -> bool: ...
@@ -413,25 +454,17 @@ def prepare(
     for cid in delta.removed:
         suspects |= graph.incident(cid)
     suspects = {conn for conn in suspects if present(conn)}
-    dangling = [
-        conn for conn in suspects
-        if comp(conn.src) is None or comp(conn.dst) is None
-    ]
-    by_port: dict[tuple[str, str], set[Connection]] = defaultdict(set)
-    for conn in suspects:
-        by_port[conn.src, conn.src_port].add(conn)
-    conflicts: list[Connection] = []
-    for (src, port), sharing in by_port.items():
-        sharing.update(c for c in graph._ix.outs.get(src, ()) if c.src_port == port and present(c))
-        conflicts.extend(sorted(sharing, key=Connection.render)[1:])
-    violations.extend(
-        Violation("DanglingConnection", conn.render())
-        for conn in sorted(dangling, key=Connection.render)
+    # A connection on a suspect's source port is checked beside it. One
+    # that is not a suspect already was clean and lost no end, so it can
+    # only be in a port conflict.
+    ports = {(conn.src, conn.src_port) for conn in suspects}
+    suspects.update(
+        c for src, port in ports
+        for c in graph._ix.outs.get(src, ()) if c.src_port == port and present(c)
     )
-    violations.extend(
-        Violation("PortConflict", conn.render())
-        for conn in sorted(conflicts, key=Connection.render)
-    )
+    rows = _rows(suspects)
+    alive = {cid for row in rows for cid in (row[0], row[2]) if comp(cid) is not None}
+    violations.extend(structural_violations(alive, rows))
     if hosts is not None:
         for cid in sorted(delta.added | delta.moved):
             host = comps[cid].host

@@ -17,6 +17,7 @@ the parse, naming its line.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -342,21 +343,65 @@ def _parse_body_line(doc, section, current_domain, current_logic, line, lineno):
     elif section == "scenario":
         parts = line.split()
         if parts[0] == "fault":
-            doc.faults.append(FaultEntry(int(parts[1]), parts[2], tuple(parts[3:])))
+            fault = FaultEntry(int(parts[1]), parts[2], tuple(parts[3:]))
+            _raise_if(fault_problem(fault), lineno)
+            doc.faults.append(fault)
         elif parts[0] == "probe":
-            doc.probes.append(ProbeDecl(int(parts[1]), parts[2], tuple(parts[3:])))
+            probe = ProbeDecl(int(parts[1]), parts[2], tuple(parts[3:]))
+            _raise_if(_args_problem("probe", probe.kind, probe.args, _PROBE_ARGS), lineno)
+            doc.probes.append(probe)
         elif parts[0] == "traffic":
             path = parts[1].split(",")
             check_tokens(path)
             attrs = _parse_attrs(parts[2:], lineno)
-            doc.flows.append(FlowDecl(
-                tuple(path),
-                int(attrs["period"]),
-                int(attrs.get("start", 0)),
-            ))
+            flow = FlowDecl(tuple(path), int(attrs["period"]), int(attrs.get("start", 0)))
+            # A flow re-schedules itself `period` ticks on: at 0 or less
+            # it would run at one tick for ever.
+            if flow.period <= 0:
+                raise ScenarioParseError(
+                    f"traffic period must be positive, got {flow.period}", line=lineno)
+            doc.flows.append(flow)
         else:
             key, value = _parse_kv(line, lineno)
             doc.scenario_keys[key] = parse_scalar(value)
+
+
+# The arguments of each fault and probe kind, in order: a host name, or a
+# finite number under the name given.
+_FAULT_ARGS = {
+    "kill": ("host",), "revive": ("host",), "leak": ("host", "rate"),
+    "link": ("host", "host", "quality"),
+}
+_PROBE_ARGS = {"liveness": ("host",), "resource": ("host",), "link": ("host", "host")}
+
+
+def _args_problem(what: str, kind: str, args: tuple[str, ...], shapes: dict) -> Optional[str]:
+    shape = shapes.get(kind)
+    if shape is None:
+        return f"unknown {what} kind {kind!r}"
+    if len(args) != len(shape):
+        return f"{what} {kind} takes {' '.join(f'<{name}>' for name in shape)}"
+    for name, value in zip(shape, args):
+        if name != "host":
+            try:
+                number = float(value)
+            except ValueError:
+                number = math.nan
+            if not math.isfinite(number):
+                return f"{what} {kind}: {name} {value!r} is not a finite number"
+    return None
+
+
+def fault_problem(fault: FaultEntry) -> Optional[str]:
+    """Why the simulator cannot apply `fault` (an unknown kind, a wrong
+    number of arguments, or a rate or quality that is not a finite
+    number), or None."""
+    return _args_problem("fault", fault.kind, fault.args, _FAULT_ARGS)
+
+
+def _raise_if(problem, lineno: int) -> None:
+    if problem:
+        raise ScenarioParseError(problem, line=lineno)
 
 
 # --- document -> live system ---

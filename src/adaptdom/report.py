@@ -6,18 +6,25 @@ the body so any corrupted line is detectable. `verify_report` re-checks
 the recorded invariants: time/sequence ordering, event-id monotonicity,
 quiescence (no application hop through a blocked component), overlap of
 transaction block intervals only when block sets were disjoint, and
-final-graph consistency. It reads the trace in one pass that keeps no
-list of entries, then checks quiescence and overlap in one sweep over
-(time, sequence), so it is linear in report length.
+final-graph consistency. It reads the report in one pass: the one
+section reader walks its lines, hands the trace section to a scan and the
+graph section to the graph decoder, and quiescence and overlap are then
+checked in one sweep over (time, sequence), so it is linear in report
+length.
 
-What replay keeps is sized to the report, not to objects per line. The
-checksum hashes one encoded copy of the text in place. The trace pass
-keeps nothing per line but the line's text from the section split; per
-`app_hop` it keeps three machine words (time, sequence and an index into
-a table of component names) and per `txn_block` one interval. Only hops
-through a component in some block set enter the sweep, and the trace
-lines and hop columns are released before the final graph is built. On
-a traffic-heavy report the peak is about three times the report's size.
+What replay keeps is sized to the report, not to objects per line. No
+list of the report's lines exists: lines are split from one slice of
+about 64k characters at a time, and the checksum hashes the body in
+encoded slices of that size. Per `app_hop` the scan keeps three machine
+words (time, sequence and an index into a table of component names) and
+per `txn_block` one interval. Only hops through a component in some block
+set enter the sweep, as indexes. The final graph is checked by
+`confgraph.structural_violations` from the decoded rows, without building
+a graph; while the section is decoded, its rows and the decoder's
+duplicate-check sets (component ids and connections) are the largest
+thing replay holds. On the seed-1 benchmark reports the peak is about 1.4
+times the report's size where hops dominate (traffic-heavy) and 4.5 times
+where the graph does (heal-kills).
 
 The graph section holds `confgraph.encode_graph` lines and is read back
 with `confgraph.decode_graph`, so replay reports a line outside that
@@ -28,13 +35,16 @@ section's line.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import heapq
 from array import array
 from dataclasses import dataclass, field
+from typing import Any, Callable, Iterator, Optional
 
-from .confgraph import Component, ComponentState, ConfigGraph, Connection, decode_graph
+from .confgraph import decode_graph, structural_violations
 from .errors import ParseError, UnknownVersion
-from .trace import format_scalar, parse_lines, read_field
+from .trace import LINE, format_scalar, parse_error, read_field
 
 REPORT_HEADER = "adaptdom-report 1"
 _MARKERS = ("begin-", "end-", "checksum sha256=")
@@ -69,81 +79,139 @@ class RunReport:
 
     @classmethod
     def parse(cls, text: str) -> "RunReport":
-        lines = text.splitlines()
-        if not lines or lines[0] != REPORT_HEADER:
-            head = lines[0] if lines else ""
-            if head.startswith("adaptdom-report"):
-                raise UnknownVersion(f"unsupported report version: {head!r}")
-            raise ParseError("missing report header", line=1)
-        if len(lines) < 2 or not lines[1].startswith("scenario "):
-            raise ParseError("missing scenario line", line=2)
-        parts = lines[1].split()
-        scenario = parts[1] if len(parts) > 1 else ""
-        attrs = {}
-        for part in parts[2:]:
-            k, _, v = part.partition("=")
-            attrs[k] = v
+        scenario, seed, until, sections = _read_sections(text, {})
+        return cls(scenario, seed, until, sections["trace"], sections["graph"],
+                   sections["metrics"])
+
+
+# Characters per slice of a report's text: the lines and bytes replay
+# holds at once.
+_CHUNK = 1 << 16
+
+
+def _lines(text: str, chunk: int = _CHUNK) -> Iterator[str]:
+    r"""The lines of `text.splitlines()`, split from one slice of at least
+    `chunk` characters at a time. Each slice ends right after a `\n` or at
+    the end of the text, so no `\r\n` is cut and the line boundaries are
+    those of the whole text."""
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + chunk - 1) + 1 or size
+        yield from text[start:end].splitlines()
+        start = end
+
+
+# A section reader takes the report's numbered lines, positioned after a
+# section's begin marker, and that marker's line number. It consumes the
+# section's lines and the marker line that ends them, and returns its value
+# for the section, then that marker's line number and text; at the end of
+# the text, the last line's number and None.
+_Numbered = Iterator[tuple[int, str]]
+_Reader = Callable[[_Numbered, int], tuple[Any, int, Optional[str]]]
+
+
+def _collect(numbered: _Numbered, lineno: int) -> tuple[list[str], int, Optional[str]]:
+    """The section reader that keeps the section's lines."""
+    lines: list[str] = []
+    for lineno, line in numbered:
+        if line.startswith(_MARKERS):
+            return lines, lineno, line
+        lines.append(line)
+    return lines, lineno, None
+
+
+def _skip(numbered: _Numbered, lineno: int) -> tuple[int, Optional[str]]:
+    """The rest of a section, read and dropped: the marker that ends it."""
+    for lineno, line in numbered:
+        if line.startswith(_MARKERS):
+            return lineno, line
+    return lineno, None
+
+
+def _read_sections(text: str, readers: dict[str, _Reader]):
+    """The one section reader: `(scenario, seed, until, sections)`, where
+    `sections` maps a section's name to the value its reader returned
+    (`_collect` for a name `readers` lacks) and the metrics section to its
+    metrics. The last section of a name wins. Raises `ParseError` naming
+    the first structural fault, in text order, then a missing checksum or
+    section, then a bad metric line."""
+    numbered = enumerate(_lines(text), 1)
+    head = next(numbered, (1, ""))[1]
+    if head != REPORT_HEADER:
+        if head.startswith("adaptdom-report"):
+            raise UnknownVersion(f"unsupported report version: {head!r}")
+        raise ParseError("missing report header", line=1)
+    lineno, line = next(numbered, (1, ""))
+    if not line.startswith("scenario "):
+        raise ParseError("missing scenario line", line=2)
+    parts = line.split()
+    scenario = parts[1] if len(parts) > 1 else ""
+    attrs = {}
+    for part in parts[2:]:
+        k, _, v = part.partition("=")
+        attrs[k] = v
+    try:
+        seed = int(attrs.get("seed", "0"))
+        until = int(attrs.get("until", "0"))
+    except ValueError:
+        raise ParseError("bad scenario attributes", line=2)
+    sections: dict[str, Any] = {}
+    current = None
+    checksum = None
+    # Section readers consume every line inside a section, so each line
+    # seen here is a marker or lies outside any section.
+    lineno, line = next(numbered, (lineno, None))
+    while line is not None:
+        if line.startswith("begin-"):
+            if current is not None:
+                raise ParseError(f"nested section {line!r}", line=lineno)
+            current = line[len("begin-"):]
+            sections[current], lineno, line = readers.get(current, _collect)(numbered, lineno)
+            continue
+        if line.startswith("end-"):
+            if current != line[len("end-"):]:
+                raise ParseError(f"mismatched section end {line!r}", line=lineno)
+            current = None
+        elif line.startswith("checksum sha256="):
+            if current is not None:
+                raise ParseError("checksum inside a section", line=lineno)
+            checksum = line[len("checksum sha256="):]
+        else:
+            raise ParseError(f"unexpected line {line!r}", line=lineno)
+        lineno, line = next(numbered, (lineno, None))
+    if current is not None:
+        raise ParseError(f"unterminated section {current!r}", line=lineno)
+    if checksum is None:
+        raise ParseError("missing checksum line", line=lineno)
+    for name in ("trace", "graph", "metrics"):
+        if name not in sections:
+            raise ParseError(f"missing section {name!r}", line=lineno)
+    metrics: dict[str, float | int] = {}
+    for line in sections["metrics"]:
+        parts = line.split()
+        if len(parts) != 4 or parts[0] != "metric" or parts[2] != "=":
+            raise ParseError(f"bad metric line {line!r}")
+        raw = parts[3]
         try:
-            seed = int(attrs.get("seed", "0"))
-            until = int(attrs.get("until", "0"))
+            metrics[parts[1]] = float(raw) if "." in raw or "e" in raw else int(raw)
         except ValueError:
-            raise ParseError("bad scenario attributes", line=2)
-        sections: dict[str, list[str]] = {}
-        current = None
-        checksum = None
-        # Each marker line, then the lines up to the next one as one slice.
-        markers = [at for at, line in enumerate(lines) if line.startswith(_MARKERS)]
-        if len(lines) > 2 and markers[:1] != [2]:
-            raise ParseError(f"unexpected line {lines[2]!r}", line=3)
-        for at, stop in zip(markers, markers[1:] + [len(lines)]):
-            line, lineno = lines[at], at + 1
-            if line.startswith("begin-"):
-                if current is not None:
-                    raise ParseError(f"nested section {line!r}", line=lineno)
-                current = line[len("begin-"):]
-                sections[current] = []
-            elif line.startswith("end-"):
-                if current != line[len("end-"):]:
-                    raise ParseError(f"mismatched section end {line!r}", line=lineno)
-                current = None
-            else:
-                if current is not None:
-                    raise ParseError("checksum inside a section", line=lineno)
-                checksum = line[len("checksum sha256="):]
-            if stop > lineno:
-                if current is None:
-                    raise ParseError(f"unexpected line {lines[lineno]!r}", line=lineno + 1)
-                sections[current].extend(lines[lineno:stop])
-        if current is not None:
-            raise ParseError(f"unterminated section {current!r}", line=len(lines))
-        if checksum is None:
-            raise ParseError("missing checksum line", line=len(lines))
-        for name in ("trace", "graph", "metrics"):
-            if name not in sections:
-                raise ParseError(f"missing section {name!r}", line=len(lines))
-        metrics: dict[str, float | int] = {}
-        for line in sections["metrics"]:
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "metric" or parts[2] != "=":
-                raise ParseError(f"bad metric line {line!r}")
-            raw = parts[3]
-            try:
-                metrics[parts[1]] = float(raw) if "." in raw or "e" in raw else int(raw)
-            except ValueError:
-                raise ParseError(f"bad metric value {raw!r}")
-        return cls(scenario, seed, until, sections["trace"], sections["graph"], metrics)
+            raise ParseError(f"bad metric value {raw!r}")
+    sections["metrics"] = metrics
+    return scenario, seed, until, sections
 
 
 def _checksum_ok(text: str) -> bool:
-    marker = b"checksum sha256="
-    data = text.encode("utf-8")
-    # The marker is ASCII, so its last occurrence in the encoding is its
-    # last occurrence in the text; the body before it is hashed uncopied.
-    idx = data.rfind(marker)
+    marker = "checksum sha256="
+    # The marker is ASCII, so its last occurrence in the text is its last
+    # occurrence in the encoding; the body before it is hashed one encoded
+    # slice at a time.
+    idx = text.rfind(marker)
     if idx < 0:
         return False
-    expected = data[idx + len(marker):].decode("utf-8").strip()
-    return hashlib.sha256(memoryview(data)[:idx]).hexdigest() == expected
+    digest = hashlib.sha256()
+    for start in range(0, idx, _CHUNK):
+        digest.update(text[start:min(start + _CHUNK, idx)].encode("utf-8"))
+    return digest.hexdigest() == text[idx + len(marker):].strip()
 
 
 def verify_report(text: str) -> list[str]:
@@ -152,40 +220,44 @@ def verify_report(text: str) -> list[str]:
     if not _checksum_ok(text):
         problems.append("checksum mismatch or missing")
     try:
-        report = RunReport.parse(text)
+        try:
+            sections = _verify_sections(text, lambda: array("q"))
+        except OverflowError:
+            # A time or sequence number beyond 64 bits: read the text
+            # again, holding the hop columns as lists of ints.
+            sections = _verify_sections(text, list)
     except (ParseError, UnknownVersion) as exc:
         problems.append(f"parse: {exc}")
         return problems
-    try:
-        try:
-            found, hops, intervals = _scan_trace(report.trace_lines, lambda: array("q"))
-        except OverflowError:
-            # A time or sequence number beyond 64 bits: hold the hop
-            # columns as lists of ints instead.
-            found, hops, intervals = _scan_trace(report.trace_lines, list)
-    except ParseError as exc:
-        problems.append(f"trace: {exc}")
+    trace, graph = sections["trace"], sections["graph"]
+    if isinstance(trace, ParseError):
+        problems.append(f"trace: {trace}")
         return problems
-    graph_lines = report.graph_lines
-    del report  # frees the trace lines
+    found, hops, intervals = trace
     problems.extend(found)
     problems.extend(_block_problems(hops, intervals))
-    del hops
-    try:
-        final = _final_graph(graph_lines)
-    except ParseError as exc:
-        problems.append(f"graph: {exc}")
+    if isinstance(graph, ParseError):
+        problems.append(f"graph: {graph}")
     else:
-        for violation in final.structural_violations():
-            problems.append(f"final graph: {violation}")
+        problems.extend(f"final graph: {violation}" for violation in graph)
     return problems
 
 
-def _scan_trace(lines: list[str], column):
-    """One pass over the trace lines. Returns the ordering problems, then
-    the event-id ones; the hops, as `(times, seqs, comps, names)` where the
+def _verify_sections(text: str, column) -> dict[str, Any]:
+    """The sections of one pass over the text: the trace scanned by
+    `_scan_trace` and the graph checked by `_check_graph`, each section's
+    value or the `ParseError` of its first bad line."""
+    readers = {"trace": functools.partial(_scan_trace, column=column), "graph": _check_graph}
+    return _read_sections(text, readers)[3]
+
+
+def _scan_trace(numbered: _Numbered, lineno: int, column):
+    """The section reader of a trace: one pass over its lines, up to the
+    first marker line. Its value holds the ordering problems, then the
+    event-id ones; the hops, as `(times, seqs, comps, names)` where the
     first three are `column()` columns and a hop's `comps` entry indexes
     `names`; and the block intervals (txn, begin, end, components)."""
+    start = lineno
     ordering: list[str] = []
     event_ids: list[str] = []
     times, seqs, comps = column(), column(), column()
@@ -195,7 +267,18 @@ def _scan_trace(lines: list[str], column):
     open_blocks: dict[str | None, tuple[tuple[int, int], frozenset[str]]] = {}
     last_t, last_s = -1, -1
     last_event_id = 0
-    for time, seq, kind, fields in parse_lines(lines):
+    match = LINE.fullmatch
+    for lineno, line in numbered:
+        found = match(line)
+        if found is None:
+            if line.startswith(_MARKERS):
+                break
+            return (parse_error(line, lineno - start), *_skip(numbered, lineno))
+        time, seq, kind, fields = found.groups()
+        try:
+            time, seq = int(time), int(seq)
+        except ValueError:
+            return (parse_error(line, lineno - start), *_skip(numbered, lineno))
         if time < last_t:
             ordering.append(f"time regression at seq {seq}")
         if seq <= last_s:
@@ -203,11 +286,17 @@ def _scan_trace(lines: list[str], column):
         last_t, last_s = time, seq
 
         if kind == "app_hop":
-            comp = read_field(fields, "comp")
-            if comp is not None:
+            # `read_field(fields, "comp")`, inlined: this runs once a hop.
+            at = fields.find(" comp=")
+            if at >= 0:
+                end = fields.find(" ", at + 6)
+                comp = fields[at + 6:] if end < 0 else fields[at + 6:end]
                 times.append(time)
                 seqs.append(seq)
-                comps.append(comp_index.setdefault(comp, len(comp_index)))
+                index = comp_index.get(comp)
+                if index is None:
+                    index = comp_index[comp] = len(comp_index)
+                comps.append(index)
         elif kind == "event":
             try:
                 eid = int(read_field(fields, "id", "0"))
@@ -226,20 +315,35 @@ def _scan_trace(lines: list[str], column):
             if txn in open_blocks:
                 begin, block = open_blocks.pop(txn)
                 intervals.append((txn, begin, (time, seq), block))
+    else:
+        line = None
     for txn, (begin, block) in open_blocks.items():
         intervals.append((txn, begin, (last_t + 1, last_s + 1), block))
-    return ordering + event_ids, (times, seqs, comps, list(comp_index)), intervals
+    hops = (times, seqs, comps, list(comp_index))
+    return (ordering + event_ids, hops, intervals), lineno, line
 
 
-def _final_graph(lines: list[str]) -> ConfigGraph:
-    """The graph the section's lines describe. The decoded rows are freed
-    on return, before the structural check builds the graph's indexes."""
-    components, connections = decode_graph(enumerate(lines, 1))
-    return ConfigGraph(
-        {cid: Component(kind, host, ComponentState(state))
-         for cid, kind, host, state in components},
-        {Connection(*row) for row in connections},
-    )
+def _check_graph(numbered: _Numbered, lineno: int):
+    """The section reader of the final graph: its structural violations,
+    decoded and checked without building a graph."""
+    start = lineno
+    end: list = [lineno, None]  # the marker that ends the section
+
+    def section() -> Iterator[tuple[int, str]]:
+        for lineno, line in numbered:
+            end[0] = lineno
+            if line.startswith(_MARKERS):
+                end[1] = line
+                return
+            yield lineno - start, line
+
+    try:
+        components, connections = decode_graph(section())
+    except ParseError as exc:
+        return (exc, *_skip(numbered, end[0]))
+    ids = {row[0] for row in components}
+    del components
+    return structural_violations(ids, connections), end[0], end[1]
 
 
 # Sweep phases at one stamp. Ends go first and begins last, so an interval
@@ -252,15 +356,17 @@ def _block_problems(hops: tuple, intervals: list[tuple]) -> list[str]:
     blocked it) and overlapping block sets of concurrent transactions, from
     one sweep over (time, seq) with an index of the open intervals by
     component. Only the hops through a component in some block set enter
-    the sweep. Problems come in hop order, then interval order."""
+    the sweep, as indexes sorted by stamp; their entries are made as the
+    sweep reaches them. Problems come in hop order, then interval order."""
     times, seqs, comps, names = hops
     blocked = frozenset().union(*(block for _, _, _, block in intervals))
     wanted = {index for index, name in enumerate(names) if name in blocked}
-    sweep = [
-        ((times[hop], seqs[hop]), _HOP, hop)
-        for hop, comp in enumerate(comps)
-        if comp in wanted
-    ]
+    order = [hop for hop, comp in enumerate(comps) if comp in wanted]
+    # Two stable sorts order by (time, seq), then index; on a trace in
+    # order each is one linear pass.
+    order.sort(key=seqs.__getitem__)
+    order.sort(key=times.__getitem__)
+    sweep = []
     for index, (_, begin, end, block) in enumerate(intervals):
         if not block:
             continue
@@ -277,7 +383,8 @@ def _block_problems(hops: tuple, intervals: list[tuple]) -> list[str]:
     open_by_comp: dict[str, set[int]] = {}
     violations: list[tuple[int, int]] = []
     overlaps: set[tuple[int, int]] = set()
-    for _, phase, index in sweep:
+    hop_entries = (((times[hop], seqs[hop]), _HOP, hop) for hop in order)
+    for _, phase, index in heapq.merge(sweep, hop_entries):
         if phase == _HOP:
             violations.extend((index, other) for other in open_by_comp.get(names[comps[index]], ()))
             continue

@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 
 from .confgraph import ComponentState
-from .errors import UnknownHost
-from .persistence import ConfigDocument, FaultEntry, build_system
+from .errors import ScenarioParseError, UnknownHost
+from .persistence import ConfigDocument, FaultEntry, build_system, fault_problem
 from .registry import EnumerateMode
 from .report import RunReport
 from .system import System
@@ -123,7 +123,12 @@ class Simulator:
     # --- faults ---
 
     def inject(self, fault: FaultEntry) -> None:
-        """Schedule one fault entry; it takes effect at its own tick."""
+        """Schedule one fault entry; it takes effect at its own tick.
+        Raises `ScenarioParseError` for an entry a document could not
+        hold, and `UnknownHost` for a host the system lacks."""
+        problem = fault_problem(fault)
+        if problem:
+            raise ScenarioParseError(problem)
         for host_arg in fault.args[:2] if fault.kind == "link" else fault.args[:1]:
             if not self.system.hosts.host_exists(host_arg):
                 raise UnknownHost(f"fault targets unknown host {host_arg!r}")

@@ -8,24 +8,25 @@ one line, encoded once when it is recorded:
 
 Lines are totally ordered by (time, sequence) so a trace replays
 byte-identically for a fixed seed and scenario. The log keeps only the
-encoded lines and a count per kind. `parse_lines` is the one parser that
-reads lines back and `read_field` the one reader of their fields; `TraceEntry`
-wraps both for callers that want an object per line.
+encoded lines and a count per kind. `LINE` is the one grammar that reads
+lines back, `parse_error` the one error for a line outside it, and
+`read_field` the reader of their fields. `TraceEntry` parses one line into
+an object; replay (`report.verify_report`) applies the grammar inline.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NoReturn
 
 from .errors import ParseError
 
 _FIELD_SEP = " "
-# Exactly the split rule of `_raise_parse_error`: fields are separated by single
-# spaces and each field is anchored on its first `=`, so matching stays
-# linear in the line length.
-_LINE = re.compile(r"t=([^ ]*) s=([^ ]*) ([^ ]*)((?: [^ =]*=[^ ]*)*)")
+# The one trace line grammar: `t=<time> s=<seq> <kind>` and fields
+# separated by single spaces, each anchored on its first `=`, so matching
+# stays linear in the line length. A line it matches is well formed when
+# its time and sequence number are integers.
+LINE = re.compile(r"t=([^ ]*) s=([^ ]*) ([^ ]*)((?: [^ =]*=[^ ]*)*)")
 
 
 def format_scalar(value) -> str:
@@ -37,39 +38,21 @@ def format_scalar(value) -> str:
     return str(value)
 
 
-def _raise_parse_error(line: str, lineno: int) -> NoReturn:
-    """Raise the error for a line the grammar rejects, naming the first
-    fault that splitting the line on spaces finds."""
+def parse_error(line: str, lineno: int) -> ParseError:
+    """The error for a line outside the grammar, naming the first fault
+    that splitting the line on spaces finds."""
     parts = line.split(_FIELD_SEP)
     if len(parts) < 3 or not parts[0].startswith("t=") or not parts[1].startswith("s="):
-        raise ParseError(f"malformed trace line: {line!r}", line=lineno)
+        return ParseError(f"malformed trace line: {line!r}", line=lineno)
     try:
         int(parts[0][2:])
         int(parts[1][2:])
     except ValueError:
-        raise ParseError(f"bad time/seq in trace line: {line!r}", line=lineno)
+        return ParseError(f"bad time/seq in trace line: {line!r}", line=lineno)
     for part in parts[3:]:
         if "=" not in part:
-            raise ParseError(f"bad field {part!r} in trace line", line=lineno)
-    raise ParseError(f"malformed trace line: {line!r}", line=lineno)
-
-
-def parse_lines(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, int, str, str]]:
-    """The one trace line parser: `(time, seq, kind, field_text)` for each
-    line, numbered from `start`. The field text is the line's text after
-    the kind, a space before each `key=value`; `read_field` reads it. Raises
-    `ParseError` naming the first line outside the grammar."""
-    match = _LINE.fullmatch
-    for lineno, line in enumerate(lines, start):
-        found = match(line)
-        if found is None:
-            _raise_parse_error(line, lineno)
-        time, seq, kind, field_text = found.groups()
-        try:
-            time, seq = int(time), int(seq)
-        except ValueError:
-            raise ParseError(f"bad time/seq in trace line: {line!r}", line=lineno)
-        yield time, seq, kind, field_text
+            return ParseError(f"bad field {part!r} in trace line", line=lineno)
+    return ParseError(f"malformed trace line: {line!r}", line=lineno)
 
 
 def read_field(field_text: str, key: str, default: str | None = None) -> str | None:
@@ -105,7 +88,14 @@ class TraceEntry:
 
     @classmethod
     def parse(cls, line: str, lineno: int = 0) -> "TraceEntry":
-        return cls(*next(parse_lines((line,), lineno)))
+        found = LINE.fullmatch(line)
+        if found is not None:
+            time, seq, kind, field_text = found.groups()
+            try:
+                return cls(int(time), int(seq), kind, field_text)
+            except ValueError:
+                pass
+        raise parse_error(line, lineno)
 
 
 class TraceLog:

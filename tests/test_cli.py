@@ -103,6 +103,31 @@ class TestValidate:
         assert f"line {lines.index('[scenario]')}: {problem}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("line, problem", [
+        ("traffic c period=0 start=0", "traffic period must be positive, got 0"),
+        ("traffic c period=-5 start=0", "traffic period must be positive, got -5"),
+        ("fault 100 kill", "fault kill takes <host>"),
+        ("fault 100 leak h1", "fault leak takes <host> <rate>"),
+        ("fault 100 leak h1 abc", "fault leak: rate 'abc' is not a finite number"),
+        ("fault 100 explode h1", "unknown fault kind 'explode'"),
+        ("probe 1 liveness", "probe liveness takes <host>"),
+        ("probe 1 bogus h1", "unknown probe kind 'bogus'"),
+    ])
+    def test_scenario_line_the_simulator_cannot_run_exits_2(self, tmp_path, capsys, line,
+                                                            problem):
+        lines = list(MINIMAL_DOCUMENT)
+        lines.insert(lines.index("end-config"), line)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("\n".join(lines) + "\n")
+        # `validate` goes first: were a period of 0 let through, the test
+        # fails there instead of starting a run that never returns.
+        for argv in (["validate", str(bad)], ["run", str(bad), "--until", "200"]):
+            capsys.readouterr()
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"line {lines.index(line) + 1}: {problem}" in err
+            assert "Traceback" not in err
+
     def test_bar_in_ids_exits_2(self, tmp_path):
         bad = tmp_path / "bar.cfg"
         bad.write_text(

@@ -28,6 +28,7 @@ from adaptdom.confgraph import (
     Violation,
     apply_in_place,
     prepare,
+    structural_violations,
 )
 from adaptdom.errors import InvalidTxn
 
@@ -236,6 +237,17 @@ def test_indexes_match_a_rebuild_after_commits(graph, steps):
         if cid in graph.components:
             graph.set_state(cid, state)
         assert index_snapshot(graph) == index_snapshot(rebuilt(graph))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.randoms(use_true_random=False))
+def test_structural_violations_from_rows_match_the_reference(graph, random):
+    # Rows in any order, as a report's graph section or a set gives them.
+    rows = [(c.src, c.src_port, c.dst, c.dst_port) for c in graph.connections]
+    random.shuffle(rows)
+    assert structural_violations(set(graph.components), rows) == ref_structural_violations(
+        graph.components, graph.connections
+    )
 
 
 def test_commit_clearing_the_noted_violations_leaves_a_clean_graph():

@@ -3,21 +3,24 @@
 `ReferenceEntry`, `reference_verify_report` and `reference_report_parse`
 are the line-splitting parser, the pairwise verifier and the line-by-line
 section reader that the streaming `TraceEntry.parse`, the one-pass
-`verify_report` and the marker-slicing `RunReport.parse` replaced, and
-`reference_record_line` is the encoding loop `TraceLog.record` had before
-it encoded exact `str` and `int` values inline. The properties below
+`verify_report` and the streaming section reader behind `RunReport.parse`
+replaced; `reference_checksum_ok` hashes one encoded copy of the whole
+text; and `reference_record_line` is the encoding loop `TraceLog.record`
+had before it encoded exact `str` and `int` values inline. The reference
+verifier shares no reading code with `verify_report`. The properties below
 require the replacements to give the same values, errors, problem lists
 and lines, order included.
 """
 
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 from dataclasses import dataclass
 from enum import IntEnum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adaptdom.errors import ParseError, UnknownVersion
@@ -26,7 +29,7 @@ from adaptdom.persistence import load_config
 from adaptdom.report import (
     REPORT_HEADER,
     RunReport,
-    _checksum_ok,
+    _lines,
     verify_report,
 )
 from adaptdom.registry import Kind, ObjectId
@@ -132,13 +135,22 @@ def reference_report_parse(text: str) -> RunReport:
     return cls(scenario, seed, until, sections["trace"], sections["graph"], metrics)
 
 
+def reference_checksum_ok(text: str) -> bool:
+    data = text.encode("utf-8")
+    idx = data.rfind(b"checksum sha256=")
+    if idx < 0:
+        return False
+    expected = data[idx + len(b"checksum sha256="):].decode("utf-8").strip()
+    return hashlib.sha256(data[:idx]).hexdigest() == expected
+
+
 def reference_verify_report(text: str) -> list[str]:
     """Re-check every recorded invariant; returns human-readable problems."""
     problems: list[str] = []
-    if not _checksum_ok(text):
+    if not reference_checksum_ok(text):
         problems.append("checksum mismatch or missing")
     try:
-        report = RunReport.parse(text)
+        report = reference_report_parse(text)
     except (ParseError, UnknownVersion) as exc:
         problems.append(f"parse: {exc}")
         return problems
@@ -376,6 +388,43 @@ def test_verify_report_memory_stays_within_four_times_the_report():
     assert peak < 4 * len(text)
 
 
+def _peak_of_verify(text: str) -> tuple[list[str], int]:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        problems = verify_report(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return problems, peak
+
+
+def test_verify_report_memory_stays_within_one_and_a_half_times_the_report():
+    # Replay reads the text in bounded slices and keeps three machine words
+    # a hop; no list of the report's lines exists. The hops that could
+    # pass a blocked component enter the sweep as indexes. Splitting the
+    # text into lines took about 3.2 times the text.
+    text = _hop_report(20_000)
+    problems, peak = _peak_of_verify(text)
+    assert problems == []
+    assert peak < 1.5 * len(text)
+
+
+def test_verify_report_memory_on_a_graph_heavy_report():
+    # The final graph is checked from its decoded rows: no component,
+    # connection or graph index is built. Building them took about 13.7
+    # times the text.
+    kinds = ("web", "app", "db")
+    hops = [f"t={i} s={i} app_hop flow=1 comp=c{i:05d}" for i in range(100)]
+    graph = [f"component c{i:05d} kind={kinds[i % 3]} host=h{i // 40:03d} state=active"
+             for i in range(8000)]
+    graph += [f"connection c{i:05d} out -> c{i + 1:05d} in" for i in range(7999)]
+    text = RunReport("graph", 0, 100, hops, graph, {"m": 1}).render()
+    problems, peak = _peak_of_verify(text)
+    assert problems == []
+    assert peak < 9 * len(text)
+
+
 def test_generated_reports_reach_every_problem_kind():
     """The generator is only useful if the reference finds each kind of
     problem on some of its reports."""
@@ -390,6 +439,63 @@ def test_generated_reports_reach_every_problem_kind():
     collect()
     assert {"checksum", "trace:", "time", "sequence", "unparseable", "event", "quiescence",
             "concurrent", "graph:", "final"} <= seen
+
+
+def _body(*lines: str) -> str:
+    """A report of `lines` after the header and scenario line, with the
+    checksum of its body."""
+    body = "\n".join((REPORT_HEADER, "scenario s seed=1 until=5", *lines)) + "\n"
+    return body + f"checksum sha256={hashlib.sha256(body.encode()).hexdigest()}\n"
+
+
+def test_a_bad_trace_line_then_a_missing_checksum_is_a_parse_problem_only():
+    text = _body("begin-trace", "t=1 s=1 event id=1", "not a trace line", "end-trace",
+                 "begin-graph", "end-graph", "begin-metrics", "end-metrics")
+    text = text[:text.rindex("checksum")]
+    problems = verify_report(text)
+    assert problems == ["checksum mismatch or missing", "parse: line 10: missing checksum line"]
+    assert problems == reference_verify_report(text)
+
+
+def test_the_last_of_two_trace_sections_is_checked():
+    first = ("begin-trace", "t=5 s=5 event id=1", "t=1 s=1 event id=1", "end-trace")
+    last = ("begin-trace", "t=1 s=1 txn_block id=t1 components=a",
+            "t=2 s=2 app_hop flow=1 comp=a", "t=3 s=3 txn_commit id=t1", "end-trace")
+    rest = ("begin-graph", *GOOD_GRAPH, "end-graph", "begin-metrics", "end-metrics")
+    text = _body(*first, *last, *rest)
+    assert verify_report(text) == ["quiescence violation: hop through a during t1"]
+    assert verify_report(text) == reference_verify_report(text)
+    text = _body(*last, *first, *rest)
+    assert verify_report(text) == [
+        "time regression at seq 1", "sequence not strictly increasing at seq 1",
+        "event id 1 not strictly increasing",
+    ]
+    assert verify_report(text) == reference_verify_report(text)
+
+
+def test_a_graph_section_before_the_trace_section():
+    text = _body("begin-graph", *GOOD_GRAPH, "connection b out -> ghost in", "end-graph",
+                 "begin-trace", "t=1 s=1 event id=1", "t=2 s=2 event id=1", "end-trace",
+                 "begin-metrics", "metric m = 1", "end-metrics")
+    assert verify_report(text) == [
+        "event id 1 not strictly increasing",
+        "final graph: DanglingConnection: b out -> ghost in",
+    ]
+    assert verify_report(text) == reference_verify_report(text)
+
+
+# Every separator `report_texts` draws.
+SEPARATORS = ("\n", "\r\n", "\r", "\x0b", "\u2028", "\x1c")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.text(alphabet="ab \r", max_size=5), st.sampled_from(SEPARATORS)),
+                min_size=3, max_size=12),
+       st.text(alphabet="ab", max_size=3), st.integers(1, 6))
+@example([("abc", "\r\n"), ("d", "\n"), ("e", "\n")], "", 4)  # a naive cut splits "\r\n"
+def test_lines_in_slices_equal_splitlines(pieces, tail, chunk):
+    text = "".join(line + sep for line, sep in pieces) + tail
+    assert list(_lines(text, chunk)) == text.splitlines()
 
 
 # --- report sections ---
@@ -445,6 +551,12 @@ def _parsed(parse, text):
 @given(report_texts())
 def test_report_parse_equals_reference(text):
     assert _parsed(RunReport.parse, text) == _parsed(reference_report_parse, text)
+
+
+@settings(max_examples=600, deadline=None)
+@given(report_texts())
+def test_verify_report_equals_reference_on_report_texts(text):
+    assert verify_report(text) == reference_verify_report(text)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

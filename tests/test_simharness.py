@@ -2,7 +2,7 @@
 
 import pytest
 
-from adaptdom.errors import UnknownHost
+from adaptdom.errors import ScenarioParseError, UnknownHost
 from adaptdom.persistence import FaultEntry, load_config, parse_document
 from adaptdom.registry import Kind
 from adaptdom.report import verify_report
@@ -97,6 +97,20 @@ class TestFaults:
         sim = empty_sim()
         with pytest.raises(UnknownHost):
             sim.inject(FaultEntry(1, "kill", ("ghost",)))
+
+    @pytest.mark.parametrize("fault, problem", [
+        (FaultEntry(1, "kill", ()), "fault kill takes <host>"),
+        (FaultEntry(1, "leak", ("h1",)), "fault leak takes <host> <rate>"),
+        (FaultEntry(1, "leak", ("h1", "abc")), "rate 'abc' is not a finite number"),
+        (FaultEntry(1, "explode", ("h1",)), "unknown fault kind 'explode'"),
+    ])
+    def test_malformed_fault_rejected_before_it_is_scheduled(self, fault, problem):
+        sim = empty_sim()
+        sim.system.hosts.add(Host("h1", 100.0))
+        with pytest.raises(ScenarioParseError, match=problem):
+            sim.inject(fault)
+        sim.run_until(10)
+        assert of_kind(sim.trace, "fault") == []
 
 
 class TestAging:
