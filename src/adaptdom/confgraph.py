@@ -16,10 +16,10 @@ what it touches, not the size of the graph. Commits write into the live
 graph in place through the one function that changes the indexes.
 
 `structural_violations` is the one structural check. It works from
-component ids and `(src, src_port, dst, dst_port)` connection rows and
-lists dangling connections, then port conflicts, each in render order.
-`ConfigGraph.structural_violations` calls it on a whole graph, `prepare`
-on the connections a transaction touches, and replay on the rows of a
+component ids and connections rendered as `src src_port -> dst dst_port`
+and lists dangling connections, then port conflicts, each in render
+order. `ConfigGraph.structural_violations` calls it on a whole graph,
+`prepare` on the connections a transaction touches, and replay on a
 report's decoded graph section, without building a graph.
 
 This module owns the graph-line grammar that documents and reports share:
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from enum import Enum
-from typing import Callable, Collection, Container, Iterable, NoReturn, Optional, Protocol
+from typing import Callable, Container, Iterable, NoReturn, Optional, Protocol
 
 from .errors import InvalidTxn, ParseError
 from .paths import TOKEN_RE, check_tokens
@@ -140,12 +140,12 @@ class ConfigGraph:
     def canonical_lines(self) -> list[str]:
         return encode_graph(
             ((cid, c.kind, c.host, c.state.value) for cid, c in self.components.items()),
-            _rows(self.connections),
+            ((c.src, c.src_port, c.dst, c.dst_port) for c in self.connections),
         )
 
     def structural_violations(self) -> list["Violation"]:
         """Dangling connections, then port conflicts, each in render order."""
-        return structural_violations(self.components, _rows(self.connections))
+        return structural_violations(self.components, map(Connection.render, self.connections))
 
 
 # --- the graph-line grammar ---
@@ -174,34 +174,38 @@ def encode_graph(components: Iterable[tuple[str, ...]],
     return lines
 
 
-def decode_graph(lines: Iterable[tuple[int, str]]):
+def decode_graph(lines: Iterable[tuple[int, str]], rows: bool = True):
     """The component and connection rows of numbered graph lines, given
     as `(line number, text)` pairs, in line order. Raises `ParseError`
     naming the first line outside the grammar or repeating a component id
-    or a connection."""
+    or a connection. With `rows` false it keeps only what
+    `structural_violations` needs: the set of component ids and the set of
+    connection lines, which for this grammar are equal exactly when their
+    rows are."""
     components: list[tuple[str, ...]] = []
     connections: list[tuple[str, ...]] = []
     ids: set[str] = set()
-    edges: set[tuple[str, ...]] = set()
+    edges: set[str] = set()
     match = _GRAPH_LINE.fullmatch
     for lineno, line in lines:
         found = match(line)
         if found is None:
             _raise_graph_error(line, lineno)
-        row = found.groups()
-        if row[0] is None:
-            row = row[4:]
-            if row in edges:
+        if found.lastindex == 8:  # a connection line
+            if line in edges:
                 raise ParseError(f"duplicate connection {line[len('connection '):]!r}",
                                  line=lineno)
-            edges.add(row)
-            connections.append(row)
-        elif row[0] in ids:
-            raise ParseError(f"duplicate component {row[0]!r}", line=lineno)
-        else:
-            ids.add(row[0])
-            components.append(row[:4])
-    return components, connections
+            edges.add(line)
+            if rows:
+                connections.append(found.group(5, 6, 7, 8))
+            continue
+        cid = found[1]
+        if cid in ids:
+            raise ParseError(f"duplicate component {cid!r}", line=lineno)
+        ids.add(cid)
+        if rows:
+            components.append((cid, found[2], found[3], found[4]))
+    return (components, connections) if rows else (ids, edges)
 
 
 def _raise_graph_error(line: str, lineno: int) -> NoReturn:
@@ -312,35 +316,29 @@ class ValidationReport:
         return not self.violations
 
 
-def _rows(connections: Iterable[Connection]) -> list[tuple[str, str, str, str]]:
-    return [(c.src, c.src_port, c.dst, c.dst_port) for c in connections]
-
-
-def _render(row: tuple[str, str, str, str]) -> str:
-    return "{} {} -> {} {}".format(*row)
-
-
 def structural_violations(component_ids: Container[str],
-                          connections: Collection[tuple[str, str, str, str]]
-                          ) -> list[Violation]:
-    """The one structural check, over component ids and `(src, src_port,
-    dst, dst_port)` connection rows: dangling connections, then port
-    conflicts (every connection but the first, in render order, on one
-    source port), each group in render order. It builds no graph, so
-    replay can check a decoded graph section with it directly."""
-    dangling = [
-        _render(row) for row in connections
-        if row[0] not in component_ids or row[2] not in component_ids
-    ]
-    first: dict[str, tuple[str, ...]] = {}
-    shared: set[str] = set()
-    for row in connections:
-        if first.setdefault(row[0], row) is not row:
-            shared.add(row[0])
+                          connections: Iterable[str]) -> list[Violation]:
+    """The one structural check, over component ids and connections
+    rendered as `src src_port -> dst dst_port` from token names: dangling
+    connections, then port conflicts (every connection but the first, in
+    render order, on one source port), each group in render order. It
+    reads each connection once and builds no graph, so replay can check a
+    decoded graph section with it directly."""
+    dangling: list[str] = []
+    # A source's first connection, until a second one shows the source
+    # shared; then None, and its connections go by port.
+    first: dict[str, Optional[str]] = {}
     by_port: dict[tuple[str, str], list[str]] = defaultdict(list)
-    for row in connections:
-        if row[0] in shared:
-            by_port[row[0], row[1]].append(_render(row))
+    for name in connections:
+        src, port, _, dst, _ = name.split(" ")
+        if src not in component_ids or dst not in component_ids:
+            dangling.append(name)
+        earlier = first.setdefault(src, name)
+        if earlier is not name:
+            if earlier is not None:
+                by_port[src, earlier.split(" ", 2)[1]].append(earlier)
+                first[src] = None
+            by_port[src, port].append(name)
     conflicts = [name for names in by_port.values() for name in sorted(names)[1:]]
     return ([Violation("DanglingConnection", name) for name in sorted(dangling)]
             + [Violation("PortConflict", name) for name in sorted(conflicts)])
@@ -462,9 +460,8 @@ def prepare(
         c for src, port in ports
         for c in graph._ix.outs.get(src, ()) if c.src_port == port and present(c)
     )
-    rows = _rows(suspects)
-    alive = {cid for row in rows for cid in (row[0], row[2]) if comp(cid) is not None}
-    violations.extend(structural_violations(alive, rows))
+    alive = {cid for c in suspects for cid in (c.src, c.dst) if comp(cid) is not None}
+    violations.extend(structural_violations(alive, map(Connection.render, suspects)))
     if hosts is not None:
         for cid in sorted(delta.added | delta.moved):
             host = comps[cid].host

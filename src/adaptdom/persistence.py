@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 from .adaptation import (
@@ -348,18 +349,14 @@ def _parse_body_line(doc, section, current_domain, current_logic, line, lineno):
             doc.faults.append(fault)
         elif parts[0] == "probe":
             probe = ProbeDecl(int(parts[1]), parts[2], tuple(parts[3:]))
-            _raise_if(_args_problem("probe", probe.kind, probe.args, _PROBE_ARGS), lineno)
+            _raise_if(probe_problem(probe), lineno)
             doc.probes.append(probe)
         elif parts[0] == "traffic":
             path = parts[1].split(",")
             check_tokens(path)
             attrs = _parse_attrs(parts[2:], lineno)
             flow = FlowDecl(tuple(path), int(attrs["period"]), int(attrs.get("start", 0)))
-            # A flow re-schedules itself `period` ticks on: at 0 or less
-            # it would run at one tick for ever.
-            if flow.period <= 0:
-                raise ScenarioParseError(
-                    f"traffic period must be positive, got {flow.period}", line=lineno)
+            _raise_if(flow_problem(flow), lineno)
             doc.flows.append(flow)
         else:
             key, value = _parse_kv(line, lineno)
@@ -399,7 +396,22 @@ def fault_problem(fault: FaultEntry) -> Optional[str]:
     return _args_problem("fault", fault.kind, fault.args, _FAULT_ARGS)
 
 
-def _raise_if(problem, lineno: int) -> None:
+def probe_problem(probe: ProbeDecl) -> Optional[str]:
+    """Why the simulator cannot run `probe` (an unknown kind or a wrong
+    number of hosts), or None."""
+    return _args_problem("probe", probe.kind, probe.args, _PROBE_ARGS)
+
+
+def flow_problem(flow: FlowDecl) -> Optional[str]:
+    """Why the simulator cannot run `flow`, or None. A flow re-schedules
+    itself `period` ticks on: at 0 or less it would run at one tick for
+    ever."""
+    if flow.period <= 0:
+        return f"traffic period must be positive, got {flow.period}"
+    return None
+
+
+def _raise_if(problem, lineno: int = 0) -> None:
     if problem:
         raise ScenarioParseError(problem, line=lineno)
 
@@ -491,6 +503,10 @@ def build_system(doc: ConfigDocument) -> System:
     system.config_manager.graph = ConfigGraph(components, connections)
     system.scenario_params = dict(doc.scenario_keys)
     system.hub.agent_hop_latency = int(doc.scenario_keys.get("agent_hop_latency", 1))
+    # The scenario lines' own checks, for a document built in code.
+    for problem in chain(map(fault_problem, doc.faults), map(probe_problem, doc.probes),
+                         map(flow_problem, doc.flows)):
+        _raise_if(problem)
     for fault in doc.faults:
         if fault.kind in ("kill", "revive", "leak") and not system.hosts.host_exists(fault.args[0]):
             raise DanglingReference(f"fault references unknown host {fault.args[0]!r}")

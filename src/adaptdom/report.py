@@ -12,6 +12,14 @@ graph section to the graph decoder, and quiescence and overlap are then
 checked in one sweep over (time, sequence), so it is linear in report
 length.
 
+A run's report holds its trace as the `TraceLog`'s blocks of text, the
+same strings the log holds, so no line of it is a `str` of its own.
+`render` hashes the body one slice of parts at a time and builds the text
+with one join, so the rendered text is the one full copy of the report:
+on the seed-1 benchmark reports render's peak is about 1.0 to 1.1 times
+the report's size. `trace_lines` splits the blocks again one block at a
+time, as it is read.
+
 What replay keeps is sized to the report, not to objects per line. No
 list of the report's lines exists: lines are split from one slice of
 about 64k characters at a time, and the checksum hashes the body in
@@ -19,12 +27,11 @@ encoded slices of that size. Per `app_hop` the scan keeps three machine
 words (time, sequence and an index into a table of component names) and
 per `txn_block` one interval. Only hops through a component in some block
 set enter the sweep, as indexes. The final graph is checked by
-`confgraph.structural_violations` from the decoded rows, without building
-a graph; while the section is decoded, its rows and the decoder's
-duplicate-check sets (component ids and connections) are the largest
-thing replay holds. On the seed-1 benchmark reports the peak is about 1.4
-times the report's size where hops dominate (traffic-heavy) and 4.5 times
-where the graph does (heal-kills).
+`confgraph.structural_violations` from what the decoder keeps for it: the
+set of component ids and the set of connection lines, which are the
+report's own strings. On the seed-1 benchmark reports replay's peak is
+about 1.05 times the report's size where hops dominate (traffic-heavy)
+and 2.8 times where the graph does (heal-kills).
 
 The graph section holds `confgraph.encode_graph` lines and is read back
 with `confgraph.decode_graph`, so replay reports a line outside that
@@ -52,19 +59,27 @@ _MARKERS = ("begin-", "end-", "checksum sha256=")
 
 @dataclass
 class RunReport:
+    r"""A run's report. `trace_blocks` holds the trace as text: blocks of
+    one or more lines joined by `\n`, as `TraceLog.blocks` gives them. A
+    plain list of lines is a list of one-line blocks."""
+
     scenario: str
     seed: int
     until: int
-    trace_lines: list[str]
+    trace_blocks: list[str]
     graph_lines: list[str]
     metrics: dict[str, float | int] = field(default_factory=dict)
 
+    @property
+    def trace_lines(self) -> "TraceLines":
+        return TraceLines(self.trace_blocks)
+
     def render(self) -> str:
-        lines = [
+        parts = [
             REPORT_HEADER,
             f"scenario {self.scenario} seed={self.seed} until={self.until}",
             "begin-trace",
-            *self.trace_lines,
+            *self.trace_blocks,
             "end-trace",
             "begin-graph",
             *self.graph_lines,
@@ -73,15 +88,49 @@ class RunReport:
             *(f"metric {k} = {format_scalar(self.metrics[k])}" for k in sorted(self.metrics)),
             "end-metrics",
         ]
-        body = "\n".join(lines) + "\n"
-        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-        return body + f"checksum sha256={digest}\n"
+        # The body is `"\n".join(parts) + "\n"`: it is hashed a slice of
+        # parts at a time, and the one join below is the only copy of it.
+        digest = hashlib.sha256()
+        start = size = 0
+        for end, part in enumerate(parts, 1):
+            size += len(part)
+            if size >= _CHUNK or end == len(parts):
+                digest.update("\n".join(parts[start:end]).encode("utf-8"))
+                digest.update(b"\n")
+                start, size = end, 0
+        parts += (f"checksum sha256={digest.hexdigest()}", "")
+        return "\n".join(parts)
 
     @classmethod
     def parse(cls, text: str) -> "RunReport":
         scenario, seed, until, sections = _read_sections(text, {})
         return cls(scenario, seed, until, sections["trace"], sections["graph"],
                    sections["metrics"])
+
+
+class TraceLines:
+    """The lines of a report's trace blocks, split one block at a time as
+    they are iterated. It can be counted and compared with a list."""
+
+    __slots__ = ("_blocks",)
+
+    def __init__(self, blocks: list[str]):
+        self._blocks = blocks
+
+    def __iter__(self) -> Iterator[str]:
+        for block in self._blocks:
+            yield from block.split("\n")
+
+    def __len__(self) -> int:
+        return len(self._blocks) + sum(block.count("\n") for block in self._blocks)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, TraceLines)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 # Characters per slice of a report's text: the lines and bytes replay
@@ -338,12 +387,11 @@ def _check_graph(numbered: _Numbered, lineno: int):
             yield lineno - start, line
 
     try:
-        components, connections = decode_graph(section())
+        ids, edges = decode_graph(section(), rows=False)
     except ParseError as exc:
         return (exc, *_skip(numbered, end[0]))
-    ids = {row[0] for row in components}
-    del components
-    return structural_violations(ids, connections), end[0], end[1]
+    names = (line[len("connection "):] for line in edges)
+    return structural_violations(ids, names), end[0], end[1]
 
 
 # Sweep phases at one stamp. Ends go first and begins last, so an interval

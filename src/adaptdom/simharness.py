@@ -233,7 +233,7 @@ class Simulator:
             scenario=self.name,
             seed=self.seed,
             until=until,
-            trace_lines=self.trace.lines(),
+            trace_blocks=self.trace.blocks(),
             graph_lines=self.system.graph.canonical_lines(),
             metrics=metrics,
         )

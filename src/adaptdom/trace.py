@@ -1,4 +1,4 @@
-"""Deterministic run trace.
+r"""Deterministic run trace.
 
 Every observable occurrence (events, decisions, scenarios, transactions,
 agent hops, faults, audit findings, application traffic) is appended as
@@ -7,11 +7,15 @@ one line, encoded once when it is recorded:
     t=<time> s=<seq> <kind> <key>=<value> ...
 
 Lines are totally ordered by (time, sequence) so a trace replays
-byte-identically for a fixed seed and scenario. The log keeps only the
-encoded lines and a count per kind. `LINE` is the one grammar that reads
-lines back, `parse_error` the one error for a line outside it, and
-`read_field` the reader of their fields. `TraceEntry` parses one line into
-an object; replay (`report.verify_report`) applies the grammar inline.
+byte-identically for a fixed seed and scenario. The log holds its lines
+only as text: every `_BLOCK` finished lines are joined by `\n` into one
+`str`, so a run keeps one string per block, not one per line, plus the
+few lines not yet joined and a count per kind. `blocks` hands the text to
+a report, which renders it as it is; `lines` splits it again on demand.
+`LINE` is the one grammar that reads lines back, `parse_error` the one
+error for a line outside it, and `read_field` the reader of their fields.
+`TraceEntry` parses one line into an object; replay
+(`report.verify_report`) applies the grammar inline.
 """
 
 from __future__ import annotations
@@ -98,12 +102,20 @@ class TraceEntry:
         raise parse_error(line, lineno)
 
 
+# Lines per block of a `TraceLog`'s text.
+_BLOCK = 2048
+
+
 class TraceLog:
     """Append-only ordered log of encoded lines with a global sequence
-    counter and a count per kind."""
+    counter and a count per kind, held as blocks of text."""
 
     def __init__(self):
-        self._lines: list[str] = []
+        self._blocks: list[str] = []
+        self._pending: list[str] = []  # the lines not yet joined into a block
+        # The lines of each block whose lines hold a `\n` of their own, by
+        # block index: splitting such a block would not give them back.
+        self._split: dict[int, list[str]] = {}
         self._counts: dict[str, int] = {}
         self._next_seq = 0
 
@@ -116,11 +128,34 @@ class TraceLog:
                 value = value.replace(" ", "_") if isinstance(value, str) else format_scalar(value)
             line += f" {key}={value}"
         self._next_seq += 1
-        self._lines.append(line)
+        pending = self._pending
+        pending.append(line)
+        if len(pending) >= _BLOCK:
+            self._join()
         self._counts[kind] = self._counts.get(kind, 0) + 1
 
+    def _join(self) -> None:
+        """Join the pending lines into one block."""
+        pending = self._pending
+        block = "\n".join(pending)
+        if block.count("\n") >= len(pending):
+            self._split[len(self._blocks)] = pending
+        self._blocks.append(block)
+        self._pending = []
+
+    def blocks(self) -> list[str]:
+        r"""The log's text so far: blocks of one or more lines joined by
+        `\n`, in order. Their `\n`-join is the lines' `\n`-join."""
+        if self._pending:
+            self._join()
+        return list(self._blocks)
+
     def lines(self) -> list[str]:
-        return list(self._lines)
+        out: list[str] = []
+        for index, block in enumerate(self._blocks):
+            out.extend(self._split.get(index) or block.split("\n"))
+        out.extend(self._pending)
+        return out
 
     def count(self, kind: str) -> int:
         return self._counts.get(kind, 0)

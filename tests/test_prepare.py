@@ -242,8 +242,9 @@ def test_indexes_match_a_rebuild_after_commits(graph, steps):
 @settings(max_examples=300, deadline=None)
 @given(graphs(), st.randoms(use_true_random=False))
 def test_structural_violations_from_rows_match_the_reference(graph, random):
-    # Rows in any order, as a report's graph section or a set gives them.
-    rows = [(c.src, c.src_port, c.dst, c.dst_port) for c in graph.connections]
+    # Rendered connections in any order, as a report's decoded graph
+    # section or a set gives them.
+    rows = [c.render() for c in graph.connections]
     random.shuffle(rows)
     assert structural_violations(set(graph.components), rows) == ref_structural_violations(
         graph.components, graph.connections

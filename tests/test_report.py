@@ -9,7 +9,9 @@ text; and `reference_record_line` is the encoding loop `TraceLog.record`
 had before it encoded exact `str` and `int` values inline. The reference
 verifier shares no reading code with `verify_report`. The properties below
 require the replacements to give the same values, errors, problem lists
-and lines, order included.
+and lines, order included. `reference_render` is the render that joined
+a list of lines, hashed one encoded copy of the whole body and appended
+the checksum, before reports carried the trace as blocks of text.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adaptdom import report as report_module
+from adaptdom import trace as trace_module
 from adaptdom.errors import ParseError, UnknownVersion
 from adaptdom.paths import PathName
 from adaptdom.persistence import load_config
@@ -388,15 +392,16 @@ def test_verify_report_memory_stays_within_four_times_the_report():
     assert peak < 4 * len(text)
 
 
-def _peak_of_verify(text: str) -> tuple[list[str], int]:
+def _peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        problems = verify_report(text)
+        result = fn(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return problems, peak
+    return result, peak
 
 
 def test_verify_report_memory_stays_within_one_and_a_half_times_the_report():
@@ -405,24 +410,58 @@ def test_verify_report_memory_stays_within_one_and_a_half_times_the_report():
     # pass a blocked component enter the sweep as indexes. Splitting the
     # text into lines took about 3.2 times the text.
     text = _hop_report(20_000)
-    problems, peak = _peak_of_verify(text)
+    problems, peak = _peak(verify_report, text)
     assert problems == []
     assert peak < 1.5 * len(text)
 
 
 def test_verify_report_memory_on_a_graph_heavy_report():
-    # The final graph is checked from its decoded rows: no component,
-    # connection or graph index is built. Building them took about 13.7
-    # times the text.
+    # The final graph is checked from the component ids and the connection
+    # lines: no row, component, connection or graph index is built. This
+    # measures about 5.0 times the text; keeping every component and
+    # connection row took 8.6, and building the graph about 13.7.
     kinds = ("web", "app", "db")
     hops = [f"t={i} s={i} app_hop flow=1 comp=c{i:05d}" for i in range(100)]
     graph = [f"component c{i:05d} kind={kinds[i % 3]} host=h{i // 40:03d} state=active"
              for i in range(8000)]
     graph += [f"connection c{i:05d} out -> c{i + 1:05d} in" for i in range(7999)]
     text = RunReport("graph", 0, 100, hops, graph, {"m": 1}).render()
-    problems, peak = _peak_of_verify(text)
+    problems, peak = _peak(verify_report, text)
     assert problems == []
-    assert peak < 9 * len(text)
+    assert peak < 5.5 * len(text)
+
+
+def _hop_log(hops: int) -> TraceLog:
+    log = TraceLog()
+    for hop in range(hops):
+        log.record(hop // 4, "app_hop", flow=hop % 7, comp=f"c{hop % 10}")
+    return log
+
+
+def test_render_memory_stays_within_one_and_three_tenths_of_the_text():
+    # The trace renders from its blocks and the body is hashed a slice at
+    # a time, so the one join is the only copy of the report: about 1.0
+    # times the text. Joining a list of lines, encoding the whole body and
+    # appending the checksum took 2.2.
+    graph = [f"component c{i} kind=web host=h1 state=active" for i in range(10)]
+    report = RunReport("hops", 0, 5000, _hop_log(20_000).blocks(), graph, {"m": 1})
+    text, peak = _peak(report.render)
+    assert verify_report(text) == []
+    assert peak < 1.3 * len(text)
+
+
+def test_trace_log_holds_its_lines_as_text():
+    # About 1.05 times the lines' text, the lines not yet joined into a
+    # block included. One string per line took 2.2 to 2.6.
+    tracemalloc.start()
+    try:
+        log = _hop_log(50_000)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lines = log.lines()
+    assert len(lines) == 50_000
+    assert held < 1.5 * sum(map(len, lines))
 
 
 def test_generated_reports_reach_every_problem_kind():
@@ -658,6 +697,56 @@ def test_record_equals_reference(records):
         reference_record_line(time, seq, kind, **fields)
         for seq, (time, kind, fields) in enumerate(records)
     ]
+
+
+def reference_render(report: RunReport, trace_lines: list[str]) -> str:
+    lines = [
+        REPORT_HEADER,
+        f"scenario {report.scenario} seed={report.seed} until={report.until}",
+        "begin-trace", *trace_lines, "end-trace",
+        "begin-graph", *report.graph_lines, "end-graph",
+        "begin-metrics",
+        *(f"metric {k} = {format_scalar(report.metrics[k])}" for k in sorted(report.metrics)),
+        "end-metrics",
+    ]
+    body = "\n".join(lines) + "\n"
+    return body + f"checksum sha256={hashlib.sha256(body.encode('utf-8')).hexdigest()}\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.from_regex(r"[a-z_]{1,10}", fullmatch=True),
+                          st.dictionaries(field_keys, record_values, max_size=3),
+                          st.booleans()),
+                max_size=20),
+       st.lists(st.text(max_size=12), max_size=8), st.integers(1, 6), st.integers(1, 40))
+@example([(1, "k", {"a": "x\ny"}, False), (2, "k", {}, False), (3, "k", {"b": "\n"}, True)],
+         ["é\n"], 2, 3)  # lines that hold a newline, in a full block and a cut one
+def test_blocks_render_and_split_like_the_lines(records, lines, block, chunk):
+    # Blocks of 1 to 6 lines and hash slices of a few characters, so that
+    # their boundaries fall everywhere; `blocks()` between two records
+    # joins a short block.
+    expected = [
+        reference_record_line(time, seq, kind, **fields)
+        for seq, (time, kind, fields, _) in enumerate(records)
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace_module, "_BLOCK", block)
+        patch.setattr(report_module, "_CHUNK", chunk)
+        log = TraceLog()
+        for time, kind, fields, cut in records:
+            log.record(time, kind, **fields)
+            if cut:
+                log.blocks()
+        assert log.lines() == expected
+        report = RunReport("s", 1, 5, log.blocks(), lines, {"m": 1, "x": 0.5})
+        assert report.render() == reference_render(report, expected)
+        # A plain list of lines renders alike.
+        plain = RunReport("s", 1, 5, lines, expected, {})
+        assert plain.render() == reference_render(plain, lines)
+    split = "\n".join(expected).split("\n") if expected else []
+    assert list(report.trace_lines) == split
+    assert len(report.trace_lines) == len(split)
+    assert report.trace_lines == split
 
 
 def test_lines_returns_a_copy():

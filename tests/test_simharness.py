@@ -3,7 +3,7 @@
 import pytest
 
 from adaptdom.errors import ScenarioParseError, UnknownHost
-from adaptdom.persistence import FaultEntry, load_config, parse_document
+from adaptdom.persistence import FaultEntry, FlowDecl, ProbeDecl, load_config, parse_document
 from adaptdom.registry import Kind
 from adaptdom.report import verify_report
 from adaptdom.simharness import Simulator
@@ -238,6 +238,34 @@ class TestTrafficThroughCommits:
             "t=26 s=12 app_hop flow=4 comp=c2",
         ]
         assert verify_report(report.render()) == []
+
+
+class TestDocumentsBuiltInCode:
+    """A document built in code gets the scenario-line checks the parser
+    makes, when the simulator is built, before any run."""
+
+    @staticmethod
+    def doc_with(**changes):
+        doc = parse_document(HEAL_TRAFFIC_SCENARIO)
+        sensor = doc.probes[0].sensor
+        for name, value in changes.items():
+            setattr(doc, name, [value(sensor)])
+        return doc
+
+    def test_flow_period_zero_rejected(self):
+        doc = self.doc_with(flows=lambda sensor: FlowDecl(("c1",), 0))
+        with pytest.raises(ScenarioParseError, match="traffic period must be positive, got 0"):
+            Simulator(doc)
+
+    def test_probe_without_its_host_rejected(self):
+        doc = self.doc_with(probes=lambda sensor: ProbeDecl(sensor, "liveness", ()))
+        with pytest.raises(ScenarioParseError, match="probe liveness takes <host>"):
+            Simulator(doc)
+
+    def test_probe_of_unknown_kind_rejected(self):
+        doc = self.doc_with(probes=lambda sensor: ProbeDecl(sensor, "bogus", ("hostA",)))
+        with pytest.raises(ScenarioParseError, match="unknown probe kind 'bogus'"):
+            Simulator(doc)
 
 
 class TestSnapshot:
