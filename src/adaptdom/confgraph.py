@@ -557,8 +557,7 @@ def compute_block_set(
 # --- the live manager ---
 
 class Scheduler(Protocol):
-    @property
-    def now(self) -> int: ...
+    now: int
     def schedule(self, time: int, fn: Callable[[], None]) -> None: ...
 
 

@@ -12,26 +12,19 @@ graph section to the graph decoder, and quiescence and overlap are then
 checked in one sweep over (time, sequence), so it is linear in report
 length.
 
-A run's report holds its trace as the `TraceLog`'s blocks of text, the
-same strings the log holds, so no line of it is a `str` of its own.
-`render` hashes the body one slice of parts at a time and builds the text
-with one join, so the rendered text is the one full copy of the report:
-on the seed-1 benchmark reports render's peak is about 1.0 to 1.1 times
-the report's size. `trace_lines` splits the blocks again one block at a
-time, as it is read.
+A run's report holds its trace as the `TraceLog`'s blocks of text, so
+no line of it is a `str` of its own. `render` hashes the body a slice at
+a time and joins it once, so the rendered text is the report's one full
+copy; `trace_lines` splits the blocks again as it is read.
 
-What replay keeps is sized to the report, not to objects per line. No
-list of the report's lines exists: lines are split from one slice of
-about 64k characters at a time, and the checksum hashes the body in
-encoded slices of that size. Per `app_hop` the scan keeps three machine
-words (time, sequence and an index into a table of component names) and
-per `txn_block` one interval. Only hops through a component in some block
-set enter the sweep, as indexes. The final graph is checked by
-`confgraph.structural_violations` from what the decoder keeps for it: the
-set of component ids and the set of connection lines, which are the
-report's own strings. On the seed-1 benchmark reports replay's peak is
-about 1.05 times the report's size where hops dominate (traffic-heavy)
-and 2.8 times where the graph does (heal-kills).
+What replay keeps is sized to the report, not to objects per line. It
+splits lines from, and hashes, one slice of about 64k characters at a
+time. Per `app_hop` the scan keeps three machine words (time, sequence
+and an index into a table of component names), per `txn_block` one
+interval, and only hops through a component in some block set enter the
+sweep. `confgraph.structural_violations` checks the final graph from the
+decoder's set of component ids and set of connection lines, which are
+the report's own strings.
 
 The graph section holds `confgraph.encode_graph` lines and is read back
 with `confgraph.decode_graph`, so replay reports a line outside that

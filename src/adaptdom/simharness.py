@@ -9,8 +9,8 @@ adaptive domains react through their pipelines and actuators. Identical
 
 from __future__ import annotations
 
-import functools
 import random
+from functools import partial
 from dataclasses import dataclass
 
 from .confgraph import ComponentState
@@ -66,8 +66,11 @@ class Simulator:
         self.trace = self.system.trace
         self._occupancy = self.system.occupancy
         self._components = self.system.graph.components
+        self._schedule = self.clock.schedule
+        self._record_hop = self.trace.recorder("app_hop", "flow", "comp")
+        self._record_drop = self.trace.recorder("app_drop", "flow", "comp")
         self.system.hub.register_action(
-            "reset_host_resource", functools.partial(_reset_host_resource, self.system)
+            "reset_host_resource", partial(_reset_host_resource, self.system)
         )
         self._down_since: dict[str, int] = {}
         self._downtime = 0
@@ -87,25 +90,19 @@ class Simulator:
                 self._down_since[host_id] = self.clock.now
         for fault in self.system.doc_faults:
             self.inject(fault)
+        probes = {
+            "liveness": (self.liveness_period, self._probe_liveness),
+            "resource": (self.resource_period, self._probe_resource),
+            "link": (self.link_period, self._probe_link),
+        }
         for sensor, kind, args in self.system.doc_probes:
-            period = {
-                "liveness": self.liveness_period,
-                "resource": self.resource_period,
-                "link": self.link_period,
-            }.get(kind, 0)
+            period, probe = probes.get(kind, (0, None))
             if period <= 0:
                 continue
             phase = self.rng.randrange(period) if self.jitter else 0
-            if kind == "liveness":
-                fn = lambda now, s=sensor, h=args[0]: self._probe_liveness(s, h)
-            elif kind == "resource":
-                fn = lambda now, s=sensor, h=args[0]: self._probe_resource(s, h, now)
-            else:
-                fn = lambda now, s=sensor, a=args[0], b=args[1]: self._probe_link(s, a, b)
-            self._every(phase, period, fn)
+            self._every(phase, period, partial(probe, sensor, *args))
         for flow in self.system.doc_flows:
-            self._every(flow.start, flow.period,
-                        lambda now, f=flow: self._spawn_flow(f, now))
+            self._every(flow.start, flow.period, partial(self._spawn_flow, flow))
         if self.audit_period > 0:
             self._every(self.audit_period, self.audit_period,
                         lambda now: self.system.run_audits())
@@ -132,7 +129,7 @@ class Simulator:
         for host_arg in fault.args[:2] if fault.kind == "link" else fault.args[:1]:
             if not self.system.hosts.host_exists(host_arg):
                 raise UnknownHost(f"fault targets unknown host {host_arg!r}")
-        self.clock.schedule(fault.time, lambda: self._apply_fault(fault))
+        self.clock.schedule(fault.time, partial(self._apply_fault, fault))
 
     def _apply_fault(self, fault: FaultEntry) -> None:
         now = self.clock.now
@@ -152,13 +149,11 @@ class Simulator:
             hosts.get(fault.args[0]).set_leak(float(fault.args[1]), now)
         elif fault.kind == "link":
             hosts.set_link_quality(fault.args[0], fault.args[1], float(fault.args[2]))
-        self.trace.record(
-            now, "fault", type=fault.kind, args="|".join(fault.args) or "-",
-        )
+        self.trace.record(now, "fault", type=fault.kind, args="|".join(fault.args) or "-")
 
     # --- probes ---
 
-    def _probe_liveness(self, sensor, host_id: str) -> None:
+    def _probe_liveness(self, sensor, host_id: str, now: int) -> None:
         if not self.system.hosts.host_is_up(host_id):
             self.system.hub.emit(sensor, "host_failed", {"host": host_id})
 
@@ -175,7 +170,7 @@ class Simulator:
             self._exhausted.discard(host_id)
         self.system.hub.emit(sensor, "resource_sample", {"host": host_id, "level": level})
 
-    def _probe_link(self, sensor, a: str, b: str) -> None:
+    def _probe_link(self, sensor, a: str, b: str, now: int) -> None:
         hosts = self.system.hosts
         if hosts.host_is_up(a) and hosts.host_is_up(b):
             self.system.hub.emit(
@@ -187,38 +182,35 @@ class Simulator:
 
     def _spawn_flow(self, flow, now: int) -> None:
         self._flow_counter += 1
-        self._try_enter(flow, self._flow_counter, 0)
+        self._step(flow.path, self._flow_counter, 0, None)
 
-    def _try_enter(self, flow, txn_no: int, index: int) -> None:
-        clock = self.clock
-        now = clock.now
-        cid = flow.path[index]
+    def _step(self, path: tuple[str, ...], flow_no: int, index: int, leaving) -> None:
+        """One traffic hop: leave `leaving`, entered a tick ago (None on a
+        flow's first step and on a retry), then try to enter `path[index]`."""
+        occupancy = self._occupancy
+        if leaving is not None:
+            occupancy[leaving] -= 1
+        if index == len(path):
+            return
+        now = self.clock.now
+        cid = path[index]
         comp = self._components.get(cid)
         state = _DOWN if comp is None else comp.state
-        if state is _DOWN:
-            self.trace.record(now, "app_drop", flow=txn_no, comp=cid)
-            return
-        if state is _BLOCKED:
+        if state is _ACTIVE:
+            occupancy[cid] = occupancy.get(cid, 0) + 1
+            self._record_hop(now, flow_no, cid)
+            self._schedule(now + 1, partial(self._step, path, flow_no, index + 1, cid))
+        elif state is _BLOCKED:
             # Quiescence: traffic never traverses a blocked component; the
             # transaction stalls at the boundary until it is unblocked.
-            clock.schedule(now + 1, lambda: self._try_enter(flow, txn_no, index))
-            return
-        assert state is _ACTIVE
-        self._occupancy[cid] = self._occupancy.get(cid, 0) + 1
-        self.trace.record(now, "app_hop", flow=txn_no, comp=cid)
-        clock.schedule(now + 1, lambda: self._leave(flow, txn_no, index))
-
-    def _leave(self, flow, txn_no: int, index: int) -> None:
-        cid = flow.path[index]
-        self._occupancy[cid] -= 1
-        if index + 1 < len(flow.path):
-            self._try_enter(flow, txn_no, index + 1)
+            self._schedule(now + 1, partial(self._step, path, flow_no, index, None))
+        else:
+            self._record_drop(now, flow_no, cid)
 
     # --- running ---
 
     def run(self, until: int) -> RunReport:
-        self._install()
-        self.clock.run_until(until)
+        self.run_until(until)
         for host_id, since in self._down_since.items():
             self._downtime += until - since
         self._down_since = {h: until for h in self._down_since}

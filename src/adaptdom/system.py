@@ -44,18 +44,14 @@ class SimClock:
     """
 
     def __init__(self):
-        self._now = 0
+        self.now = 0  # the current tick; only `run_until` advances it
         # Each pending tick once, and the callbacks of each pending tick.
         self._ticks: list[int] = []
         self._calendar: dict[int, list[Callable[[], None]]] = {}
 
-    @property
-    def now(self) -> int:
-        return self._now
-
     def schedule(self, time: int, fn: Callable[[], None]) -> None:
-        if time < self._now:
-            time = self._now
+        if time < self.now:
+            time = self.now
         bucket = self._calendar.get(time)
         if bucket is None:
             self._calendar[time] = [fn]
@@ -68,7 +64,7 @@ class SimClock:
         calendar = self._calendar
         while ticks and ticks[0] <= until:
             # Pending ticks are never behind the clock.
-            self._now = time = ticks[0]
+            self.now = time = ticks[0]
             bucket = calendar[time]
             try:
                 # The iterator sees callbacks appended while it runs.
@@ -79,8 +75,7 @@ class SimClock:
                 raise
             heapq.heappop(ticks)
             del calendar[time]
-        if until > self._now:
-            self._now = until
+        self.now = max(self.now, until)
 
 
 @dataclass

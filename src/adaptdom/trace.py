@@ -7,11 +7,14 @@ one line, encoded once when it is recorded:
     t=<time> s=<seq> <kind> <key>=<value> ...
 
 Lines are totally ordered by (time, sequence) so a trace replays
-byte-identically for a fixed seed and scenario. The log holds its lines
-only as text: every `_BLOCK` finished lines are joined by `\n` into one
-`str`, so a run keeps one string per block, not one per line, plus the
-few lines not yet joined and a count per kind. `blocks` hands the text to
-a report, which renders it as it is; `lines` splits it again on demand.
+byte-identically for a fixed seed and scenario. `encode_value` is the one
+encoder of values. `record` appends a line of any shape; `recorder`
+prepares one shape, such as an application hop's, once for its many
+lines. The log holds its lines only as text: every `_BLOCK` finished
+lines are joined by `\n` into one `str`, so a run keeps one string per
+block, not one per line, plus the few lines not yet joined and a count
+per kind. `blocks` hands the text to a report, which renders it as it
+is; `lines` splits it again on demand.
 `LINE` is the one grammar that reads lines back, `parse_error` the one
 error for a line outside it, and `read_field` the reader of their fields.
 `TraceEntry` parses one line into an object; replay
@@ -20,8 +23,10 @@ error for a line outside it, and `read_field` the reader of their fields.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ParseError
 
@@ -105,6 +110,16 @@ class TraceEntry:
 # Lines per block of a `TraceLog`'s text.
 _BLOCK = 2048
 
+# Spaces and every character `str.splitlines` breaks on, each encoded as `_`.
+_BREAKS = str.maketrans(dict.fromkeys(" \n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", "_"))
+
+
+def encode_value(value) -> str:
+    """The one encoder of values: a string's spaces and line breaks become `_`."""
+    if isinstance(value, str):  # line breaks are unprintable, and rare
+        return value.replace(" ", "_") if value.isprintable() else value.translate(_BREAKS)
+    return format_scalar(value)
+
 
 class TraceLog:
     """Append-only ordered log of encoded lines with a global sequence
@@ -113,34 +128,44 @@ class TraceLog:
     def __init__(self):
         self._blocks: list[str] = []
         self._pending: list[str] = []  # the lines not yet joined into a block
-        # The lines of each block whose lines hold a `\n` of their own, by
-        # block index: splitting such a block would not give them back.
-        self._split: dict[int, list[str]] = {}
         self._counts: dict[str, int] = {}
-        self._next_seq = 0
+        self._seq = itertools.count()  # the next line's sequence number
 
     def record(self, time: int, kind: str, **fields) -> None:
-        """Append one line. This is the one place values are encoded:
-        spaces separate fields, so a space inside a string becomes `_`."""
-        line = f"t={time} s={self._next_seq} {kind}"
+        """Append one line, each value encoded by `encode_value`."""
+        text = ""
         for key, value in fields.items():
             if type(value) is not int:  # an exact int formats as itself
-                value = value.replace(" ", "_") if isinstance(value, str) else format_scalar(value)
-            line += f" {key}={value}"
-        self._next_seq += 1
+                value = encode_value(value)
+            text += f" {key}={value}"
+        self._append(time, kind, text)
+
+    def recorder(self, kind: str, *keys: str) -> Callable[..., None]:
+        """A prepared `record` of one line shape: `rec(time, *values)` appends
+        the line `record(time, kind, **dict(zip(keys, values)))` would."""
+        if len(keys) != 2:  # only the traffic lines' shape is specialised
+            return lambda time, *values: self.record(time, kind, **dict(zip(keys, values)))
+        append = self._append
+        head_a, head_b = (f" {key}=" for key in keys)
+
+        def rec(time, a, b):
+            # As in `record`, an exact int formats as itself.
+            a = a if type(a) is int else encode_value(a)
+            b = b if type(b) is int else encode_value(b)
+            append(time, kind, f"{head_a}{a}{head_b}{b}")
+        return rec
+
+    def _append(self, time: int, kind: str, fields: str) -> None:
+        """The one place that numbers lines, fills blocks and counts kinds."""
         pending = self._pending
-        pending.append(line)
+        pending.append(f"t={time} s={next(self._seq)} {kind}{fields}")
         if len(pending) >= _BLOCK:
             self._join()
         self._counts[kind] = self._counts.get(kind, 0) + 1
 
     def _join(self) -> None:
         """Join the pending lines into one block."""
-        pending = self._pending
-        block = "\n".join(pending)
-        if block.count("\n") >= len(pending):
-            self._split[len(self._blocks)] = pending
-        self._blocks.append(block)
+        self._blocks.append("\n".join(self._pending))
         self._pending = []
 
     def blocks(self) -> list[str]:
@@ -151,11 +176,7 @@ class TraceLog:
         return list(self._blocks)
 
     def lines(self) -> list[str]:
-        out: list[str] = []
-        for index, block in enumerate(self._blocks):
-            out.extend(self._split.get(index) or block.split("\n"))
-        out.extend(self._pending)
-        return out
+        return [line for block in self.blocks() for line in block.split("\n")]
 
     def count(self, kind: str) -> int:
         return self._counts.get(kind, 0)

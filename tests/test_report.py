@@ -5,11 +5,11 @@ are the line-splitting parser, the pairwise verifier and the line-by-line
 section reader that the streaming `TraceEntry.parse`, the one-pass
 `verify_report` and the streaming section reader behind `RunReport.parse`
 replaced; `reference_checksum_ok` hashes one encoded copy of the whole
-text; and `reference_record_line` is the encoding loop `TraceLog.record`
-had before it encoded exact `str` and `int` values inline. The reference
-verifier shares no reading code with `verify_report`. The properties below
-require the replacements to give the same values, errors, problem lists
-and lines, order included. `reference_render` is the render that joined
+text; and `reference_record_line` encodes values apart from
+`trace.encode_value`, turning a string's spaces and line breaks into `_`
+one character at a time. The reference verifier shares no reading code
+with `verify_report`. The properties below require the replacements to
+give the same values, errors, problem lists and lines, order included. `reference_render` is the render that joined
 a list of lines, hashed one encoded copy of the whole body and appended
 the checksum, before reports carried the trace as blocks of text.
 """
@@ -644,10 +644,7 @@ def test_recorded_values_parse_back(time, kind, fields):
     log = TraceLog()
     log.record(0, "first")
     assert log.record(time, kind, **fields) is None
-    encoded = tuple(
-        (key, value.replace(" ", "_") if isinstance(value, str) else format_scalar(value))
-        for key, value in fields.items()
-    )
+    encoded = tuple((key, reference_encode(value)) for key, value in fields.items())
     entry = TraceEntry.parse(log.lines()[-1])
     assert (entry.time, entry.seq, entry.kind, entry.fields) == (time, 1, kind, encoded)
     for key, value in encoded:
@@ -657,11 +654,19 @@ def test_recorded_values_parse_back(time, kind, fields):
     assert [e.kind for e in of_kind(log, kind)] == [kind] * log.count(kind)
 
 
+def reference_encode(value) -> str:
+    """A string's spaces and the characters `splitlines` breaks on become
+    `_`, one character at a time; any other value is `format_scalar`'s."""
+    if not isinstance(value, str):
+        return format_scalar(value)
+    return "".join("_" if ch == " " or len(f"a{ch}b".splitlines()) > 1 else ch
+                   for ch in value)
+
+
 def reference_record_line(time: int, seq: int, kind: str, **fields) -> str:
     line = f"t={time} s={seq} {kind}"
     for key, value in fields.items():
-        value = value.replace(" ", "_") if isinstance(value, str) else format_scalar(value)
-        line += f" {key}={value}"
+        line += f" {key}={reference_encode(value)}"
     return line
 
 
@@ -699,6 +704,56 @@ def test_record_equals_reference(records):
     ]
 
 
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("value", ["x\ny", "x\r\ny", *(f"{ch}x{ch}" for ch in _BREAKS[1:])])
+def test_a_value_holding_a_line_break_stays_on_its_line(value):
+    log = TraceLog()
+    log.record(0, "k", a=value)
+    text = RunReport("s", 1, 5, log.blocks(), [], {}).render()
+    assert verify_report(text) == []
+    assert RunReport.parse(text).trace_lines == [f"t=0 s=0 k a={reference_encode(value)}"]
+
+
+def test_a_tab_in_a_value_is_kept():
+    log = TraceLog()
+    log.record(0, "k", a="x\ty z")
+    assert log.lines() == ["t=0 s=0 k a=x\ty_z"]
+
+
+kinds = st.from_regex(r"[a-z_]{1,10}", fullmatch=True)
+line_shapes = st.tuples(kinds, st.one_of(
+    st.lists(field_keys, min_size=2, max_size=2, unique=True),  # the traffic lines' count
+    st.lists(field_keys, max_size=4, unique=True)))
+recorded_values = st.one_of(record_values, st.text(alphabet=" ab\t" + _BREAKS, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(line_shapes, min_size=1, max_size=3), st.integers(1, 5), st.data())
+def test_recorder_equals_record(shapes, block, data):
+    # Prepared lines interleaved with `record` calls, across blocks of 1
+    # to 5 lines, give the lines, blocks and counts that `record` alone does.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace_module, "_BLOCK", block)
+        prepared, plain = TraceLog(), TraceLog()
+        recorders = [prepared.recorder(kind, *keys) for kind, keys in shapes]
+        for _ in range(data.draw(st.integers(0, 12))):
+            index = data.draw(st.integers(0, len(shapes) - 1))
+            time = data.draw(st.integers(0, 10**6))
+            kind, keys = shapes[index]
+            values = data.draw(st.lists(recorded_values, min_size=len(keys), max_size=len(keys)))
+            plain.record(time, kind, **dict(zip(keys, values)))
+            if data.draw(st.booleans()):
+                recorders[index](time, *values)
+            else:
+                prepared.record(time, kind, **dict(zip(keys, values)))
+        assert prepared.lines() == plain.lines()
+        assert prepared.blocks() == plain.blocks()
+        for kind, _ in shapes:
+            assert prepared.count(kind) == plain.count(kind)
+
+
 def reference_render(report: RunReport, trace_lines: list[str]) -> str:
     lines = [
         REPORT_HEADER,
@@ -720,7 +775,7 @@ def reference_render(report: RunReport, trace_lines: list[str]) -> str:
                 max_size=20),
        st.lists(st.text(max_size=12), max_size=8), st.integers(1, 6), st.integers(1, 40))
 @example([(1, "k", {"a": "x\ny"}, False), (2, "k", {}, False), (3, "k", {"b": "\n"}, True)],
-         ["é\n"], 2, 3)  # lines that hold a newline, in a full block and a cut one
+         ["é\n"], 2, 3)  # values that hold a newline, in a full block and a cut one
 def test_blocks_render_and_split_like_the_lines(records, lines, block, chunk):
     # Blocks of 1 to 6 lines and hash slices of a few characters, so that
     # their boundaries fall everywhere; `blocks()` between two records
