@@ -863,12 +863,3 @@ class AdaptationEngine:
                 detail=finding.detail or "-",
             )
         return findings
-
-    def findings_to_events(self, findings: list[AuditFinding], sensor: ObjectId) -> int:
-        """Convert audit findings into synthetic adaptation events."""
-        routed = 0
-        for finding in findings:
-            routed += self.hub.emit(
-                sensor, f"audit_{finding.kind}", {"subject": str(finding.subject)},
-            )
-        return routed

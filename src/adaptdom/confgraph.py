@@ -103,7 +103,8 @@ class _Indexes:
 
 @dataclass
 class ConfigGraph:
-    """The runtime meta-model of components and their connections.
+    """The runtime meta-model of components and their connections. Every
+    component id, kind, host and port is a token (`paths.TOKEN_RE`).
 
     `components` and `connections` are for reading. Edits go through
     `apply_in_place` and state changes through `set_state`, so the

@@ -42,6 +42,7 @@ from .confgraph import (
     encode_graph,
 )
 from .errors import (
+    BadToken,
     DanglingReference,
     DirtyRegistry,
     IoFailure,
@@ -490,6 +491,12 @@ def build_system(doc: ConfigDocument) -> System:
         system.hosts.add(host)
     for a, b, quality in sorted(doc.links):
         system.hosts.set_link_quality(a, b, quality)
+    # The graph lines' token check, for a document built in code: each
+    # distinct name once, in row order.
+    try:
+        check_tokens([*dict.fromkeys(chain.from_iterable(chain(doc.components, doc.connections)))])
+    except BadToken as exc:
+        raise ScenarioParseError(f"BadToken: {exc}")
     components = {}
     for cid, kind, host, state in sorted(doc.components):
         if not system.hosts.host_exists(host):

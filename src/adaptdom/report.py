@@ -7,22 +7,24 @@ the recorded invariants: time/sequence ordering, event-id monotonicity,
 quiescence (no application hop through a blocked component), overlap of
 transaction block intervals only when block sets were disjoint, and
 final-graph consistency. It reads the report in one pass: the one
-section reader walks its lines, hands the trace section to a scan and the
-graph section to the graph decoder, and quiescence and overlap are then
-checked in one sweep over (time, sequence), so it is linear in report
-length.
+section reader walks its lines, hands the trace section to a scan that
+checks each line as it arrives, and the graph section to the graph
+decoder, so it is linear in report length. A valid trace is in (time,
+sequence) order, so the text order of its lines is the order in which
+intervals open and close; a misordered trace gets its ordering problems
+and no quiescence or overlap check.
 
 A run's report holds its trace as the `TraceLog`'s blocks of text, so
 no line of it is a `str` of its own. `render` hashes the body a slice at
 a time and joins it once, so the rendered text is the report's one full
 copy; `trace_lines` splits the blocks again as it is read.
 
-What replay keeps is sized to the report, not to objects per line. It
-splits lines from, and hashes, one slice of about 64k characters at a
-time. Per `app_hop` the scan keeps three machine words (time, sequence
-and an index into a table of component names), per `txn_block` one
-interval, and only hops through a component in some block set enter the
-sweep. `confgraph.structural_violations` checks the final graph from the
+What replay keeps does not grow with the hops. It splits lines from, and
+hashes, one slice of about 64k characters at a time. The trace scan
+holds the open block intervals, indexed by transaction id and by
+component, and the problems found so far; a hop costs one lookup of its
+component, and a closed interval is dropped unless a problem names it.
+`confgraph.structural_violations` checks the final graph from the
 decoder's set of component ids and set of connection lines, which are
 the report's own strings.
 
@@ -35,10 +37,7 @@ section's line.
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import heapq
-from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
@@ -262,12 +261,7 @@ def verify_report(text: str) -> list[str]:
     if not _checksum_ok(text):
         problems.append("checksum mismatch or missing")
     try:
-        try:
-            sections = _verify_sections(text, lambda: array("q"))
-        except OverflowError:
-            # A time or sequence number beyond 64 bits: read the text
-            # again, holding the hop columns as lists of ints.
-            sections = _verify_sections(text, list)
+        sections = _read_sections(text, {"trace": _scan_trace, "graph": _check_graph})[3]
     except (ParseError, UnknownVersion) as exc:
         problems.append(f"parse: {exc}")
         return problems
@@ -275,9 +269,7 @@ def verify_report(text: str) -> list[str]:
     if isinstance(trace, ParseError):
         problems.append(f"trace: {trace}")
         return problems
-    found, hops, intervals = trace
-    problems.extend(found)
-    problems.extend(_block_problems(hops, intervals))
+    problems.extend(trace)
     if isinstance(graph, ParseError):
         problems.append(f"graph: {graph}")
     else:
@@ -285,31 +277,35 @@ def verify_report(text: str) -> list[str]:
     return problems
 
 
-def _verify_sections(text: str, column) -> dict[str, Any]:
-    """The sections of one pass over the text: the trace scanned by
-    `_scan_trace` and the graph checked by `_check_graph`, each section's
-    value or the `ParseError` of its first bad line."""
-    readers = {"trace": functools.partial(_scan_trace, column=column), "graph": _check_graph}
-    return _read_sections(text, readers)[3]
-
-
-def _scan_trace(numbered: _Numbered, lineno: int, column):
+def _scan_trace(numbered: _Numbered, lineno: int):
     """The section reader of a trace: one pass over its lines, up to the
-    first marker line. Its value holds the ordering problems, then the
-    event-id ones; the hops, as `(times, seqs, comps, names)` where the
-    first three are `column()` columns and a hop's `comps` entry indexes
-    `names`; and the block intervals (txn, begin, end, components)."""
+    first marker line, checking each line as it arrives. Its value is the
+    `ParseError` of the first bad line, or the problems: ordering, event
+    ids, then (on a trace in (time, sequence) order, which defines
+    "during") quiescence violations in hop order and overlapping block
+    sets. An interval is `[txn, components, index]`; its index (closing
+    order, then the still-open ones in dict order) is set when it closes.
+    A `txn_block` that repeats an open id voids the earlier interval,
+    which never gets an index, and drops the problems that name it."""
     start = lineno
     ordering: list[str] = []
     event_ids: list[str] = []
-    times, seqs, comps = column(), column(), column()
-    comp_index: dict[str, int] = {}
-    intervals: list[tuple[str | None, tuple[int, int], tuple[int, int], frozenset[str]]] = []
-    # Open block intervals by transaction id.
-    open_blocks: dict[str | None, tuple[tuple[int, int], frozenset[str]]] = {}
+    open_blocks: dict[str | None, list] = {}
+    open_by_comp: dict[str, set[str | None]] = {}  # component -> txn ids
+    blocked_hops: list[tuple[int, list, str]] = []  # (line, open interval, component)
+    overlaps: list[tuple[list, list]] = []
+    closed = 0
     last_t, last_s = -1, -1
     last_event_id = 0
     match = LINE.fullmatch
+
+    def shut(interval: list) -> None:
+        for comp in interval[1]:
+            txns = open_by_comp[comp]
+            txns.discard(interval[0])
+            if not txns:
+                del open_by_comp[comp]
+
     for lineno, line in numbered:
         found = match(line)
         if found is None:
@@ -328,17 +324,14 @@ def _scan_trace(numbered: _Numbered, lineno: int, column):
         last_t, last_s = time, seq
 
         if kind == "app_hop":
-            # `read_field(fields, "comp")`, inlined: this runs once a hop.
-            at = fields.find(" comp=")
-            if at >= 0:
-                end = fields.find(" ", at + 6)
-                comp = fields[at + 6:] if end < 0 else fields[at + 6:end]
-                times.append(time)
-                seqs.append(seq)
-                index = comp_index.get(comp)
-                if index is None:
-                    index = comp_index[comp] = len(comp_index)
-                comps.append(index)
+            if open_by_comp:
+                # `read_field(fields, "comp")`, inlined: this runs once a hop.
+                at = fields.find(" comp=")
+                if at >= 0:
+                    end = fields.find(" ", at + 6)
+                    comp = fields[at + 6:] if end < 0 else fields[at + 6:end]
+                    blocked_hops.extend((lineno, open_blocks[txn], comp)
+                                        for txn in open_by_comp.get(comp, ()))
         elif kind == "event":
             try:
                 eid = int(read_field(fields, "id", "0"))
@@ -349,20 +342,41 @@ def _scan_trace(numbered: _Numbered, lineno: int, column):
                 event_ids.append(f"event id {eid} not strictly increasing")
             last_event_id = eid
         elif kind == "txn_block":
+            txn = read_field(fields, "id")
             block = read_field(fields, "components", "-")
             block = frozenset() if block == "-" else frozenset(block.split("|"))
-            open_blocks[read_field(fields, "id")] = ((time, seq), block)
-        elif kind in ("txn_commit", "txn_abort"):
-            txn = read_field(fields, "id")
             if txn in open_blocks:
-                begin, block = open_blocks.pop(txn)
-                intervals.append((txn, begin, (time, seq), block))
+                shut(open_blocks[txn])
+            interval = [txn, block, None]
+            others = set().union(*(open_by_comp.get(comp, ()) for comp in block))
+            overlaps.extend((open_blocks[other], interval) for other in others)
+            # A repeated id keeps its place in the dict: the order it opened.
+            open_blocks[txn] = interval
+            for comp in block:
+                open_by_comp.setdefault(comp, set()).add(txn)
+        elif kind in ("txn_commit", "txn_abort"):
+            interval = open_blocks.pop(read_field(fields, "id"), None)
+            if interval is not None:
+                shut(interval)
+                interval[2] = closed
+                closed += 1
     else:
         line = None
-    for txn, (begin, block) in open_blocks.items():
-        intervals.append((txn, begin, (last_t + 1, last_s + 1), block))
-    hops = (times, seqs, comps, list(comp_index))
-    return (ordering + event_ids, hops, intervals), lineno, line
+    if ordering:
+        return ordering + event_ids, lineno, line
+    for interval in open_blocks.values():
+        interval[2] = closed
+        closed += 1
+    violations = sorted((hop, interval[2], comp, interval[0])
+                        for hop, interval, comp in blocked_hops if interval[2] is not None)
+    pairs = sorted(sorted(((a[2], a[0]), (b[2], b[0]))) for a, b in overlaps
+                   if a[2] is not None and b[2] is not None)
+    problems = [*event_ids]
+    problems += (f"quiescence violation: hop through {comp} during {txn}"
+                 for _, _, comp, txn in violations)
+    problems += (f"concurrent transactions {a}/{b} had overlapping block sets"
+                 for (_, a), (_, b) in pairs)
+    return problems, lineno, line
 
 
 def _check_graph(numbered: _Numbered, lineno: int):
@@ -385,71 +399,3 @@ def _check_graph(numbered: _Numbered, lineno: int):
         return (exc, *_skip(numbered, end[0]))
     names = (line[len("connection "):] for line in edges)
     return structural_violations(ids, names), end[0], end[1]
-
-
-# Sweep phases at one stamp. Ends go first and begins last, so an interval
-# holds only the stamps strictly between its begin and its end.
-_END, _HOP, _PROBE, _BEGIN = range(4)
-
-
-def _block_problems(hops: tuple, intervals: list[tuple]) -> list[str]:
-    """Quiescence violations (a hop through a component while a transaction
-    blocked it) and overlapping block sets of concurrent transactions, from
-    one sweep over (time, seq) with an index of the open intervals by
-    component. Only the hops through a component in some block set enter
-    the sweep, as indexes sorted by stamp; their entries are made as the
-    sweep reaches them. Problems come in hop order, then interval order."""
-    times, seqs, comps, names = hops
-    blocked = frozenset().union(*(block for _, _, _, block in intervals))
-    wanted = {index for index, name in enumerate(names) if name in blocked}
-    order = [hop for hop, comp in enumerate(comps) if comp in wanted]
-    # Two stable sorts order by (time, seq), then index; on a trace in
-    # order each is one linear pass.
-    order.sort(key=seqs.__getitem__)
-    order.sort(key=times.__getitem__)
-    sweep = []
-    for index, (_, begin, end, block) in enumerate(intervals):
-        if not block:
-            continue
-        if begin < end:
-            sweep.append((begin, _BEGIN, index))
-            sweep.append((end, _END, index))
-        else:
-            # Only a misordered trace ends a block before it begins. Such an
-            # interval holds no stamp, and it overlaps exactly the open
-            # intervals that span it, from its end to its begin.
-            sweep.append((end, _PROBE, index))
-    sweep.sort()
-
-    open_by_comp: dict[str, set[int]] = {}
-    violations: list[tuple[int, int]] = []
-    overlaps: set[tuple[int, int]] = set()
-    hop_entries = (((times[hop], seqs[hop]), _HOP, hop) for hop in order)
-    for _, phase, index in heapq.merge(sweep, hop_entries):
-        if phase == _HOP:
-            violations.extend((index, other) for other in open_by_comp.get(names[comps[index]], ()))
-            continue
-        _, begin, _, block = intervals[index]
-        for comp in block:
-            if phase == _END:
-                open_by_comp[comp].remove(index)
-            elif phase == _BEGIN:
-                slot = open_by_comp.setdefault(comp, set())
-                overlaps.update((min(index, other), max(index, other)) for other in slot)
-                slot.add(index)
-            else:
-                overlaps.update(
-                    (min(index, other), max(index, other))
-                    for other in open_by_comp.get(comp, ())
-                    if intervals[other][2] > begin
-                )
-
-    problems = [
-        f"quiescence violation: hop through {names[comps[hop]]} during {intervals[other][0]}"
-        for hop, other in sorted(violations)
-    ]
-    problems.extend(
-        f"concurrent transactions {intervals[i][0]}/{intervals[j][0]} had overlapping block sets"
-        for i, j in sorted(overlaps)
-    )
-    return problems

@@ -9,8 +9,8 @@ one line, encoded once when it is recorded:
 Lines are totally ordered by (time, sequence) so a trace replays
 byte-identically for a fixed seed and scenario. `encode_value` is the one
 encoder of values. `record` appends a line of any shape; `recorder`
-prepares one shape, such as an application hop's, once for its many
-lines. The log holds its lines only as text: every `_BLOCK` finished
+prepares a two-field shape, such as an application hop's, once for its
+many lines. The log holds its lines only as text: every `_BLOCK` finished
 lines are joined by `\n` into one `str`, so a run keeps one string per
 block, not one per line, plus the few lines not yet joined and a count
 per kind. `blocks` hands the text to a report, which renders it as it
@@ -140,13 +140,11 @@ class TraceLog:
             text += f" {key}={value}"
         self._append(time, kind, text)
 
-    def recorder(self, kind: str, *keys: str) -> Callable[..., None]:
-        """A prepared `record` of one line shape: `rec(time, *values)` appends
-        the line `record(time, kind, **dict(zip(keys, values)))` would."""
-        if len(keys) != 2:  # only the traffic lines' shape is specialised
-            return lambda time, *values: self.record(time, kind, **dict(zip(keys, values)))
+    def recorder(self, kind: str, key_a: str, key_b: str) -> Callable[..., None]:
+        """A prepared `record` of a two-field line: `rec(time, a, b)` appends
+        the line `record(time, kind, **{key_a: a, key_b: b})` would."""
         append = self._append
-        head_a, head_b = (f" {key}=" for key in keys)
+        head_a, head_b = f" {key_a}=", f" {key_b}="
 
         def rec(time, a, b):
             # As in `record`, an exact int formats as itself.

@@ -506,14 +506,6 @@ class TestAudit:
         findings = system.engine.audit_tick(healing)
         assert any(f.kind == "orphaned_object" and f.subject == stray for f in findings)
 
-    def test_findings_become_events(self):
-        system, healing, sensor = healing_system()
-        system.run_until(100)
-        findings = system.engine.audit_tick(healing)
-        system.run_until(101)
-        routed = system.engine.findings_to_events(findings, sensor)
-        assert routed >= len(findings)
-
     def test_audit_then_emit_replays_clean(self):
         # An audit is stamped with the clock's time, like the emit after it.
         system, healing, sensor = healing_system()

@@ -10,9 +10,10 @@ from adaptdom.errors import (
     DanglingReference,
     DirtyRegistry,
     ParseError,
+    ScenarioParseError,
     UnknownVersion,
 )
-from adaptdom.persistence import load_config, parse_document, save_config
+from adaptdom.persistence import build_system, load_config, parse_document, save_config
 from adaptdom.registry import EnumerateMode, Kind
 from adaptdom.system import Host, System
 
@@ -179,6 +180,15 @@ class TestErrors:
         )
         with pytest.raises(DanglingReference):
             load_config(text)
+
+    def test_a_graph_built_in_code_must_name_tokens(self):
+        # The parser rejects this connection line; a document built in
+        # code is checked the same way when its system is built.
+        with open(SCENARIOS["healing"]) as fh:
+            doc = parse_document(fh.read())
+        doc.connections.append(("c01", "out port", "c02", "in"))
+        with pytest.raises(ScenarioParseError, match="BadToken: invalid token: 'out port'"):
+            build_system(doc)
 
     def test_truncated_file_gives_parse_error_with_location(self):
         full = save_config(load_config(SCENARIOS["healing"])).decode()
