@@ -37,7 +37,6 @@ from .confgraph import (
     RemoveComponent,
     RemoveConnection,
     ReplaceComponent,
-    compute_block_set,
     validate,
 )
 from .errors import AdaptdomError
@@ -101,7 +100,6 @@ __all__ = [
     "Scenario",
     "Simulator",
     "System",
-    "compute_block_set",
     "forecast_exhaustion",
     "load_config",
     "plan_placement_moves",

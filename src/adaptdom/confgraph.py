@@ -6,6 +6,8 @@ executed under blocking. The block set is the delta's components plus
 the in-neighbors (initiators) of anything removed, replaced, or moved.
 Admission is serialized; transactions whose block sets are disjoint from
 everything in flight run concurrently, everything else queues FIFO.
+Each admission prepares the transaction once, and that preparation is
+the one it commits: no other commit can touch its block set before then.
 
 A graph indexes its components by host and its connections by source
 and by destination. `prepare` applies a transaction's edits to an
@@ -367,8 +369,8 @@ class Prepared:
     """Everything admission and commit need to know about a transaction
     against one pre-state. `kind_delta` maps a component kind to its net
     change in count, zero entries dropped. The overlay holds the post
-    value of every touched component (None when absent) and the post
-    presence of every touched connection."""
+    value of every component the transaction changes (None when removed)
+    and the post presence of every connection it changes."""
 
     delta: NetDelta
     violations: tuple[Violation, ...]
@@ -477,6 +479,9 @@ def prepare(
         block.add(conn.dst)
     for cid in delta.removed | delta.moved | delta.replaced:
         block |= graph.in_neighbors(cid)
+    # Net changes only: an id added and removed again is in no block set.
+    comps = {cid: c for cid, c in comps.items() if c is not None or cid in base_comps}
+    conns = {c: there for c, there in conns.items() if there != (c in base_conns)}
 
     kinds: Counter = Counter()
     for cid, after in comps.items():
@@ -544,17 +549,6 @@ def validate(
     return ValidationReport(prepare(graph, txn, hosts).violations)
 
 
-def compute_block_set(
-    graph: ConfigGraph,
-    txn: ReconfigTxn,
-    hosts: Optional[HostStatusView] = None,
-) -> frozenset[str]:
-    """Components that must be quiescent for the transaction to apply."""
-    prepared = prepare(graph, txn, hosts)
-    _raise_if_invalid(txn, prepared)
-    return prepared.block_set
-
-
 # --- the live manager ---
 
 class Scheduler(Protocol):
@@ -576,7 +570,7 @@ class TxnResult:
 class _Flight:
     txn: ReconfigTxn
     owner: Optional[object]
-    block_set: frozenset[str] = frozenset()
+    prepared: Prepared
     hosts_up_at_start: frozenset[str] = frozenset()
     result: Optional[TxnResult] = None
 
@@ -589,6 +583,11 @@ class ConfigManager:
     set, waits until no application traffic occupies a blocked component,
     applies the net delta atomically, then unblocks. A host failing under
     a blocked component aborts the transaction.
+
+    A transaction is prepared at submit, and again when it leaves the
+    queue. The preparation that admits it is the one it commits: until
+    then any transaction whose block set meets its own queues, a host
+    failure changes only states, and an edit writes its component active.
 
     `occupancy` (application traffic per component) is the caller's to
     write; `on_commit` and `on_abort` hear of every finished transaction.
@@ -615,88 +614,83 @@ class ConfigManager:
         self._on_commit = on_commit
         self._in_flight: list[_Flight] = []
         self._queue: list[_Flight] = []
-        self._draining = False
 
     def submit(self, txn: ReconfigTxn, owner=None) -> _Flight:
-        now = self._scheduler.now
-        block = compute_block_set(self.graph, txn, self._hosts)
-        flight = _Flight(txn, owner, block)
-        conflicts = self._conflicts(block)
-        status = "queued" if conflicts else "started"
+        """Prepare `txn`, raising InvalidTxn when it does not validate,
+        then start or queue it. Never drains, so `on_abort` may submit."""
+        prepared = prepare(self.graph, txn, self._hosts)
+        _raise_if_invalid(txn, prepared)
+        flight = _Flight(txn, owner, prepared)
+        clear = self._clear(flight, self._queue)
         self._trace.record(
-            now, "txn_submit",
+            self._scheduler.now, "txn_submit",
             id=txn.txn_id,
             edits=txn.render_edits(),
-            block="|".join(sorted(block)) or "-",
-            status=status,
+            block="|".join(sorted(prepared.block_set)) or "-",
+            status="started" if clear else "queued",
         )
-        if conflicts:
-            self._queue.append(flight)
-        else:
+        if clear:
             self._start(flight)
+        else:
+            self._queue.append(flight)
         return flight
 
-    def _conflicts(self, block: frozenset[str]) -> bool:
-        # FIFO among conflicting: anything queued ahead also blocks us.
-        return any(f.block_set & block for f in chain(self._in_flight, self._queue))
+    def _clear(self, flight: _Flight, ahead: Iterable[_Flight]) -> bool:
+        """Whether `flight`'s block set is disjoint from everything in
+        flight and from every flight queued `ahead` of it."""
+        block = flight.prepared.block_set
+        return not any(f.prepared.block_set & block for f in chain(self._in_flight, ahead))
 
     def _start(self, flight: _Flight) -> None:
         now = self._scheduler.now
-        # Recompute against the current graph: earlier commits may have
-        # changed it since this transaction queued.
-        prepared = prepare(self.graph, flight.txn, self._hosts)
-        if prepared.violations:
-            self._finish(flight, "aborted", reason=str(prepared.violations[0]))
-            return
-        flight.block_set = prepared.block_set
+        block = flight.prepared.block_set
         flight.hosts_up_at_start = frozenset(
             self.graph.components[cid].host
-            for cid in flight.block_set
+            for cid in block
             if cid in self.graph.components
             and self._hosts.host_is_up(self.graph.components[cid].host)
         )
-        for cid in sorted(flight.block_set):
-            comp = self.graph.components.get(cid)
-            if comp is not None and comp.state is ComponentState.ACTIVE:
-                self.graph.set_state(cid, ComponentState.BLOCKED)
+        self._swap_states(flight, ComponentState.ACTIVE, ComponentState.BLOCKED)
         self._trace.record(
             now, "txn_block",
             id=flight.txn.txn_id,
-            components="|".join(sorted(flight.block_set)) or "-",
+            components="|".join(sorted(block)) or "-",
         )
         self._in_flight.append(flight)
         self._scheduler.schedule(now + self._latency, lambda: self._check(flight))
 
     def _check(self, flight: _Flight) -> None:
         now = self._scheduler.now
-        for cid in sorted(flight.block_set):
+        prepared = flight.prepared
+        for cid in sorted(prepared.block_set):
             comp = self.graph.components.get(cid)
-            if comp is None:
-                continue
-            if comp.host in flight.hosts_up_at_start and not self._hosts.host_is_up(comp.host):
-                self._unblock(flight)
+            if (comp is not None and comp.host in flight.hosts_up_at_start
+                    and not self._hosts.host_is_up(comp.host)):
+                self._swap_states(flight, ComponentState.BLOCKED, ComponentState.ACTIVE)
                 self._finish(flight, "aborted", reason=f"host_down:{comp.host}")
+                self._drain_queue()
                 return
-        if any(self._occupancy.get(cid, 0) > 0 for cid in flight.block_set):
+        if any(self._occupancy.get(cid, 0) > 0 for cid in prepared.block_set):
             self._scheduler.schedule(now + 1, lambda: self._check(flight))
             return
-        prepared = apply_in_place(self.graph, flight.txn)
-        self._unblock(flight)
+        _write(self.graph, prepared)
+        self._swap_states(flight, ComponentState.BLOCKED, ComponentState.ACTIVE)
         self._finish(flight, "committed", commit_time=now,
                      kinds_preserved=not prepared.kind_delta)
+        self._drain_queue()
 
-    def _unblock(self, flight: _Flight) -> None:
-        for cid in sorted(flight.block_set):
+    def _swap_states(self, flight: _Flight, old: ComponentState, new: ComponentState) -> None:
+        for cid in sorted(flight.prepared.block_set):
             comp = self.graph.components.get(cid)
-            if comp is not None and comp.state is ComponentState.BLOCKED:
-                self.graph.set_state(cid, ComponentState.ACTIVE)
+            if comp is not None and comp.state is old:
+                self.graph.set_state(cid, new)
 
     def _finish(self, flight: _Flight, status: str, commit_time=None, reason="",
                 kinds_preserved=True) -> None:
         now = self._scheduler.now
+        block = flight.prepared.block_set
         flight.result = TxnResult(
-            flight.txn.txn_id, status, flight.block_set, commit_time, reason,
-            kinds_preserved,
+            flight.txn.txn_id, status, block, commit_time, reason, kinds_preserved,
         )
         if flight in self._in_flight:
             self._in_flight.remove(flight)
@@ -704,7 +698,7 @@ class ConfigManager:
             self._trace.record(
                 now, "txn_commit",
                 id=flight.txn.txn_id,
-                components="|".join(sorted(flight.block_set)) or "-",
+                components="|".join(sorted(block)) or "-",
             )
             self._on_commit(flight)
         else:
@@ -714,30 +708,25 @@ class ConfigManager:
                 reason=reason or "-",
             )
             self._on_abort(flight, reason)
-        self._drain_queue()
 
     def _drain_queue(self) -> None:
-        # Starting a queued transaction can finish it immediately (abort),
-        # which re-enters here; the guard plus full re-scans keep the FIFO
-        # discipline without recursion.
-        if self._draining:
-            return
-        self._draining = True
-        try:
-            while True:
-                # The first queued flight clear of everything in flight and
-                # of every conflicting flight queued ahead of it starts.
-                blocking = [f.block_set for f in self._in_flight]
-                for flight in self._queue:
-                    if not any(flight.block_set & b for b in blocking):
-                        break
-                    blocking.append(flight.block_set)
-                else:
-                    return
-                self._queue.remove(flight)
+        """Start each clear queued flight, prepared again on the current graph:
+        one that no longer validates aborts, one whose block set grew may wait."""
+        while True:
+            for i, flight in enumerate(self._queue):
+                if self._clear(flight, self._queue[:i]):
+                    break
+            else:
+                return
+            prepared = prepare(self.graph, flight.txn, self._hosts)
+            if prepared.violations:
+                del self._queue[i]
+                self._finish(flight, "aborted", reason=str(prepared.violations[0]))
+                continue
+            flight.prepared = prepared
+            if self._clear(flight, self._queue[:i]):
+                del self._queue[i]
                 self._start(flight)
-        finally:
-            self._draining = False
 
     @property
     def pending(self) -> int:

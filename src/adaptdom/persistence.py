@@ -329,13 +329,10 @@ def _parse_body_line(doc, section, current_domain, current_logic, line, lineno):
         if parts[0] == "host":
             check_tokens(parts[1:2])
             attrs = _parse_attrs(parts[2:], lineno)
-            doc.hosts.append((
-                parts[1],
-                float(attrs["capacity"]),
-                float(attrs["level"]),
-                float(attrs["leak"]),
-                attrs["status"],
-            ))
+            host = (parts[1], float(attrs["capacity"]), float(attrs["level"]),
+                    float(attrs["leak"]), attrs["status"])
+            _raise_if(host_problem(host), lineno)
+            doc.hosts.append(host)
         elif parts[0] == "link":
             check_tokens(parts[1:3])
             attrs = _parse_attrs(parts[3:], lineno)
@@ -390,6 +387,14 @@ def _args_problem(what: str, kind: str, args: tuple[str, ...], shapes: dict) -> 
     return None
 
 
+def host_problem(host: tuple[str, float, float, float, str]) -> Optional[str]:
+    """Why the simulator cannot load the host row `host` (a status other
+    than `up` or `down`), or None."""
+    if host[4] not in ("up", "down"):
+        return f"host {host[0]}: status must be up or down, got {host[4]!r}"
+    return None
+
+
 def fault_problem(fault: FaultEntry) -> Optional[str]:
     """Why the simulator cannot apply `fault` (an unknown kind, a wrong
     number of arguments, or a rate or quality that is not a finite
@@ -436,8 +441,25 @@ def _build_strategy(section: LogicSection) -> Strategy:
 
 def build_system(doc: ConfigDocument) -> System:
     """Reconstruct a live system from a parsed document."""
+    # The graph lines' token check, for a document built in code: each
+    # distinct name once, in row order.
+    try:
+        check_tokens([*dict.fromkeys(chain.from_iterable(chain(doc.components, doc.connections)))])
+    except BadToken as exc:
+        raise ScenarioParseError(f"BadToken: {exc}")
+    host_ids = {row[0] for row in doc.hosts}
+    components = {}
+    for cid, kind, host, state in sorted(doc.components):
+        if host not in host_ids:
+            raise DanglingReference(f"component {cid} on undeclared host {host!r}")
+        components[cid] = Component(kind, host, ComponentState(state))
+    connections = set()
+    for src, sport, dst, dport in doc.connections:
+        if src not in components or dst not in components:
+            raise DanglingReference(f"connection references unknown component: {src}->{dst}")
+        connections.add(Connection(src, sport, dst, dport))
     latency = int(doc.scenario_keys.get("reconfig_latency", 1))
-    system = System(reconfig_latency=latency)
+    system = System(ConfigGraph(components, connections), reconfig_latency=latency)
     declared = dict(doc.objects)
     if doc.root_id not in declared:
         raise DanglingReference(f"root id {doc.root_id} not declared")
@@ -491,28 +513,11 @@ def build_system(doc: ConfigDocument) -> System:
         system.hosts.add(host)
     for a, b, quality in sorted(doc.links):
         system.hosts.set_link_quality(a, b, quality)
-    # The graph lines' token check, for a document built in code: each
-    # distinct name once, in row order.
-    try:
-        check_tokens([*dict.fromkeys(chain.from_iterable(chain(doc.components, doc.connections)))])
-    except BadToken as exc:
-        raise ScenarioParseError(f"BadToken: {exc}")
-    components = {}
-    for cid, kind, host, state in sorted(doc.components):
-        if not system.hosts.host_exists(host):
-            raise DanglingReference(f"component {cid} on undeclared host {host!r}")
-        components[cid] = Component(kind, host, ComponentState(state))
-    connections = set()
-    for src, sport, dst, dport in doc.connections:
-        if src not in components or dst not in components:
-            raise DanglingReference(f"connection references unknown component: {src}->{dst}")
-        connections.add(Connection(src, sport, dst, dport))
-    system.config_manager.graph = ConfigGraph(components, connections)
     system.scenario_params = dict(doc.scenario_keys)
     system.hub.agent_hop_latency = int(doc.scenario_keys.get("agent_hop_latency", 1))
-    # The scenario lines' own checks, for a document built in code.
-    for problem in chain(map(fault_problem, doc.faults), map(probe_problem, doc.probes),
-                         map(flow_problem, doc.flows)):
+    # The host and scenario lines' own checks, for a document built in code.
+    for problem in chain(map(host_problem, doc.hosts), map(fault_problem, doc.faults),
+                         map(probe_problem, doc.probes), map(flow_problem, doc.flows)):
         _raise_if(problem)
     for fault in doc.faults:
         if fault.kind in ("kill", "revive", "leak") and not system.hosts.host_exists(fault.args[0]):

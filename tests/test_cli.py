@@ -128,6 +128,20 @@ class TestValidate:
             assert f"line {lines.index(line) + 1}: {problem}" in err
             assert "Traceback" not in err
 
+    def test_host_status_other_than_up_or_down_exits_2(self, tmp_path, capsys):
+        # Once read as down: every host of the scenario loaded dead.
+        with open(SCENARIOS["healing"]) as fh:
+            lines = fh.read().splitlines()
+        lineno = lines.index("host hostA capacity=1000.0 leak=0.0 level=1000.0 status=up") + 1
+        bad = tmp_path / "status.cfg"
+        bad.write_text("\n".join(lines).replace("status=up", "status=Up") + "\n")
+        for argv in (["validate", str(bad)], ["run", str(bad), "--until", "300"]):
+            capsys.readouterr()
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"line {lineno}: host hostA: status must be up or down, got 'Up'" in err
+            assert "Traceback" not in err
+
     def test_bar_in_ids_exits_2(self, tmp_path):
         bad = tmp_path / "bar.cfg"
         bad.write_text(

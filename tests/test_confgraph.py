@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from adaptdom import confgraph
 from adaptdom.confgraph import (
     AddComponent,
     AddConnection,
@@ -20,7 +21,6 @@ from adaptdom.confgraph import (
     RemoveConnection,
     ReplaceComponent,
     apply_in_place,
-    compute_block_set,
     prepare,
     validate,
 )
@@ -136,7 +136,7 @@ class TestNetDelta:
         ))
         graph = fan_in_graph()
         assert prepare(graph, txn).delta == NetDelta(*[frozenset()] * 6)
-        assert compute_block_set(graph, txn) == frozenset()
+        assert prepare(graph, txn).block_set == frozenset()
 
     def test_same_kind_replace_still_counts(self):
         # A restart with an identical kind is an observable reconfiguration.
@@ -155,7 +155,7 @@ class TestNetDelta:
 
 class TestBlockSet:
     def test_noop_block_set_is_empty(self):
-        assert compute_block_set(fan_in_graph(), ReconfigTxn("noop")) == frozenset()
+        assert prepare(fan_in_graph(), ReconfigTxn("noop")).block_set == frozenset()
 
     def test_remove_includes_initiators(self):
         # Oracle: the definition applied by an exhaustive in-neighbor scan.
@@ -168,15 +168,11 @@ class TestBlockSet:
         expected = {"C"}
         expected |= {c.src for c in graph.connections if c.dst == "C"}
         expected |= {"A", "B"}  # connection endpoints named in the delta
-        assert compute_block_set(graph, txn) == expected
+        assert prepare(graph, txn).block_set == expected
 
     def test_add_only_blocks_just_the_new_component(self):
         txn = ReconfigTxn("grow", (AddComponent("D", "svc", "h1"),))
-        assert compute_block_set(fan_in_graph(), txn) == {"D"}
-
-    def test_invalid_txn_raises(self):
-        with pytest.raises(InvalidTxn):
-            compute_block_set(fan_in_graph(), ReconfigTxn("bad", (RemoveComponent("C"),)))
+        assert prepare(fan_in_graph(), txn).block_set == {"D"}
 
 
 class TestConcurrency:
@@ -372,6 +368,55 @@ class TestSubmit:
         assert flight.result.status == "committed"
         assert flight.result.commit_time > 5
 
+    def test_a_block_set_grown_while_queued_is_cleared_again(self):
+        # t1 connects X to C, so C's initiators grow while t2 (replace C)
+        # waits; t3 (move X) leaves the queue first and holds X.
+        graph = ConfigGraph(
+            {cid: Component("svc", "h1") for cid in "ACX"},
+            {Connection("A", "out", "C", "in_a")},
+        )
+        system = manager_on(graph, latency=2)
+        submit = system.config_manager.submit
+        submit(ReconfigTxn("t1", (AddConnection(Connection("X", "out", "C", "in_x")),)))
+        f3 = submit(ReconfigTxn("t3", (MoveComponent("X", "h2"),)))
+        f2 = submit(ReconfigTxn("t2", (ReplaceComponent("C", "svc"),)))
+        system.run_until(30)
+        assert f3.result.status == f2.result.status == "committed"
+        assert f2.result.block_set == {"A", "C", "X"}
+        b2, _ = block_interval(system.trace, "t2")
+        _, e3 = block_interval(system.trace, "t3")
+        assert e3 < b2  # t2 waited for t3's commit
+        report = RunReport("grown", 0, 30, system.trace.lines(), system.graph.canonical_lines())
+        assert verify_report(report.render()) == []
+
+    def test_an_id_added_and_removed_again_writes_nothing(self):
+        # "t1" commits after "t2", which added X while t1 was in flight.
+        system = manager_on(ConfigGraph({"A": Component("svc", "h1")}), latency=2)
+        f2 = system.config_manager.submit(ReconfigTxn("t2", (AddComponent("X", "svc", "h1"),)))
+        phantom = ReconfigTxn("t1", (AddComponent("X", "svc", "h1"), RemoveComponent("X")))
+        system.clock.schedule(1, lambda: system.config_manager.submit(phantom))
+        system.run_until(10)
+        assert f2.result.status == "committed"
+        assert system.graph.components["X"] == Component("svc", "h1")
+
+    def test_each_admission_prepares_once(self, monkeypatch):
+        # Submit prepares; a queued transaction is prepared again when it
+        # leaves the queue; commit reuses the admitting preparation.
+        prepared = []
+
+        def counting(graph, txn, hosts=None):
+            prepared.append(txn.txn_id)
+            return prepare(graph, txn, hosts)
+
+        monkeypatch.setattr(confgraph, "prepare", counting)
+        system = manager_on(fan_in_graph(), latency=2)
+        f1 = system.config_manager.submit(ReconfigTxn("t1", (ReplaceComponent("C", "svc"),)))
+        f2 = system.config_manager.submit(ReconfigTxn("t2", (MoveComponent("C", "h2"),)))
+        system.run_until(30)
+        assert f1.result.status == f2.result.status == "committed"
+        assert prepared.count("t1") == 1  # started at submit
+        assert prepared.count("t2") == 2  # queued behind t1
+
 
 RANDOM_KINDS = ("web", "app", "db")
 
@@ -424,19 +469,38 @@ def test_random_valid_txns_preserve_invariants(seed):
         assert graph.structural_violations() == []
 
 
-def test_serializability_matches_some_serial_order():
+def test_serializability_matches_some_serial_order(monkeypatch):
+    # Each commit writes the preparation that admitted it. Guard that it
+    # equals a fresh preparation against the graph at commit.
+    write = confgraph._write
+    flights = []
+    written = []
+
+    def checked_write(graph, prepared):
+        for flight in flights:
+            if flight.prepared is prepared:
+                fresh = prepare(graph, flight.txn)
+                assert fresh.violations == ()
+                assert (fresh.comps, fresh.conns, fresh.kind_delta, fresh.block_set) == (
+                    prepared.comps, prepared.conns, prepared.kind_delta, prepared.block_set)
+                written.append(flight.txn.txn_id)
+        write(graph, prepared)
+
+    monkeypatch.setattr(confgraph, "_write", checked_write)
     rng = random.Random(42)
     for case in range(40):
         graph = random_graph(rng, n_components=5)
         system = manager_on(graph.copy(), latency=1)
         txns = [random_valid_txn(rng, graph, f"{case}_{k}") for k in range(3)]
-        flights = []
+        flights.clear()
+        written.clear()
         for k, txn in enumerate(txns):
             system.clock.schedule(k, lambda t=txn: flights.append(
                 system.config_manager.submit(t)
             ))
         system.run_until(60)
         committed = [f.txn for f in flights if f.result and f.result.status == "committed"]
+        assert sorted(written) == sorted(txn.txn_id for txn in committed)
         final = system.graph.canonical_lines()
         candidates = []
         for order in itertools.permutations(committed):

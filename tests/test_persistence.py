@@ -190,6 +190,13 @@ class TestErrors:
         with pytest.raises(ScenarioParseError, match="BadToken: invalid token: 'out port'"):
             build_system(doc)
 
+    def test_a_host_built_in_code_must_be_up_or_down(self):
+        with open(SCENARIOS["healing"]) as fh:
+            doc = parse_document(fh.read())
+        doc.hosts[0] = (*doc.hosts[0][:4], "Up")
+        with pytest.raises(ScenarioParseError, match="status must be up or down, got 'Up'"):
+            build_system(doc)
+
     def test_truncated_file_gives_parse_error_with_location(self):
         full = save_config(load_config(SCENARIOS["healing"])).decode()
         truncated = "\n".join(full.splitlines()[:10]) + "\n"
