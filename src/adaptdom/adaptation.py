@@ -201,7 +201,6 @@ def plan_placement_moves(
     hosts,
     from_host: str,
     weight: float = 1.0,
-    exclude_hosts: tuple[str, ...] = (),
 ) -> list[MoveComponent]:
     """Move every component off `from_host`, one target per component.
 
@@ -214,7 +213,7 @@ def plan_placement_moves(
         return []
     levels = {
         h: hosts.resource_level(h) for h in hosts.host_ids()
-        if h != from_host and h not in exclude_hosts and hosts.host_is_up(h)
+        if h != from_host and hosts.host_is_up(h)
     }
     counts = {h: graph.count_on(h) for h in levels}
     heap = [(-(levels[h] - weight * counts[h]), h) for h in levels]
@@ -233,14 +232,14 @@ def plan_placement_moves(
 # --- pipeline stage registries ---
 
 class StageContext:
-    """What a stage behavior may see and touch while running."""
+    """What a stage behavior may see and touch while running, at the
+    clock's time `now`."""
 
-    def __init__(self, engine: "AdaptationEngine", domain: ObjectId,
-                 binding: "_Binding", now: int):
+    def __init__(self, engine: "AdaptationEngine", domain: ObjectId, binding: "_Binding"):
         self.engine = engine
         self.domain = domain
         self.binding = binding
-        self.now = now
+        self.now = engine.clock.now
         self.params = binding.logic.params
         self.policy = binding.policy
         self.strategy = binding.logic.strategy
@@ -624,10 +623,16 @@ class AdaptationEngine:
     # --- event routing ---
 
     def dispatch_event(self, event: AdaptationEvent) -> list[tuple[ObjectId, Optional[Decision]]]:
-        if not self.hub.is_sensor(event.source):
-            raise UnknownSensor(f"{event.source} is not a registered sensor")
-        return [(domain, self._deliver(domain, event))
-                for domain in self.registry.domains_containing(event.source)]
+        """Deliver `event` by its source: a domain's own event to that
+        domain, a registered sensor's to every domain containing it."""
+        source = event.source
+        if source.kind is Kind.DOMAIN:
+            domains = [source]
+        elif self.hub.is_sensor(source):
+            domains = self.registry.domains_containing(source)
+        else:
+            raise UnknownSensor(f"{source} is not a registered sensor")
+        return [(domain, self._deliver(domain, event)) for domain in domains]
 
     def _deliver(self, domain: ObjectId, event: AdaptationEvent) -> Optional[Decision]:
         binding = self._bindings.get(domain)
@@ -636,8 +641,7 @@ class AdaptationEngine:
         if isinstance(binding.logic.strategy, Retroactive):
             binding.accumulated.append(event)
             return None
-        outcome = self._pipeline(domain, binding, [event], event.timestamp)
-        return outcome.decision
+        return self._pipeline(domain, binding, [event]).decision
 
     def propagate_to_parent(self, domain: ObjectId, event: AdaptationEvent) -> None:
         parents = self.registry.parent_domains(domain)
@@ -651,10 +655,7 @@ class AdaptationEngine:
             event.timestamp,
             event.provenance + (domain,),
         )
-        self.trace.record(
-            event.timestamp, "propagate",
-            domain=domain, event=event.event_id, parents=len(parents),
-        )
+        self.trace.record("propagate", domain=domain, event=event.event_id, parents=len(parents))
         for parent in parents:
             self._deliver(parent, escalated)
 
@@ -666,22 +667,22 @@ class AdaptationEngine:
         binding = self._bindings.get(domain)
         if binding is None or binding.logic is None:
             raise NoLogicLoaded(f"{domain} has no adaptation logic loaded")
-        now = self.clock.now
         inputs = binding.accumulated
         binding.accumulated = []
-        self.trace.record(now, "retro_boundary", domain=domain, batch=len(inputs))
-        return self._pipeline(domain, binding, inputs, now)
+        self.trace.record("retro_boundary", domain=domain, batch=len(inputs))
+        return self._pipeline(domain, binding, inputs)
 
     def _pipeline(
         self,
         domain: ObjectId,
         binding: _Binding,
         inputs: list[AdaptationEvent],
-        now: int,
+        *,
         entry: str = "monitor",
     ) -> PipelineOutcome:
         logic = binding.logic
-        ctx = StageContext(self, domain, binding, now)
+        ctx = StageContext(self, domain, binding)
+        now = ctx.now
         events = list(inputs)
         if entry == "monitor":
             events = MONITORS[logic.monitor](ctx, events)
@@ -693,11 +694,11 @@ class AdaptationEngine:
         decision.consistency_ok = ok
         if not ok:
             decision.detail = why
-            self._trace_decision(now, domain, logic, decision, PIPELINE_CONSISTENCY_REJECTED)
+            self._trace_decision(domain, logic, decision, PIPELINE_CONSISTENCY_REJECTED)
             return PipelineOutcome(PIPELINE_CONSISTENCY_REJECTED, decision)
         policy = binding.policy
         if not policy.enabled:
-            self._trace_decision(now, domain, logic, decision, PIPELINE_POLICY_SUPPRESSED)
+            self._trace_decision(domain, logic, decision, PIPELINE_POLICY_SUPPRESSED)
             return PipelineOutcome(PIPELINE_POLICY_SUPPRESSED, decision)
         window = int(policy.directives.get("window", 0))
         limit = int(policy.directives.get("max_actions_per_window", 0))
@@ -705,17 +706,17 @@ class AdaptationEngine:
             floor = now - window if window > 0 else None
             recent = [t for t in binding.executions if floor is None or t > floor]
             if len(recent) >= limit:
-                self._trace_decision(now, domain, logic, decision, PIPELINE_POLICY_SUPPRESSED)
+                self._trace_decision(domain, logic, decision, PIPELINE_POLICY_SUPPRESSED)
                 return PipelineOutcome(PIPELINE_POLICY_SUPPRESSED, decision)
         scenario = REGULATORS[logic.regulate](ctx, decision)
         signature = scenario.signature()
         last = binding.last_executed.get(signature)
         if last is not None and scenario.cooldown > 0 and now - last < scenario.cooldown:
-            self._trace_decision(now, domain, logic, decision, PIPELINE_COOLDOWN_SUPPRESSED)
+            self._trace_decision(domain, logic, decision, PIPELINE_COOLDOWN_SUPPRESSED)
             return PipelineOutcome(PIPELINE_COOLDOWN_SUPPRESSED, decision)
-        self._trace_decision(now, domain, logic, decision, PIPELINE_EXECUTED)
+        self._trace_decision(domain, logic, decision, PIPELINE_EXECUTED)
         self.trace.record(
-            now, "scenario",
+            "scenario",
             domain=domain,
             steps=len(scenario.steps),
             cooldown=scenario.cooldown,
@@ -726,9 +727,9 @@ class AdaptationEngine:
         binding.executions.append(now)
         return PipelineOutcome(PIPELINE_EXECUTED, decision, scenario)
 
-    def _trace_decision(self, now, domain, logic, decision, status) -> None:
+    def _trace_decision(self, domain, logic, decision, status) -> None:
         self.trace.record(
-            now, "decision",
+            "decision",
             domain=domain,
             logic=logic.name,
             cause="|".join(str(c) for c in decision.cause) or "-",
@@ -787,14 +788,11 @@ class AdaptationEngine:
             elif isinstance(action, AgentLaunchAction):
                 self.hub.launch_agent(domain, action.agent)
         except AdaptdomError as exc:
-            self.trace.record(
-                self.clock.now, "actuator_error",
-                domain=domain, error=type(exc).__name__,
-            )
+            self.trace.record("actuator_error", domain=domain, error=type(exc).__name__)
 
     # --- commands ---
 
-    def deliver_command(self, cmd: AdaptationCommand, now: int) -> CommandResult:
+    def deliver_command(self, cmd: AdaptationCommand) -> CommandResult:
         binding = self._bindings.get(cmd.to_domain)
         if binding is None or binding.logic is None:
             return CommandResult(False, "no logic loaded")
@@ -817,9 +815,9 @@ class AdaptationEngine:
             cmd.from_domain,
             f"command:{cmd.verb}",
             dict(cmd.args),
-            now,
+            self.clock.now,
         )
-        outcome = self._pipeline(cmd.to_domain, binding, [synthetic], now, entry="analyze")
+        outcome = self._pipeline(cmd.to_domain, binding, [synthetic], entry="analyze")
         handled = outcome.status != PIPELINE_NO_DECISION
         return CommandResult(handled, outcome.status)
 
@@ -856,7 +854,7 @@ class AdaptationEngine:
             findings.append(AuditFinding("orphaned_object", domain, orphan))
         for finding in findings:
             self.trace.record(
-                now, "audit",
+                "audit",
                 domain=domain,
                 finding=finding.kind,
                 subject=finding.subject,

@@ -394,8 +394,9 @@ def prepare(
     afterwards, so only they are checked.
 
     A move or same-kind replace is a restart, so it enters the delta even
-    when the value is unchanged; moves and replaces of a component the
-    transaction also adds are subsumed by the add.
+    when the value is unchanged; so does a component removed and added
+    again, as a move. Moves and replaces of a component the transaction
+    adds new are subsumed by the add.
     """
     base_comps, base_conns = graph.components, graph.connections
     comps: dict[str, Optional[Component]] = {}
@@ -416,6 +417,7 @@ def prepare(
                 violations.append(Violation("DuplicateComponent", edit.cid))
             else:
                 comps[edit.cid] = Component(edit.kind, edit.host)
+                moved.add(edit.cid)  # a survivor added back restarts, as a move
         elif isinstance(edit, (AddConnection, RemoveConnection)):
             adding = isinstance(edit, AddConnection)
             if present(edit.connection) == adding:
@@ -623,7 +625,7 @@ class ConfigManager:
         flight = _Flight(txn, owner, prepared)
         clear = self._clear(flight, self._queue)
         self._trace.record(
-            self._scheduler.now, "txn_submit",
+            "txn_submit",
             id=txn.txn_id,
             edits=txn.render_edits(),
             block="|".join(sorted(prepared.block_set)) or "-",
@@ -652,7 +654,7 @@ class ConfigManager:
         )
         self._swap_states(flight, ComponentState.ACTIVE, ComponentState.BLOCKED)
         self._trace.record(
-            now, "txn_block",
+            "txn_block",
             id=flight.txn.txn_id,
             components="|".join(sorted(block)) or "-",
         )
@@ -687,7 +689,6 @@ class ConfigManager:
 
     def _finish(self, flight: _Flight, status: str, commit_time=None, reason="",
                 kinds_preserved=True) -> None:
-        now = self._scheduler.now
         block = flight.prepared.block_set
         flight.result = TxnResult(
             flight.txn.txn_id, status, block, commit_time, reason, kinds_preserved,
@@ -696,14 +697,14 @@ class ConfigManager:
             self._in_flight.remove(flight)
         if status == "committed":
             self._trace.record(
-                now, "txn_commit",
+                "txn_commit",
                 id=flight.txn.txn_id,
                 components="|".join(sorted(block)) or "-",
             )
             self._on_commit(flight)
         else:
             self._trace.record(
-                now, "txn_abort",
+                "txn_abort",
                 id=flight.txn.txn_id,
                 reason=reason or "-",
             )
@@ -732,12 +733,8 @@ class ConfigManager:
     def pending(self) -> int:
         return len(self._in_flight) + len(self._queue)
 
-    def mark_host_down(self, host_id: str, now: int) -> list[str]:
+    def mark_host_down(self, host_id: str) -> None:
         """Record a host failure in the graph: resident components go down."""
-        affected = []
         for cid in self.graph.components_on(host_id):
-            comp = self.graph.components[cid]
-            if comp.state is not ComponentState.DOWN:
+            if self.graph.components[cid].state is not ComponentState.DOWN:
                 self.graph.set_state(cid, ComponentState.DOWN)
-                affected.append(cid)
-        return affected

@@ -1,7 +1,10 @@
 """Adaptation events, sensors, and two actuator kinds.
 
 Any managed object registered here may emit events; routing delivers an
-event to every domain the source belongs to, directly or indirectly.
+event to every domain the source belongs to, directly or indirectly. A
+domain's own events (a transaction's abort notice) go to that domain.
+`ActuationHub.emit` is the one place that makes an event, and every
+event, command and agent line is stamped with the clock's time.
 Adaptation commands flow from a parent domain to one of its (transitive)
 child domains. Mobile agents walk an itinerary of path names, executing
 a registered action at each stop and reporting per-stop outcomes; an
@@ -19,7 +22,6 @@ from .errors import (
     NotAChild,
     UnknownAction,
     UnknownId,
-    UnknownSensor,
 )
 from .paths import PathName
 from .registry import ObjectId, Registry
@@ -135,8 +137,7 @@ class ActuationHub:
     """Sensor registrations, event emission, commands, and agent flights.
 
     The engine builds its hub and passes itself in; every event and command
-    goes to it. Events, commands and agent hops are stamped with the clock's
-    time, and agents fly on the clock, one hop every `agent_hop_latency`
+    goes to it. Agents fly on the clock, one hop every `agent_hop_latency`
     ticks."""
 
     def __init__(self, registry: Registry, trace: TraceLog, clock, engine):
@@ -175,41 +176,36 @@ class ActuationHub:
         self._next_event_id += 1
         return eid
 
-    def emit(self, sensor: ObjectId, event_type: str, payload: dict) -> int:
-        """Build and route an event stamped with the clock's time; returns
-        the number of domains reached."""
-        info = self._sensors.get(sensor)
-        if info is None:
-            raise UnknownSensor(f"{sensor} is not a registered sensor")
+    def emit(self, source: ObjectId, event_type: str, payload: dict) -> int:
+        """Build an event from a registered sensor or a domain, stamped with
+        the clock's time, and route it; returns the number of domains
+        reached. Raises `UnknownSensor` for any other source."""
         now = self._clock.now
-        info.last_emit = now
+        info = self._sensors.get(source)
+        if info is not None:
+            info.last_emit = now
         event = AdaptationEvent(
-            self.allocate_event_id(), sensor, event_type, dict(payload), now
+            self.allocate_event_id(), source, event_type, dict(payload), now
         )
         routed = len(self._engine.dispatch_event(event))
-        self.record_event(event, routed)
-        return routed
-
-    def record_event(self, event: AdaptationEvent, routed: int) -> None:
-        """Write the trace record of an event that reached `routed` domains."""
         self._trace.record(
-            event.timestamp, "event",
+            "event",
             id=event.event_id,
-            src=event.source,
-            type=event.event_type,
+            src=source,
+            type=event_type,
             domains=routed,
             payload=event.render_payload(),
         )
+        return routed
 
     # --- commands ---
 
     def send_command(self, cmd: AdaptationCommand) -> CommandResult:
         if not self._registry.is_descendant_domain(cmd.from_domain, cmd.to_domain):
             raise NotAChild(f"{cmd.to_domain} is not a child domain of {cmd.from_domain}")
-        now = self._clock.now
-        result = self._engine.deliver_command(cmd, now)
+        result = self._engine.deliver_command(cmd)
         self._trace.record(
-            now, "command",
+            "command",
             src=cmd.from_domain,
             dst=cmd.to_domain,
             verb=cmd.verb,
@@ -243,15 +239,15 @@ class ActuationHub:
         clock = self._clock
 
         def fly():
-            self._hop(agent, agent.itinerary[index], report, clock.now)
+            self._hop(agent, agent.itinerary[index], report)
             if index + 1 < len(agent.itinerary):
                 self._schedule_hop(from_domain, agent, report, index + 1)
             else:
-                self._complete(from_domain, agent, report, clock.now)
+                self._complete(from_domain, agent, report)
 
         clock.schedule(clock.now + self.agent_hop_latency, fly)
 
-    def _hop(self, agent: MobileAgent, stop: PathName, report: AgentReport, now: int) -> None:
+    def _hop(self, agent: MobileAgent, stop: PathName, report: AgentReport) -> None:
         try:
             target = self._registry.resolve(stop)
         except Exception:
@@ -264,16 +260,16 @@ class ActuationHub:
                 outcome = StopOutcome("failed", type(exc).__name__)
         report.outcomes.append(outcome)
         self._trace.record(
-            now, "agent_hop",
+            "agent_hop",
             agent=agent.agent_id,
             stop=stop.render(),
             outcome=outcome.render(),
         )
 
-    def _complete(self, from_domain: ObjectId, agent: MobileAgent, report: AgentReport, now: int) -> None:
-        report.finished = now
+    def _complete(self, from_domain: ObjectId, agent: MobileAgent, report: AgentReport) -> None:
+        report.finished = self._clock.now
         self._trace.record(
-            now, "agent_report",
+            "agent_report",
             agent=agent.agent_id,
             issuer=from_domain,
             outcomes=report.render_outcomes(),

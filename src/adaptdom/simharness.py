@@ -104,16 +104,14 @@ class Simulator:
         for flow in self.system.doc_flows:
             self._every(flow.start, flow.period, partial(self._spawn_flow, flow))
         if self.audit_period > 0:
-            self._every(self.audit_period, self.audit_period,
-                        lambda now: self.system.run_audits())
+            self._every(self.audit_period, self.audit_period, self.system.run_audits)
 
     def _every(self, start: int, period: int, fn) -> None:
         clock = self.clock
 
         def tick():
-            now = clock.now
-            fn(now)
-            clock.schedule(now + period, tick)
+            fn()
+            clock.schedule(clock.now + period, tick)
 
         clock.schedule(start, tick)
 
@@ -139,7 +137,7 @@ class Simulator:
             if host.up:
                 host.kill(now)
                 self._down_since[host.host_id] = now
-                self.system.config_manager.mark_host_down(host.host_id, now)
+                self.system.config_manager.mark_host_down(host.host_id)
         elif fault.kind == "revive":
             host = hosts.get(fault.args[0])
             if not host.up:
@@ -149,19 +147,19 @@ class Simulator:
             hosts.get(fault.args[0]).set_leak(float(fault.args[1]), now)
         elif fault.kind == "link":
             hosts.set_link_quality(fault.args[0], fault.args[1], float(fault.args[2]))
-        self.trace.record(now, "fault", type=fault.kind, args="|".join(fault.args) or "-")
+        self.trace.record("fault", type=fault.kind, args="|".join(fault.args) or "-")
 
     # --- probes ---
 
-    def _probe_liveness(self, sensor, host_id: str, now: int) -> None:
+    def _probe_liveness(self, sensor, host_id: str) -> None:
         if not self.system.hosts.host_is_up(host_id):
             self.system.hub.emit(sensor, "host_failed", {"host": host_id})
 
-    def _probe_resource(self, sensor, host_id: str, now: int) -> None:
+    def _probe_resource(self, sensor, host_id: str) -> None:
         host = self.system.hosts.get(host_id)
         if not host.up:
             return
-        level = host.level(now)
+        level = host.level(self.clock.now)
         if level <= self.exhaustion_critical:
             if host_id not in self._exhausted:
                 self._exhausted.add(host_id)
@@ -170,7 +168,7 @@ class Simulator:
             self._exhausted.discard(host_id)
         self.system.hub.emit(sensor, "resource_sample", {"host": host_id, "level": level})
 
-    def _probe_link(self, sensor, a: str, b: str, now: int) -> None:
+    def _probe_link(self, sensor, a: str, b: str) -> None:
         hosts = self.system.hosts
         if hosts.host_is_up(a) and hosts.host_is_up(b):
             self.system.hub.emit(
@@ -180,7 +178,7 @@ class Simulator:
 
     # --- application traffic ---
 
-    def _spawn_flow(self, flow, now: int) -> None:
+    def _spawn_flow(self, flow) -> None:
         self._flow_counter += 1
         self._step(flow.path, self._flow_counter, 0, None)
 
@@ -198,14 +196,14 @@ class Simulator:
         state = _DOWN if comp is None else comp.state
         if state is _ACTIVE:
             occupancy[cid] = occupancy.get(cid, 0) + 1
-            self._record_hop(now, flow_no, cid)
+            self._record_hop(flow_no, cid)
             self._schedule(now + 1, partial(self._step, path, flow_no, index + 1, cid))
         elif state is _BLOCKED:
             # Quiescence: traffic never traverses a blocked component; the
             # transaction stalls at the boundary until it is unblocked.
             self._schedule(now + 1, partial(self._step, path, flow_no, index, None))
         else:
-            self._record_drop(now, flow_no, cid)
+            self._record_drop(flow_no, cid)
 
     # --- running ---
 
@@ -265,4 +263,4 @@ def _reset_host_resource(system, stop_path, target) -> None:
         raise UnknownHost(f"object {target} is not bound to a host")
     host = system.hosts.get(host_id)
     host.reset(system.clock.now)
-    system.trace.record(system.clock.now, "host_reset", host=host_id)
+    system.trace.record("host_reset", host=host_id)

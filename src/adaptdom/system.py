@@ -3,9 +3,10 @@
 A System bundles one registry, one actuation hub, one adaptation engine,
 and one configuration manager around a shared deterministic clock and
 trace. `System.__init__` is the one place that wires them, each through
-its constructor, in this order: the trace, clock, registry and host
-table; the state the System owns and lends out (the occupancy counts
-that traffic writes, the host-to-object map that loading fills in); the
+its constructor, in this order: the clock, the trace (which stamps
+every line with the clock's time), the registry and host table; the
+state the System owns and lends out (the occupancy counts that traffic
+writes, the host-to-object map that loading fills in); the
 configuration manager, with the System's commit and abort hooks; then
 the adaptation engine, which builds its own actuation hub. Nothing is
 attached to them afterwards. The simulator drives a System from a
@@ -28,7 +29,6 @@ from .adaptation import AdaptationEngine
 from .confgraph import ConfigGraph, ConfigManager
 from .errors import UnknownHost
 from .registry import ObjectId, Registry
-from .sensing import AdaptationEvent
 from .trace import TraceLog
 
 
@@ -178,8 +178,8 @@ class System:
 
     def __init__(self, graph: Optional[ConfigGraph] = None,
                  reconfig_latency: int = 1):
-        self.trace = TraceLog()
         self.clock = SimClock()
+        self.trace = TraceLog(self.clock)
         self.registry = Registry()
         self.hosts = HostTable(self.clock)
         # Application traffic inside each component, written by the simulator.
@@ -235,18 +235,9 @@ class System:
             )
 
     def _on_txn_abort(self, flight, reason: str) -> None:
-        owner = flight.owner
-        if owner is None:
-            return
-        event = AdaptationEvent(
-            self.hub.allocate_event_id(),
-            owner,
-            "reconfig_aborted",
-            {"txn": flight.txn.txn_id, "reason": reason},
-            self.clock.now,
-        )
-        self.hub.record_event(event, 1)
-        self.engine._deliver(owner, event)
+        if flight.owner is not None:
+            self.hub.emit(flight.owner, "reconfig_aborted",
+                          {"txn": flight.txn.txn_id, "reason": reason})
 
     def run_audits(self) -> None:
         for domain in self.engine.bound_domains():

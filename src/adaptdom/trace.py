@@ -7,8 +7,10 @@ one line, encoded once when it is recorded:
     t=<time> s=<seq> <kind> <key>=<value> ...
 
 Lines are totally ordered by (time, sequence) so a trace replays
-byte-identically for a fixed seed and scenario. `encode_value` is the one
-encoder of values. `record` appends a line of any shape; `recorder`
+byte-identically for a fixed seed and scenario. The log is built on the
+run's clock and stamps every line with the clock's time: no caller
+passes a time, so no line goes back in time. `encode_value` is the
+one encoder of values. `record` appends a line of any shape; `recorder`
 prepares a two-field shape, such as an application hop's, once for its
 many lines. The log holds its lines only as text: every `_BLOCK` finished
 lines are joined by `\n` into one `str`, so a run keeps one string per
@@ -123,40 +125,42 @@ def encode_value(value) -> str:
 
 class TraceLog:
     """Append-only ordered log of encoded lines with a global sequence
-    counter and a count per kind, held as blocks of text."""
+    counter and a count per kind, held as blocks of text. Each line is
+    stamped with `clock.now`, an integer that never decreases."""
 
-    def __init__(self):
+    def __init__(self, clock):
+        self._clock = clock
         self._blocks: list[str] = []
         self._pending: list[str] = []  # the lines not yet joined into a block
         self._counts: dict[str, int] = {}
         self._seq = itertools.count()  # the next line's sequence number
 
-    def record(self, time: int, kind: str, **fields) -> None:
+    def record(self, kind: str, **fields) -> None:
         """Append one line, each value encoded by `encode_value`."""
         text = ""
         for key, value in fields.items():
             if type(value) is not int:  # an exact int formats as itself
                 value = encode_value(value)
             text += f" {key}={value}"
-        self._append(time, kind, text)
+        self._append(kind, text)
 
     def recorder(self, kind: str, key_a: str, key_b: str) -> Callable[..., None]:
-        """A prepared `record` of a two-field line: `rec(time, a, b)` appends
-        the line `record(time, kind, **{key_a: a, key_b: b})` would."""
+        """A prepared `record` of a two-field line: `rec(a, b)` appends the
+        line `record(kind, **{key_a: a, key_b: b})` would."""
         append = self._append
         head_a, head_b = f" {key_a}=", f" {key_b}="
 
-        def rec(time, a, b):
+        def rec(a, b):
             # As in `record`, an exact int formats as itself.
             a = a if type(a) is int else encode_value(a)
             b = b if type(b) is int else encode_value(b)
-            append(time, kind, f"{head_a}{a}{head_b}{b}")
+            append(kind, f"{head_a}{a}{head_b}{b}")
         return rec
 
-    def _append(self, time: int, kind: str, fields: str) -> None:
-        """The one place that numbers lines, fills blocks and counts kinds."""
+    def _append(self, kind: str, fields: str) -> None:
+        """The one place that stamps, numbers and counts lines and fills blocks."""
         pending = self._pending
-        pending.append(f"t={time} s={next(self._seq)} {kind}{fields}")
+        pending.append(f"t={self._clock.now} s={next(self._seq)} {kind}{fields}")
         if len(pending) >= _BLOCK:
             self._join()
         self._counts[kind] = self._counts.get(kind, 0) + 1

@@ -208,7 +208,7 @@ class TestDispatch:
         # dead hostA must land on hostB.
         system, healing, sensor = healing_system()
         system.hosts.get("hostA").kill(5)
-        system.config_manager.mark_host_down("hostA", 5)
+        system.config_manager.mark_host_down("hostA")
         system.run_until(5)
         system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         system.run_until(10)
@@ -248,7 +248,7 @@ class TestRunPipeline:
         # Oracle: count executed scenarios in the replayed trace.
         system, healing, sensor = healing_system(cooldown=50, count=1)
         system.hosts.get("hostA").kill(5)
-        system.config_manager.mark_host_down("hostA", 5)
+        system.config_manager.mark_host_down("hostA")
         system.run_until(5)
         system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         # Undo the heal so the same decision would be proposed again.
@@ -267,7 +267,7 @@ class TestRunPipeline:
     def test_policy_disabled_suppresses_execution(self):
         system, healing, sensor = healing_system(enabled=False)
         system.hosts.get("hostA").kill(5)
-        system.config_manager.mark_host_down("hostA", 5)
+        system.config_manager.mark_host_down("hostA")
         system.run_until(5)
         system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         [decision] = of_kind(system.trace, "decision")
@@ -280,7 +280,7 @@ class TestRunPipeline:
         for enabled in (True, False):
             system, healing, sensor = healing_system(enabled=enabled)
             system.hosts.get("hostA").kill(5)
-            system.config_manager.mark_host_down("hostA", 5)
+            system.config_manager.mark_host_down("hostA")
             system.run_until(5)
             system.hub.emit(sensor, "host_failed", {"host": "hostA"})
             system.run_until(10)
@@ -301,7 +301,7 @@ class TestRunPipeline:
             params={**logic.params, "count": 2, "window": 10},
         ))
         system.hosts.get("hostA").kill(0)
-        system.config_manager.mark_host_down("hostA", 0)
+        system.config_manager.mark_host_down("hostA")
         # Two failures 50 ticks apart never coincide in a 10-tick window.
         system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         system.run_until(50)
@@ -416,7 +416,7 @@ class TestStrategies:
         def run_once():
             system, healing, sensor = healing_system()
             system.hosts.get("hostA").kill(5)
-            system.config_manager.mark_host_down("hostA", 5)
+            system.config_manager.mark_host_down("hostA")
             system.run_until(5)
             system.hub.emit(sensor, "host_failed", {"host": "hostA"})
             system.run_until(20)
@@ -486,7 +486,7 @@ class TestAudit:
     def test_dangling_reference_after_exclusion(self):
         system, healing, sensor = healing_system()
         system.hosts.get("hostA").kill(5)
-        system.config_manager.mark_host_down("hostA", 5)
+        system.config_manager.mark_host_down("hostA")
         system.run_until(5)
         system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         system.run_until(10)

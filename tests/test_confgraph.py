@@ -127,6 +127,16 @@ class TestValidate:
         report = validate(graph, down, system.hosts)
         assert any(v.code == "HostDown" for v in report.violations)
 
+    def test_a_component_added_back_is_host_checked(self):
+        # Removing A and adding it again restarts it on its new host, as a
+        # move does.
+        system = System()
+        system.hosts.add(Host("h1", 100.0))
+        for edits in ((MoveComponent("A", "ghost"),),
+                      (RemoveComponent("A"), AddComponent("A", "svc", "ghost"))):
+            report = validate(fan_in_graph(), ReconfigTxn("t", edits), system.hosts)
+            assert [v.code for v in report.violations] == ["UnknownHost"]
+
 
 class TestNetDelta:
     def test_add_then_remove_is_noop(self):
@@ -169,6 +179,12 @@ class TestBlockSet:
         expected |= {c.src for c in graph.connections if c.dst == "C"}
         expected |= {"A", "B"}  # connection endpoints named in the delta
         assert prepare(graph, txn).block_set == expected
+
+    def test_a_component_added_back_blocks_itself_and_its_initiators(self):
+        txn = ReconfigTxn("again", (RemoveComponent("C"), AddComponent("C", "db", "h1")))
+        prepared = prepare(fan_in_graph(), txn)
+        assert prepared.delta.moved == {"C"}
+        assert prepared.block_set == {"A", "B", "C"}
 
     def test_add_only_blocks_just_the_new_component(self):
         txn = ReconfigTxn("grow", (AddComponent("D", "svc", "h1"),))
@@ -307,6 +323,17 @@ class TestSubmit:
         assert not (b1 < e2 and b2 < e1)  # never overlapping
         # The second observes the first's graph: C ends up moved.
         assert system.graph.components["C"].host == "h2"
+
+    def test_a_replace_queues_behind_a_component_added_back(self):
+        system = manager_on(fan_in_graph(), latency=2)
+        again = ReconfigTxn("t1", (RemoveComponent("C"), AddComponent("C", "db", "h2")))
+        f1 = system.config_manager.submit(again)
+        f2 = system.config_manager.submit(ReconfigTxn("t2", (ReplaceComponent("C", "web"),)))
+        assert [e.get("status") for e in of_kind(system.trace, "txn_submit")] == [
+            "started", "queued"]
+        system.run_until(30)
+        assert f1.result.commit_time < f2.result.commit_time
+        assert system.graph.components["C"] == Component("web", "h2")
 
     def test_invalid_at_submit_raises(self):
         system = manager_on(fan_in_graph())

@@ -277,9 +277,10 @@ def sample_batches(draw):
 
 def _run_batch(engine, domain, events):
     """One pipeline run over a batch, at its latest time: the status and the
-    executed scenario."""
-    now = max(event.timestamp for event in events)
-    outcome = engine._pipeline(domain, engine._bindings[domain], events, now)
+    executed scenario. A batch's time may go back, so the clock is set by
+    hand."""
+    engine.clock.now = max(event.timestamp for event in events)
+    outcome = engine._pipeline(domain, engine._bindings[domain], events)
     return outcome.status, outcome.scenario
 
 

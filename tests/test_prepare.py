@@ -52,6 +52,7 @@ def ref_apply_edits(graph, txn):
                 violations.append(Violation("DuplicateComponent", edit.cid))
             else:
                 comps[edit.cid] = Component(edit.kind, edit.host)
+                moved.add(edit.cid)  # a survivor added back restarts, as a move
         elif isinstance(edit, RemoveComponent):
             if edit.cid not in comps:
                 violations.append(Violation("UnknownComponent", edit.cid))

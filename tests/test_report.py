@@ -459,10 +459,23 @@ def test_verify_report_memory_on_a_graph_heavy_report():
     assert peak < 5.5 * len(text)
 
 
+class HandClock:
+    """A clock that a test sets by hand before recording a line at a time."""
+
+    now = 0
+
+
+def stamped(clock: HandClock, log: TraceLog, time: int, kind: str, **fields) -> None:
+    """Record a line at `time`."""
+    clock.now = time
+    log.record(kind, **fields)
+
+
 def _hop_log(hops: int) -> TraceLog:
-    log = TraceLog()
+    clock = HandClock()
+    log = TraceLog(clock)
     for hop in range(hops):
-        log.record(hop // 4, "app_hop", flow=hop % 7, comp=f"c{hop % 10}")
+        stamped(clock, log, hop // 4, "app_hop", flow=hop % 7, comp=f"c{hop % 10}")
     return log
 
 
@@ -669,9 +682,11 @@ field_values = st.one_of(st.text(alphabet=" ab=_.é", max_size=8), st.text(max_s
 @given(st.integers(0, 10**6), st.from_regex(r"[a-z_]{1,10}", fullmatch=True),
        st.dictionaries(field_keys, field_values, max_size=6))
 def test_recorded_values_parse_back(time, kind, fields):
-    log = TraceLog()
-    log.record(0, "first")
-    assert log.record(time, kind, **fields) is None
+    clock = HandClock()
+    log = TraceLog(clock)
+    log.record("first")
+    clock.now = time
+    assert log.record(kind, **fields) is None
     encoded = tuple((key, reference_encode(value)) for key, value in fields.items())
     entry = TraceEntry.parse(log.lines()[-1])
     assert (entry.time, entry.seq, entry.kind, entry.fields) == (time, 1, kind, encoded)
@@ -723,9 +738,10 @@ record_values = st.one_of(
                           st.dictionaries(field_keys, record_values, max_size=5)),
                 min_size=1, max_size=4))
 def test_record_equals_reference(records):
-    log = TraceLog()
+    clock = HandClock()
+    log = TraceLog(clock)
     for time, kind, fields in records:
-        log.record(time, kind, **fields)
+        stamped(clock, log, time, kind, **fields)
     assert log.lines() == [
         reference_record_line(time, seq, kind, **fields)
         for seq, (time, kind, fields) in enumerate(records)
@@ -737,16 +753,16 @@ _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 @pytest.mark.parametrize("value", ["x\ny", "x\r\ny", *(f"{ch}x{ch}" for ch in _BREAKS[1:])])
 def test_a_value_holding_a_line_break_stays_on_its_line(value):
-    log = TraceLog()
-    log.record(0, "k", a=value)
+    log = TraceLog(HandClock())
+    log.record("k", a=value)
     text = RunReport("s", 1, 5, log.blocks(), [], {}).render()
     assert verify_report(text) == []
     assert RunReport.parse(text).trace_lines == [f"t=0 s=0 k a={reference_encode(value)}"]
 
 
 def test_a_tab_in_a_value_is_kept():
-    log = TraceLog()
-    log.record(0, "k", a="x\ty z")
+    log = TraceLog(HandClock())
+    log.record("k", a="x\ty z")
     assert log.lines() == ["t=0 s=0 k a=x\ty_z"]
 
 
@@ -762,18 +778,19 @@ def test_recorder_equals_record(shapes, block, data):
     # to 5 lines, give the lines, blocks and counts that `record` alone does.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trace_module, "_BLOCK", block)
-        prepared, plain = TraceLog(), TraceLog()
+        clock = HandClock()
+        prepared, plain = TraceLog(clock), TraceLog(clock)
         recorders = [prepared.recorder(kind, *keys) for kind, keys in shapes]
         for _ in range(data.draw(st.integers(0, 12))):
             index = data.draw(st.integers(0, len(shapes) - 1))
-            time = data.draw(st.integers(0, 10**6))
+            clock.now = data.draw(st.integers(0, 10**6))
             kind, keys = shapes[index]
             values = data.draw(st.lists(recorded_values, min_size=len(keys), max_size=len(keys)))
-            plain.record(time, kind, **dict(zip(keys, values)))
+            plain.record(kind, **dict(zip(keys, values)))
             if data.draw(st.booleans()):
-                recorders[index](time, *values)
+                recorders[index](*values)
             else:
-                prepared.record(time, kind, **dict(zip(keys, values)))
+                prepared.record(kind, **dict(zip(keys, values)))
         assert prepared.lines() == plain.lines()
         assert prepared.blocks() == plain.blocks()
         for kind, _ in shapes:
@@ -813,9 +830,10 @@ def test_blocks_render_and_split_like_the_lines(records, lines, block, chunk):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trace_module, "_BLOCK", block)
         patch.setattr(report_module, "_CHUNK", chunk)
-        log = TraceLog()
+        clock = HandClock()
+        log = TraceLog(clock)
         for time, kind, fields, cut in records:
-            log.record(time, kind, **fields)
+            stamped(clock, log, time, kind, **fields)
             if cut:
                 log.blocks()
         assert log.lines() == expected
@@ -831,8 +849,9 @@ def test_blocks_render_and_split_like_the_lines(records, lines, block, chunk):
 
 
 def test_lines_returns_a_copy():
-    log = TraceLog()
-    log.record(1, "k", a="x y")
+    clock = HandClock()
+    log = TraceLog(clock)
+    stamped(clock, log, 1, "k", a="x y")
     lines = log.lines()
     lines.append("junk")
     assert log.lines() == ["t=1 s=0 k a=x_y"]

@@ -3,7 +3,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from adaptdom.adaptation import ANALYZERS, AdaptationLogic, Decision, Reactive
+from adaptdom.confgraph import ReconfigTxn, ReplaceComponent
 from adaptdom.errors import (
     EmptyItinerary,
     NotAChild,
@@ -14,9 +18,10 @@ from adaptdom.errors import (
 from adaptdom.paths import PathName
 from adaptdom.registry import EnumerateMode, Kind
 from adaptdom.report import RunReport, verify_report
-from adaptdom.sensing import AdaptationCommand, MobileAgent
+from adaptdom.sensing import AdaptationCommand, AdaptationEvent, MobileAgent
+from adaptdom.system import Host, System
 
-from conftest import entries, of_kind, random_hierarchy
+from conftest import chain_graph, entries, of_kind, random_hierarchy
 
 
 class TestSensors:
@@ -187,6 +192,99 @@ class TestClockStamps:
         rendered = RunReport("clock", 0, 10, system.trace.lines(),
                              system.graph.canonical_lines()).render()
         assert verify_report(rendered) == []
+
+
+    def test_abort_notice_reaches_only_its_owner(self, monkeypatch):
+        system, parent, child, _ = nested_system(monkeypatch)
+        flight = system.config_manager.submit(
+            ReconfigTxn("t1", (ReplaceComponent("c1", "svc"),)), owner=child)
+        system.hosts.get("h1").kill(0)
+        system.run_until(5)
+        assert flight.result.status == "aborted"
+        [event] = of_kind(system.trace, "event")
+        assert (event.get("type"), event.get("src"), event.get("domains")) == (
+            "reconfig_aborted", str(child), "1")
+        decisions = of_kind(system.trace, "decision")
+        assert [d.get("domain") for d in decisions] == [str(child)]
+        assert decisions[0].get("cause") == event.get("id")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("run"), st.integers(0, 4)),
+        st.tuples(st.just("dispatch"), st.integers(0, 40)),
+        st.tuples(st.just("propagate"), st.integers(0, 40)),
+        st.tuples(st.sampled_from(("emit", "command", "agent", "audit", "submit",
+                                   "kill", "revive")), st.just(0)),
+    ), max_size=25))
+    @example([("run", 4), ("emit", 0), ("run", 4), ("propagate", 6)])  # escalated at t=2
+    def test_every_line_is_in_clock_order(self, steps):
+        # Events built with any timestamp, dispatched or escalated between
+        # clock steps, still write their lines at the clock's time.
+        with pytest.MonkeyPatch.context() as patch:
+            system = self._run_steps(nested_system(patch), steps)
+        rendered = RunReport("clock", 0, system.clock.now, system.trace.lines(),
+                             system.graph.canonical_lines()).render()
+        assert verify_report(rendered) == []
+
+    @staticmethod
+    def _run_steps(built, steps):
+        system, parent, child, sensor = built
+        engine, hub, hosts = system.engine, system.hub, system.hosts
+        agent = MobileAgent(engine.agent_for(parent),
+                            (PathName(("parent", "child", "s")), PathName(("gone",))), "noop")
+        for n, (op, arg) in enumerate(steps):
+            now = system.clock.now
+            if op == "run":
+                system.run_until(now + arg)
+            elif op == "dispatch":
+                engine.dispatch_event(AdaptationEvent(hub.allocate_event_id(), sensor, "x", {}, arg))
+            elif op == "propagate":
+                event = AdaptationEvent(hub.allocate_event_id(), sensor, "x", {}, max(0, now - arg))
+                engine.propagate_to_parent(child, event)
+            elif op == "emit":
+                hub.emit(sensor, "x", {"v": n})
+            elif op == "command":
+                hub.send_command(AdaptationCommand(parent, child, "probe", {}))
+            elif op == "agent":
+                hub.launch_agent(parent, agent)
+            elif op == "audit":
+                engine.audit_tick(parent)
+            elif op == "submit":
+                system.config_manager.submit(
+                    ReconfigTxn(f"t{n}", (ReplaceComponent(f"c{n % 3 + 1}", "svc"),)),
+                    owner=child)
+            elif op == "kill":
+                hosts.get("h1").kill(now)
+                system.config_manager.mark_host_down("h1")
+            else:
+                hosts.get("h1").revive(now)
+        system.run_until(system.clock.now + 10)
+        return system
+
+
+def _decide_every(ctx, events):
+    """An action-free decision on the latest event."""
+    return Decision(ctx.domain, (events[-1].event_id,), ()) if events else None
+
+
+def nested_system(patch):
+    """/parent/child/s with a sensor s, both domains deciding on every
+    event (through `patch`), and three components on host h1."""
+    patch.setitem(ANALYZERS, "every", _decide_every)
+    system = System(chain_graph(3))
+    system.hosts.add(Host("h1", 100.0))
+    root = system.registry.create_root()
+    parent = system.registry.register(Kind.DOMAIN)
+    child = system.registry.register(Kind.DOMAIN)
+    sensor = system.registry.register(Kind.SENSOR)
+    system.registry.include(root, parent, "parent")
+    system.registry.include(parent, child, "child")
+    system.registry.include(child, sensor, "s")
+    system.hub.register_sensor(sensor, 3)
+    logic = AdaptationLogic("every", Reactive(), analyze="every")
+    for domain in (parent, child):
+        system.engine.load_logic(domain, logic)
+    return system, parent, child, sensor
 
 
 class TestAgents:
