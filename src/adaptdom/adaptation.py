@@ -263,10 +263,7 @@ class StageContext:
         return self.engine.host_objects.get(host_id)
 
     def absolute_path(self, rel_path: str) -> Optional[PathName]:
-        bases = self.engine.registry.paths_of(self.domain)
-        if not bases:
-            return None
-        return PathName(min(bases).segments + tuple(rel_path.split("/")))
+        return self.engine.absolute_path(self.domain, rel_path)
 
     def next_txn_id(self, prefix: str) -> str:
         return self.engine._next_txn_id(prefix)
@@ -602,9 +599,6 @@ class AdaptationEngine:
     def policy_of(self, domain: ObjectId) -> Policy:
         return self._binding(domain).policy
 
-    def set_policy(self, domain: ObjectId, policy: Policy) -> None:
-        self._binding(domain).policy = policy
-
     def bound_domains(self) -> list[ObjectId]:
         return sorted(d for d, b in self._bindings.items() if b.logic is not None)
 
@@ -739,12 +733,19 @@ class AdaptationEngine:
             detail=decision.detail or "-",
         )
 
-    def _check_consistency(self, domain: ObjectId, decision: Decision) -> tuple[bool, str]:
+    def absolute_path(self, domain: ObjectId, rel_path: str) -> Optional[PathName]:
+        """`rel_path` under the domain's least path from the root, or None
+        when the root does not reach the domain."""
         bases = self.registry.paths_of(domain)
+        if not bases:
+            return None
+        return PathName(min(bases).segments + tuple(rel_path.split("/")))
+
+    def _check_consistency(self, domain: ObjectId, decision: Decision) -> tuple[bool, str]:
         for rel in decision.target_paths:
-            if not bases:
+            absolute = self.absolute_path(domain, rel)
+            if absolute is None:
                 return False, f"domain {domain} unreachable from root"
-            absolute = PathName(min(bases).segments + tuple(rel.split("/")))
             try:
                 self.registry.resolve(absolute)
             except Exception:
@@ -838,16 +839,14 @@ class AdaptationEngine:
                 if last is None or now - last > heartbeat:
                     findings.append(AuditFinding("sensor_stale", domain, member, rel))
         members = {member for _, member in entries}
-        bases = self.registry.paths_of(domain)
         for rel in sorted(binding.referenced_paths):
+            absolute = self.absolute_path(domain, rel)
             resolved = None
-            if bases:
+            if absolute is not None:
                 try:
-                    resolved = self.registry.resolve(
-                        PathName(min(bases).segments + tuple(rel.split("/")))
-                    )
+                    resolved = self.registry.resolve(absolute)
                 except Exception:
-                    resolved = None
+                    pass
             if resolved is None or resolved not in members:
                 findings.append(AuditFinding("dangling_reference", domain, domain, rel))
         for orphan in self.registry.orphans():

@@ -15,14 +15,14 @@ overlay over the graph, without copying it, and checks only the
 components and ports the edits touch, plus any violation the graph
 already had. So preparing, validating and committing a transaction cost
 what it touches, not the size of the graph. Commits write into the live
-graph in place through the one function that changes the indexes.
+graph in place through `_write`, the one function that changes the
+indexes, with the preparation that admitted the transaction.
 
 `structural_violations` is the one structural check. It works from
 component ids and connections rendered as `src src_port -> dst dst_port`
 and lists dangling connections, then port conflicts, each in render
-order. `ConfigGraph.structural_violations` calls it on a whole graph,
-`prepare` on the connections a transaction touches, and replay on a
-report's decoded graph section, without building a graph.
+order. `prepare` calls it on the connections a transaction touches, and
+replay on a report's decoded graph section, without building a graph.
 
 This module owns the graph-line grammar that documents and reports share:
 
@@ -109,8 +109,8 @@ class ConfigGraph:
     component id, kind, host and port is a token (`paths.TOKEN_RE`).
 
     `components` and `connections` are for reading. Edits go through
-    `apply_in_place` and state changes through `set_state`, so the
-    indexes stay exact.
+    `_write` and state changes through `set_state`, so the indexes stay
+    exact.
     """
 
     components: dict[str, Component] = field(default_factory=dict)
@@ -121,9 +121,6 @@ class ConfigGraph:
         # Built on first use: loading a large graph stays as cheap as it
         # was, and a graph nobody queries never pays for its indexes.
         return _Indexes(self.components, self.connections)
-
-    def copy(self) -> "ConfigGraph":
-        return ConfigGraph(dict(self.components), set(self.connections))
 
     def set_state(self, cid: str, state: ComponentState) -> None:
         self.components[cid] = replace(self.components[cid], state=state)
@@ -145,10 +142,6 @@ class ConfigGraph:
             ((cid, c.kind, c.host, c.state.value) for cid, c in self.components.items()),
             ((c.src, c.src_port, c.dst, c.dst_port) for c in self.connections),
         )
-
-    def structural_violations(self) -> list["Violation"]:
-        """Dangling connections, then port conflicts, each in render order."""
-        return structural_violations(self.components, map(Connection.render, self.connections))
 
 
 # --- the graph-line grammar ---
@@ -354,12 +347,12 @@ class HostStatusView(Protocol):
 
 @dataclass(frozen=True)
 class NetDelta:
-    """A transaction's edits collapsed against a specific pre-state."""
+    """A transaction's edits collapsed against a specific pre-state.
+    `restarted` holds the surviving components it moves or replaces."""
 
     added: frozenset[str]
     removed: frozenset[str]
-    moved: frozenset[str]
-    replaced: frozenset[str]
+    restarted: frozenset[str]
     conns_added: frozenset[Connection]
     conns_removed: frozenset[Connection]
 
@@ -391,19 +384,19 @@ def prepare(
     structural (dangling, then port conflicts, each in render order),
     then host checks in component order. Only connections the edits touch
     and those the graph already had in violation can be in violation
-    afterwards, so only they are checked.
+    afterwards, so only they are checked. Every component the transaction
+    writes active, added or restarted, must be on a host that is up.
 
-    A move or same-kind replace is a restart, so it enters the delta even
-    when the value is unchanged; so does a component removed and added
-    again, as a move. Moves and replaces of a component the transaction
-    adds new are subsumed by the add.
+    A move or replace is a restart, so it enters the delta even when the
+    value is unchanged; so does a component removed and added again.
+    Restarts of a component the transaction adds new are subsumed by the
+    add.
     """
     base_comps, base_conns = graph.components, graph.connections
     comps: dict[str, Optional[Component]] = {}
     conns: dict[Connection, bool] = {}
     violations: list[Violation] = []
-    moved: set[str] = set()
-    replaced: set[str] = set()
+    restarted: set[str] = set()
 
     def comp(cid: str) -> Optional[Component]:
         return comps[cid] if cid in comps else base_comps.get(cid)
@@ -417,7 +410,7 @@ def prepare(
                 violations.append(Violation("DuplicateComponent", edit.cid))
             else:
                 comps[edit.cid] = Component(edit.kind, edit.host)
-                moved.add(edit.cid)  # a survivor added back restarts, as a move
+                restarted.add(edit.cid)  # a survivor added back restarts
         elif isinstance(edit, (AddConnection, RemoveConnection)):
             adding = isinstance(edit, AddConnection)
             if present(edit.connection) == adding:
@@ -431,23 +424,17 @@ def prepare(
                 violations.append(Violation("UnknownComponent", edit.cid))
             elif isinstance(edit, RemoveComponent):
                 comps[edit.cid] = None
-            elif isinstance(edit, MoveComponent):
-                comps[edit.cid] = replace(
-                    current, host=edit.new_host, state=ComponentState.ACTIVE
-                )
-                moved.add(edit.cid)
-            else:
-                comps[edit.cid] = replace(
-                    current, kind=edit.new_kind, state=ComponentState.ACTIVE
-                )
-                replaced.add(edit.cid)
+            else:  # a move or a replace: a restart
+                change = ({"host": edit.new_host} if isinstance(edit, MoveComponent)
+                          else {"kind": edit.new_kind})
+                comps[edit.cid] = replace(current, state=ComponentState.ACTIVE, **change)
+                restarted.add(edit.cid)
 
     survivors = {cid for cid, c in comps.items() if c is not None and cid in base_comps}
     delta = NetDelta(
         frozenset(cid for cid, c in comps.items() if c is not None and cid not in base_comps),
         frozenset(cid for cid, c in comps.items() if c is None and cid in base_comps),
-        frozenset(moved & survivors),
-        frozenset(replaced & survivors),
+        frozenset(restarted & survivors),
         frozenset(c for c, there in conns.items() if there and c not in base_conns),
         frozenset(c for c, there in conns.items() if not there and c in base_conns),
     )
@@ -468,18 +455,18 @@ def prepare(
     alive = {cid for c in suspects for cid in (c.src, c.dst) if comp(cid) is not None}
     violations.extend(structural_violations(alive, map(Connection.render, suspects)))
     if hosts is not None:
-        for cid in sorted(delta.added | delta.moved):
+        for cid in sorted(delta.added | delta.restarted):
             host = comps[cid].host
             if not hosts.host_exists(host):
                 violations.append(Violation("UnknownHost", f"{cid} -> {host}"))
             elif not hosts.host_is_up(host):
                 violations.append(Violation("HostDown", f"{cid} -> {host}"))
 
-    block: set[str] = set(delta.added | delta.removed | delta.moved | delta.replaced)
+    block: set[str] = set(delta.added | delta.removed | delta.restarted)
     for conn in delta.conns_added | delta.conns_removed:
         block.add(conn.src)
         block.add(conn.dst)
-    for cid in delta.removed | delta.moved | delta.replaced:
+    for cid in delta.removed | delta.restarted:
         block |= graph.in_neighbors(cid)
     # Net changes only: an id added and removed again is in no block set.
     comps = {cid: c for cid, c in comps.items() if c is not None or cid in base_comps}
@@ -530,16 +517,6 @@ def _write(graph: ConfigGraph, prepared: Prepared) -> None:
             ix.ins[conn.dst].remove(conn)
             ix.outs[conn.src].remove(conn)
     ix.noted = frozenset()
-
-
-def apply_in_place(graph: ConfigGraph, txn: ReconfigTxn) -> Prepared:
-    """Commit the transaction into `graph`; raises InvalidTxn, leaving the
-    graph as it was, when the transaction does not validate. Moved and
-    replaced components come out active: each is a restart."""
-    prepared = prepare(graph, txn)
-    _raise_if_invalid(txn, prepared)
-    _write(graph, prepared)
-    return prepared
 
 
 def validate(

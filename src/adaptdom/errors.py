@@ -108,6 +108,10 @@ class UnknownHost(AdaptdomError):
     """Fault or placement referenced a host that does not exist."""
 
 
+class HostDown(AdaptdomError):
+    """An action reached a host that is down."""
+
+
 # --- persistence / scenarios ---
 
 class ParseError(AdaptdomError):

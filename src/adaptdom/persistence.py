@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from typing import Optional
 
@@ -589,13 +589,6 @@ def capture_system(system: System, allow_orphans: bool = False) -> ConfigDocumen
         logic = system.engine.logic_of(oid)
         if logic is not None:
             policy = system.engine.policy_of(oid)
-            strategy = logic.strategy
-            sp: dict = {}
-            if isinstance(strategy, Proactive):
-                sp = {"critical": strategy.critical, "margin": strategy.margin,
-                      "window": strategy.window}
-            elif isinstance(strategy, Retroactive):
-                sp = {"period": strategy.period}
             pol: dict = {
                 "enabled": 1 if policy.enabled else 0,
                 "source": policy.source.value,
@@ -605,15 +598,9 @@ def capture_system(system: System, allow_orphans: bool = False) -> ConfigDocumen
                 doc_id=canon[oid],
                 path=min_path(oid),
                 name=logic.name,
-                strategy=strategy_name(strategy),
-                strategy_params=sp,
-                stages={
-                    "analyze": logic.analyze,
-                    "audit": logic.audit,
-                    "execute": logic.execute,
-                    "monitor": logic.monitor,
-                    "regulate": logic.regulate,
-                },
+                strategy=strategy_name(logic.strategy),
+                strategy_params=asdict(logic.strategy),
+                stages={stage: getattr(logic, stage) for stage in sorted(_STAGE_KEYS)},
                 params=dict(logic.params),
                 policy=pol,
             ))

@@ -102,7 +102,7 @@ class RunReport:
 
 class TraceLines:
     """The lines of a report's trace blocks, split one block at a time as
-    they are iterated. It can be counted and compared with a list."""
+    they are iterated. It can be counted."""
 
     __slots__ = ("_blocks",)
 
@@ -115,14 +115,6 @@ class TraceLines:
 
     def __len__(self) -> int:
         return len(self._blocks) + sum(block.count("\n") for block in self._blocks)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (list, TraceLines)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 # Characters per slice of a report's text: the lines and bytes replay

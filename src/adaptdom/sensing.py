@@ -37,10 +37,11 @@ class AdaptationEvent:
     timestamp: int
     provenance: tuple[ObjectId, ...] = ()
 
-    def render_payload(self) -> str:
-        return ",".join(
-            f"{k}:{format_scalar(v)}" for k, v in sorted(self.payload.items())
-        ) or "-"
+
+def render_pairs(pairs: dict) -> str:
+    """An event's payload or a command's arguments as `key:value` pairs,
+    sorted by key and joined by `,`; `-` when there are none."""
+    return ",".join(f"{k}:{format_scalar(v)}" for k, v in sorted(pairs.items())) or "-"
 
 
 # --- actuator actions ---
@@ -51,11 +52,6 @@ class AdaptationCommand:
     to_domain: ObjectId
     verb: str
     args: dict[str, float | int | str] = field(default_factory=dict)
-
-    def render_args(self) -> str:
-        return ",".join(
-            f"{k}:{format_scalar(v)}" for k, v in sorted(self.args.items())
-        ) or "-"
 
 
 @dataclass(frozen=True)
@@ -119,7 +115,7 @@ def action_signature(action: ActuatorAction) -> str:
         return f"graph_edit[{action.txn.render_edits()}]"
     if isinstance(action, CommandAction):
         cmd = action.command
-        return f"command[{cmd.verb}@{cmd.to_domain} {cmd.render_args()}]"
+        return f"command[{cmd.verb}@{cmd.to_domain} {render_pairs(cmd.args)}]"
     agent = action.agent
     stops = ",".join(p.render() for p in agent.itinerary)
     return f"agent[{agent.action}:{stops}]"
@@ -194,7 +190,7 @@ class ActuationHub:
             src=source,
             type=event_type,
             domains=routed,
-            payload=event.render_payload(),
+            payload=render_pairs(event.payload),
         )
         return routed
 
@@ -209,7 +205,7 @@ class ActuationHub:
             src=cmd.from_domain,
             dst=cmd.to_domain,
             verb=cmd.verb,
-            args=cmd.render_args(),
+            args=render_pairs(cmd.args),
             result="handled" if result.handled else "unhandled",
         )
         return result

@@ -14,7 +14,7 @@ from functools import partial
 from dataclasses import dataclass
 
 from .confgraph import ComponentState
-from .errors import ScenarioParseError, UnknownHost
+from .errors import HostDown, ScenarioParseError, UnknownHost
 from .persistence import ConfigDocument, FaultEntry, build_system, fault_problem
 from .registry import EnumerateMode
 from .report import RunReport
@@ -257,10 +257,13 @@ class Simulator:
 
 
 def _reset_host_resource(system, stop_path, target) -> None:
-    """Registered agent action: restore the visited host's resource pool."""
+    """Registered agent action: restore the visited host's resource pool.
+    A host that is down has no pool to restore."""
     host_id = system.host_id_of_object(target)
     if host_id is None:
         raise UnknownHost(f"object {target} is not bound to a host")
     host = system.hosts.get(host_id)
+    if not host.up:
+        raise HostDown(f"host {host_id} is down")
     host.reset(system.clock.now)
     system.trace.record("host_reset", host=host_id)

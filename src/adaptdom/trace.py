@@ -10,9 +10,11 @@ Lines are totally ordered by (time, sequence) so a trace replays
 byte-identically for a fixed seed and scenario. The log is built on the
 run's clock and stamps every line with the clock's time: no caller
 passes a time, so no line goes back in time. `encode_value` is the
-one encoder of values. `record` appends a line of any shape; `recorder`
-prepares a two-field shape, such as an application hop's, once for its
-many lines. The log holds its lines only as text: every `_BLOCK` finished
+one encoder of values. Kinds and keys are tokens (`paths.TOKEN_RE`),
+checked once per name: `record` appends a line of any shape and checks
+a name the first time it sees it; `recorder` prepares a two-field shape,
+such as an application hop's, and checks its names once for its many
+lines. The log holds its lines only as text: every `_BLOCK` finished
 lines are joined by `\n` into one `str`, so a run keeps one string per
 block, not one per line, plus the few lines not yet joined and a count
 per kind. `blocks` hands the text to a report, which renders it as it
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ParseError
+from .paths import check_token
 
 _FIELD_SEP = " "
 # The one trace line grammar: `t=<time> s=<seq> <kind>` and fields
@@ -134,9 +137,18 @@ class TraceLog:
         self._pending: list[str] = []  # the lines not yet joined into a block
         self._counts: dict[str, int] = {}
         self._seq = itertools.count()  # the next line's sequence number
+        self._tokens: set[str] = set()  # the kinds and keys already checked
+
+    def _check(self, *names: str) -> None:
+        """Raise BadToken for the first of `names` that is not a token;
+        remember the ones before it."""
+        for name in names:
+            self._tokens.add(check_token(name))
 
     def record(self, kind: str, **fields) -> None:
         """Append one line, each value encoded by `encode_value`."""
+        if kind not in self._tokens or not self._tokens.issuperset(fields):
+            self._check(kind, *fields)
         text = ""
         for key, value in fields.items():
             if type(value) is not int:  # an exact int formats as itself
@@ -147,6 +159,7 @@ class TraceLog:
     def recorder(self, kind: str, key_a: str, key_b: str) -> Callable[..., None]:
         """A prepared `record` of a two-field line: `rec(a, b)` appends the
         line `record(kind, **{key_a: a, key_b: b})` would."""
+        self._check(kind, key_a, key_b)
         append = self._append
         head_a, head_b = f" {key_a}=", f" {key_b}="
 

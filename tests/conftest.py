@@ -10,7 +10,10 @@ from adaptdom.confgraph import (
     Component,
     ConfigGraph,
     Connection,
-    apply_in_place,
+    _raise_if_invalid,
+    _write,
+    prepare,
+    structural_violations,
 )
 from adaptdom.registry import Kind, Registry
 from adaptdom.system import Host, System
@@ -47,11 +50,31 @@ def of_kind(trace, kind):
     return [entry for entry in entries(trace) if entry.kind == kind]
 
 
+def copied(graph):
+    """A fresh graph with `graph`'s components and connections."""
+    return ConfigGraph(dict(graph.components), set(graph.connections))
+
+
+def violations_of(graph):
+    """The structural violations of a whole graph."""
+    return structural_violations(graph.components, map(Connection.render, graph.connections))
+
+
+def commit(graph, txn):
+    """Commit `txn` into `graph` as the manager does, with no host checks,
+    and return its preparation; raises InvalidTxn, leaving the graph as it
+    was, when the transaction does not validate."""
+    prepared = prepare(graph, txn)
+    _raise_if_invalid(txn, prepared)
+    _write(graph, prepared)
+    return prepared
+
+
 def applied(graph, txn):
     """The graph after `txn`, leaving `graph` as it was; raises InvalidTxn
     when the transaction does not validate."""
-    out = graph.copy()
-    apply_in_place(out, txn)
+    out = copied(graph)
+    commit(out, txn)
     return out
 
 

@@ -44,7 +44,7 @@ from adaptdom.report import verify_report
 from adaptdom.simharness import Simulator
 from adaptdom.system import Host, System
 
-from conftest import SCENARIOS, applied, of_kind
+from conftest import SCENARIOS, applied, copied, of_kind
 from test_persistence import random_system, structural_fingerprint
 
 
@@ -82,7 +82,7 @@ def placement_oracle(graph, levels, dead_host, weight=1.0):
 def test_criterion_1_self_healing():
     with criterion(1, "self-healing restores placement per the oracle"):
         system = load_config(SCENARIOS["healing"])
-        initial = system.graph.copy()
+        initial = copied(system.graph)
         started = time.monotonic()
         report = Simulator(system, seed=7).run(400)
         elapsed = time.monotonic() - started
@@ -223,7 +223,7 @@ def test_criterion_3_concurrent_reconfiguration():
         assert fa.result.status == fb.result.status == "committed"
 
         # (b) Conflicting transactions never overlap.
-        system = System(graph=graph.copy(), reconfig_latency=3)
+        system = System(graph=copied(graph), reconfig_latency=3)
         system.hosts.add(Host("h1", 1000.0))
         f1 = system.config_manager.submit(ReconfigTxn("t1", (ReplaceComponent("B", "svc"),)))
         f2 = system.config_manager.submit(ReconfigTxn("t2", (MoveComponent("B", "h1"),)))
@@ -239,7 +239,7 @@ def test_criterion_3_concurrent_reconfiguration():
         cases = 1000
         for case in range(cases):
             g0 = _random_case_graph(rng, rng.randrange(4, 7))
-            system = System(graph=g0.copy(), reconfig_latency=rng.randrange(1, 3))
+            system = System(graph=copied(g0), reconfig_latency=rng.randrange(1, 3))
             system.hosts.add(Host("h1", 1000.0))
             system.hosts.add(Host("h2", 1000.0))
             sim = Simulator(system, seed=case)
@@ -269,7 +269,7 @@ def test_criterion_3_concurrent_reconfiguration():
             final = system.graph.canonical_lines()
             serials = []
             for order in itertools.permutations(committed):
-                g = g0.copy()
+                g = copied(g0)
                 ok = True
                 for txn in order:
                     try:

@@ -21,7 +21,6 @@ from adaptdom.confgraph import (
     ConfigGraph,
     MoveComponent,
     ReconfigTxn,
-    apply_in_place,
 )
 from adaptdom.errors import (
     InvalidPolicy,
@@ -36,7 +35,7 @@ from adaptdom.report import RunReport, verify_report
 from adaptdom.sensing import AdaptationCommand, AdaptationEvent
 from adaptdom.system import Host, System
 
-from conftest import of_kind
+from conftest import commit, of_kind
 
 
 def healing_system(cooldown=0, enabled=True, count=1):
@@ -253,7 +252,7 @@ class TestRunPipeline:
         system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         # Undo the heal so the same decision would be proposed again.
         system.run_until(10)
-        apply_in_place(system.graph, ReconfigTxn(
+        commit(system.graph, ReconfigTxn(
             "undo", (MoveComponent("w1", "hostA"), MoveComponent("w2", "hostA"))
         ))
         system.run_until(20)

@@ -20,7 +20,6 @@ from adaptdom.confgraph import (
     RemoveComponent,
     RemoveConnection,
     ReplaceComponent,
-    apply_in_place,
     prepare,
     validate,
 )
@@ -30,7 +29,7 @@ from adaptdom.report import RunReport, verify_report
 from adaptdom.system import Host, System
 from adaptdom.trace import TraceLog
 
-from conftest import applied, entries, of_kind
+from conftest import applied, chain_graph, copied, entries, of_kind, violations_of
 
 
 
@@ -101,7 +100,7 @@ class TestValidate:
         graph = fan_in_graph()
         report = validate(graph, txn)
         assert report.ok
-        assert applied(graph, txn).structural_violations() == []
+        assert violations_of(applied(graph, txn)) == []
 
     def test_duplicate_port_binding(self):
         txn = ReconfigTxn("dup", (
@@ -127,6 +126,20 @@ class TestValidate:
         report = validate(graph, down, system.hosts)
         assert any(v.code == "HostDown" for v in report.violations)
 
+    def test_a_restart_in_place_on_a_down_host_is_refused(self):
+        # A replace restarts its component where it is, so that host must
+        # be up, as a move's target must be.
+        system = manager_on(chain_graph(3))
+        system.hosts.get("h1").kill(0)
+        system.config_manager.mark_host_down("h1")
+        txn = ReconfigTxn("restart", (ReplaceComponent("c1", "svc"),))
+        report = validate(system.graph, txn, system.hosts)
+        assert [str(v) for v in report.violations] == ["HostDown: c1 -> h1"]
+        with pytest.raises(InvalidTxn):
+            system.config_manager.submit(txn)
+        system.run_until(5)
+        assert system.graph.components["c1"].state is ComponentState.DOWN
+
     def test_a_component_added_back_is_host_checked(self):
         # Removing A and adding it again restarts it on its new host, as a
         # move does.
@@ -145,14 +158,14 @@ class TestNetDelta:
             RemoveComponent("X"),
         ))
         graph = fan_in_graph()
-        assert prepare(graph, txn).delta == NetDelta(*[frozenset()] * 6)
+        assert prepare(graph, txn).delta == NetDelta(*[frozenset()] * 5)
         assert prepare(graph, txn).block_set == frozenset()
 
     def test_same_kind_replace_still_counts(self):
         # A restart with an identical kind is an observable reconfiguration.
         txn = ReconfigTxn("restart", (ReplaceComponent("C", "svc"),))
         delta = prepare(fan_in_graph(), txn).delta
-        assert delta.replaced == {"C"}
+        assert delta.restarted == {"C"}
 
     def test_move_back_still_counts(self):
         txn = ReconfigTxn("bounce", (
@@ -160,7 +173,7 @@ class TestNetDelta:
             MoveComponent("A", "h1"),
         ))
         delta = prepare(fan_in_graph(), txn).delta
-        assert delta.moved == {"A"}
+        assert delta.restarted == {"A"}
 
 
 class TestBlockSet:
@@ -183,7 +196,7 @@ class TestBlockSet:
     def test_a_component_added_back_blocks_itself_and_its_initiators(self):
         txn = ReconfigTxn("again", (RemoveComponent("C"), AddComponent("C", "db", "h1")))
         prepared = prepare(fan_in_graph(), txn)
-        assert prepared.delta.moved == {"C"}
+        assert prepared.delta.restarted == {"C"}
         assert prepared.block_set == {"A", "B", "C"}
 
     def test_add_only_blocks_just_the_new_component(self):
@@ -258,7 +271,7 @@ class TestApply:
     def test_apply_is_pure(self):
         graph = fan_in_graph()
         snapshot = graph.canonical_lines()
-        apply_in_place(graph.copy(), ReconfigTxn("swap", (ReplaceComponent("C", "cache"),)))
+        applied(graph, ReconfigTxn("swap", (ReplaceComponent("C", "cache"),)))
         assert graph.canonical_lines() == snapshot
 
 
@@ -381,6 +394,24 @@ class TestSubmit:
         report = RunReport("abort", 0, 10, system.trace.lines(), system.graph.canonical_lines())
         assert verify_report(report.render()) == []
 
+    def test_a_queued_restart_whose_host_died_aborts(self):
+        # t2 waits behind t1 for C. h1 dies under t1, which aborts; t2 is
+        # prepared again as it leaves the queue and must not restart C on
+        # the dead host.
+        system = manager_on(fan_in_graph(), latency=3)
+        system.config_manager.submit(ReconfigTxn("t1", (ReplaceComponent("C", "svc"),)))
+        queued = system.config_manager.submit(ReconfigTxn("t2", (ReplaceComponent("C", "db"),)))
+
+        def kill():
+            system.hosts.get("h1").kill(1)
+            system.config_manager.mark_host_down("h1")
+
+        system.clock.schedule(1, kill)
+        system.run_until(10)
+        assert queued.result.status == "aborted"
+        assert queued.result.reason == "HostDown: C -> h1"
+        assert system.graph.components["C"] == Component("svc", "h1", ComponentState.DOWN)
+
     def test_quiescence_waits_for_occupancy(self):
         system = manager_on(fan_in_graph(), latency=1)
         busy = system.occupancy
@@ -493,7 +524,7 @@ def test_random_valid_txns_preserve_invariants(seed):
     for i in range(1250):
         txn = random_valid_txn(rng, graph, str(i))
         graph = applied(graph, txn)
-        assert graph.structural_violations() == []
+        assert violations_of(graph) == []
 
 
 def test_serializability_matches_some_serial_order(monkeypatch):
@@ -517,7 +548,7 @@ def test_serializability_matches_some_serial_order(monkeypatch):
     rng = random.Random(42)
     for case in range(40):
         graph = random_graph(rng, n_components=5)
-        system = manager_on(graph.copy(), latency=1)
+        system = manager_on(copied(graph), latency=1)
         txns = [random_valid_txn(rng, graph, f"{case}_{k}") for k in range(3)]
         flights.clear()
         written.clear()
@@ -531,7 +562,7 @@ def test_serializability_matches_some_serial_order(monkeypatch):
         final = system.graph.canonical_lines()
         candidates = []
         for order in itertools.permutations(committed):
-            g = graph.copy()
+            g = copied(graph)
             ok = True
             for txn in order:
                 try:

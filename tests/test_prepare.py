@@ -26,13 +26,12 @@ from adaptdom.confgraph import (
     RemoveConnection,
     ReplaceComponent,
     Violation,
-    apply_in_place,
     prepare,
     structural_violations,
 )
 from adaptdom.errors import InvalidTxn
 
-from conftest import applied
+from conftest import applied, commit, violations_of
 
 IDS = ("a", "b", "c", "d", "e")
 HOSTS = ("h1", "h2", "h3")
@@ -45,14 +44,14 @@ PORTS = ("p", "q")
 def ref_apply_edits(graph, txn):
     comps = dict(graph.components)
     conns = set(graph.connections)
-    violations, moved, replaced = [], set(), set()
+    violations, restarted = [], set()
     for edit in txn.edits:
         if isinstance(edit, AddComponent):
             if edit.cid in comps:
                 violations.append(Violation("DuplicateComponent", edit.cid))
             else:
                 comps[edit.cid] = Component(edit.kind, edit.host)
-                moved.add(edit.cid)  # a survivor added back restarts, as a move
+                restarted.add(edit.cid)  # a survivor added back restarts
         elif isinstance(edit, RemoveComponent):
             if edit.cid not in comps:
                 violations.append(Violation("UnknownComponent", edit.cid))
@@ -75,7 +74,7 @@ def ref_apply_edits(graph, txn):
                 comps[edit.cid] = replace(
                     comps[edit.cid], host=edit.new_host, state=ComponentState.ACTIVE
                 )
-                moved.add(edit.cid)
+                restarted.add(edit.cid)
         elif isinstance(edit, ReplaceComponent):
             if edit.cid not in comps:
                 violations.append(Violation("UnknownComponent", edit.cid))
@@ -83,8 +82,8 @@ def ref_apply_edits(graph, txn):
                 comps[edit.cid] = replace(
                     comps[edit.cid], kind=edit.new_kind, state=ComponentState.ACTIVE
                 )
-                replaced.add(edit.cid)
-    return comps, conns, violations, moved, replaced
+                restarted.add(edit.cid)
+    return comps, conns, violations, restarted
 
 
 def ref_structural_violations(comps, conns):
@@ -103,27 +102,26 @@ def ref_structural_violations(comps, conns):
 
 def ref_prepare(graph, txn, hosts):
     """(delta fields, violations, block set, post comps, post conns)."""
-    comps, conns, violations, moved, replaced = ref_apply_edits(graph, txn)
+    comps, conns, violations, restarted = ref_apply_edits(graph, txn)
     survivors = {cid for cid in comps if cid in graph.components}
     added = {cid for cid in comps if cid not in graph.components}
     removed = {cid for cid in graph.components if cid not in comps}
-    moved &= survivors
-    replaced &= survivors
+    restarted &= survivors
     conns_added = conns - graph.connections
     conns_removed = graph.connections - conns
     violations.extend(ref_structural_violations(comps, conns))
-    for cid in sorted(added | moved):
+    for cid in sorted(added | restarted):
         host = comps[cid].host
         if not hosts.host_exists(host):
             violations.append(Violation("UnknownHost", f"{cid} -> {host}"))
         elif not hosts.host_is_up(host):
             violations.append(Violation("HostDown", f"{cid} -> {host}"))
-    block = added | removed | moved | replaced
+    block = added | removed | restarted
     for conn in conns_added | conns_removed:
         block |= {conn.src, conn.dst}
-    for cid in removed | moved | replaced:
+    for cid in removed | restarted:
         block |= {c.src for c in graph.connections if c.dst == cid}
-    delta = (added, removed, moved, replaced, conns_added, conns_removed)
+    delta = (added, removed, restarted, conns_added, conns_removed)
     return delta, violations, block, comps, conns
 
 
@@ -200,7 +198,7 @@ def test_prepare_matches_full_scan_reference(graph, txn):
     delta, violations, block, comps, conns = ref_prepare(graph, txn, Hosts())
     got = prepared.delta
     assert (
-        set(got.added), set(got.removed), set(got.moved), set(got.replaced),
+        set(got.added), set(got.removed), set(got.restarted),
         set(got.conns_added), set(got.conns_removed),
     ) == delta
     assert list(prepared.violations) == violations
@@ -221,7 +219,7 @@ def test_prepare_matches_full_scan_reference(graph, txn):
         post = applied(graph, txn)
         assert post.components == comps
         assert post.connections == conns
-    assert graph.structural_violations() == ref_structural_violations(
+    assert violations_of(graph) == ref_structural_violations(
         graph.components, graph.connections
     )
 
@@ -232,7 +230,7 @@ def test_prepare_matches_full_scan_reference(graph, txn):
 def test_indexes_match_a_rebuild_after_commits(graph, steps):
     for txn, cid, state in steps:
         try:
-            apply_in_place(graph, txn)
+            commit(graph, txn)
         except InvalidTxn:
             pass
         if cid in graph.components:
@@ -255,7 +253,7 @@ def test_structural_violations_from_rows_match_the_reference(graph, random):
 def test_commit_clearing_the_noted_violations_leaves_a_clean_graph():
     dangling = Connection("a", "p", "z", "p")
     graph = ConfigGraph({"a": Component("web", "h1")}, {dangling})
-    assert [v.code for v in graph.structural_violations()] == ["DanglingConnection"]
-    apply_in_place(graph, ReconfigTxn("fix", (RemoveConnection(dangling),)))
-    assert graph.structural_violations() == []
+    assert [v.code for v in violations_of(graph)] == ["DanglingConnection"]
+    commit(graph, ReconfigTxn("fix", (RemoveConnection(dangling),)))
+    assert violations_of(graph) == []
     assert index_snapshot(graph) == index_snapshot(rebuilt(graph))

@@ -10,6 +10,7 @@ from adaptdom.adaptation import ANALYZERS, AdaptationLogic, Decision, Reactive
 from adaptdom.confgraph import ReconfigTxn, ReplaceComponent
 from adaptdom.errors import (
     EmptyItinerary,
+    InvalidTxn,
     NotAChild,
     UnknownAction,
     UnknownId,
@@ -250,9 +251,14 @@ class TestClockStamps:
             elif op == "audit":
                 engine.audit_tick(parent)
             elif op == "submit":
-                system.config_manager.submit(
-                    ReconfigTxn(f"t{n}", (ReplaceComponent(f"c{n % 3 + 1}", "svc"),)),
-                    owner=child)
+                # A restart on h1 while it is down is refused: HostDown.
+                try:
+                    system.config_manager.submit(
+                        ReconfigTxn(f"t{n}", (ReplaceComponent(f"c{n % 3 + 1}", "svc"),)),
+                        owner=child)
+                except InvalidTxn as exc:
+                    assert not hosts.get("h1").up
+                    assert [v.code for v in exc.report.violations] == ["HostDown"]
             elif op == "kill":
                 hosts.get("h1").kill(now)
                 system.config_manager.mark_host_down("h1")

@@ -6,6 +6,7 @@ from adaptdom.errors import ScenarioParseError, UnknownHost
 from adaptdom.persistence import FaultEntry, FlowDecl, ProbeDecl, load_config, parse_document
 from adaptdom.registry import Kind
 from adaptdom.report import verify_report
+from adaptdom.sensing import MobileAgent
 from adaptdom.simharness import Simulator
 from adaptdom.system import Host, System
 
@@ -30,7 +31,7 @@ def empty_sim(seed=0):
 class TestDeterminism:
     def test_empty_scenario_has_empty_trace(self):
         report = empty_sim().run(100)
-        assert report.trace_lines == []
+        assert list(report.trace_lines) == []
         assert report.until == 100
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -323,3 +324,26 @@ class TestHostObjects:
         system.bind_host_object("h2", c)  # a is left with no host
         for oid, host in ((a, None), (b, "h1"), (c, "h2")):
             assert system.host_id_of_object(oid) == host == self.scan(system, oid)
+
+
+class TestAgentOnADeadHost:
+    def test_a_reset_on_a_dead_host_fails_and_leaves_its_level(self):
+        # A dead host has no pool to restore: the hop fails with HostDown,
+        # writes no `host_reset` line and keeps the level the host died at.
+        system = load_config(SCENARIOS["rejuvenation"])
+        Simulator(system, seed=1)  # registers `reset_host_resource`
+        host = system.hosts.get("hostA")
+        host.set_leak(2.0, 0)
+        system.run_until(50)
+        host.kill(50)
+        level = host.level(50)
+        assert level == 900.0
+        stop = min(system.registry.paths_of(system.host_objects["hostA"]))
+        agent = system.registry.register(Kind.AGENT)
+        system.registry.include(system.registry.root, agent, "agent")
+        report = system.hub.launch_agent(
+            system.registry.root, MobileAgent(agent, (stop,), "reset_host_resource"))
+        system.run_until(60)
+        assert [outcome.render() for outcome in report.outcomes] == ["failed:HostDown"]
+        assert of_kind(system.trace, "host_reset") == []
+        assert host.level(60) == level
