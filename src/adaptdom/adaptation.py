@@ -522,19 +522,21 @@ class _Binding:
 class AdaptationEngine:
     """Owns bindings, routes events, runs pipelines, audits domains, and
     carries out the actions its pipelines decide. It builds its own hub,
-    passing itself in, so the hub routes every event and command here.
+    passing itself in, so the hub routes every event and command here; its
+    agents take `agent_hop_latency` ticks a hop.
     Graph edits go to `manager`; analyzers read `hosts` and `host_objects`
     (host id -> managed object, a dict the caller owns and fills)."""
 
     def __init__(self, registry: Registry, trace: TraceLog, clock: Scheduler,
-                 manager: ConfigManager, hosts, host_objects: dict[str, ObjectId]):
+                 manager: ConfigManager, hosts, host_objects: dict[str, ObjectId],
+                 agent_hop_latency: int = 1):
         self.registry = registry
         self.trace = trace
         self.clock = clock
         self.manager = manager
         self.hosts = hosts
         self.host_objects = host_objects
-        self.hub = ActuationHub(registry, trace, clock, self)
+        self.hub = ActuationHub(registry, trace, clock, self, agent_hop_latency)
         self._bindings: dict[ObjectId, _Binding] = {}
         self._txn_counter = 0
         self._agents: dict[ObjectId, ObjectId] = {}

@@ -13,6 +13,10 @@ back with `confgraph.decode_graph` once the rest of the document is
 parsed. So a graph line with a bad shape, a name that is not a token, an
 unknown state, a repeated component id or a repeated connection fails
 the parse, naming its line.
+
+A fault, probe or traffic entry checks itself when it is constructed;
+the parser adds the line to the error. `build_system` checks references
+between a document's parts, and the scenario keys the program reads.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .errors import (
     ScenarioParseError,
     UnknownVersion,
 )
-from .paths import check_tokens
+from .paths import TOKEN_RE, check_tokens
 from .registry import Kind, ObjectId
 from .system import Host, System
 from .trace import format_scalar
@@ -72,11 +76,46 @@ def parse_scalar(text: str):
 
 # --- document model ---
 
+# The arguments of each fault and probe kind, in order: a host name, or a
+# finite number under the name given.
+_FAULT_ARGS = {
+    "kill": ("host",), "revive": ("host",), "leak": ("host", "rate"),
+    "link": ("host", "host", "quality"),
+}
+_PROBE_ARGS = {"liveness": ("host",), "resource": ("host",), "link": ("host", "host")}
+
+
+def _check_args(what: str, kind: str, args: tuple[str, ...], shapes: dict) -> None:
+    """Raise `ScenarioParseError` for an unknown kind, a wrong number of
+    arguments, or a rate or quality that is not a finite number."""
+    shape = shapes.get(kind)
+    if shape is None:
+        raise ScenarioParseError(f"unknown {what} kind {kind!r}")
+    if len(args) != len(shape):
+        raise ScenarioParseError(f"{what} {kind} takes {' '.join(f'<{name}>' for name in shape)}")
+    for name, value in zip(shape, args):
+        if name != "host":
+            try:
+                number = float(value)
+            except ValueError:
+                number = math.nan
+            if not math.isfinite(number):
+                raise ScenarioParseError(f"{what} {kind}: {name} {value!r} is not a finite number")
+
+
 @dataclass(frozen=True)
 class FaultEntry:
     time: int
     kind: str  # kill | revive | leak | link
     args: tuple[str, ...]
+
+    def __post_init__(self):
+        _check_args("fault", self.kind, self.args, _FAULT_ARGS)
+
+    @property
+    def hosts(self) -> tuple[str, ...]:
+        """The arguments that name hosts."""
+        return tuple(arg for name, arg in zip(_FAULT_ARGS[self.kind], self.args) if name == "host")
 
     def render(self) -> str:
         return f"fault {self.time} {self.kind} {' '.join(self.args)}".rstrip()
@@ -88,6 +127,9 @@ class ProbeDecl:
     kind: str  # liveness | resource | link
     args: tuple[str, ...]
 
+    def __post_init__(self):
+        _check_args("probe", self.kind, self.args, _PROBE_ARGS)
+
     def render(self) -> str:
         return f"probe {self.sensor} {self.kind} {' '.join(self.args)}".rstrip()
 
@@ -97,6 +139,11 @@ class FlowDecl:
     path: tuple[str, ...]
     period: int
     start: int = 0
+
+    def __post_init__(self):
+        # A flow re-runs `period` ticks on: at 0 or less, at one tick for ever.
+        if self.period <= 0:
+            raise ScenarioParseError(f"traffic period must be positive, got {self.period}")
 
     def render(self) -> str:
         return f"traffic {','.join(self.path)} period={self.period} start={self.start}"
@@ -254,8 +301,10 @@ def parse_document(text: str) -> ConfigDocument:
             continue
         try:
             _parse_body_line(doc, section, current_domain, current_logic, line, lineno)
-        except ParseError:
-            raise
+        except ParseError as exc:
+            if exc.line:
+                raise
+            raise type(exc)(str(exc), line=lineno) from None
         except Exception as exc:
             raise ScenarioParseError(f"{type(exc).__name__}: {exc}", line=lineno)
     doc.components, doc.connections = decode_graph(
@@ -331,7 +380,7 @@ def _parse_body_line(doc, section, current_domain, current_logic, line, lineno):
             attrs = _parse_attrs(parts[2:], lineno)
             host = (parts[1], float(attrs["capacity"]), float(attrs["level"]),
                     float(attrs["leak"]), attrs["status"])
-            _raise_if(host_problem(host), lineno)
+            _check_host(host)
             doc.hosts.append(host)
         elif parts[0] == "link":
             check_tokens(parts[1:3])
@@ -342,84 +391,26 @@ def _parse_body_line(doc, section, current_domain, current_logic, line, lineno):
     elif section == "scenario":
         parts = line.split()
         if parts[0] == "fault":
-            fault = FaultEntry(int(parts[1]), parts[2], tuple(parts[3:]))
-            _raise_if(fault_problem(fault), lineno)
-            doc.faults.append(fault)
+            doc.faults.append(FaultEntry(int(parts[1]), parts[2], tuple(parts[3:])))
         elif parts[0] == "probe":
-            probe = ProbeDecl(int(parts[1]), parts[2], tuple(parts[3:]))
-            _raise_if(probe_problem(probe), lineno)
-            doc.probes.append(probe)
+            doc.probes.append(ProbeDecl(int(parts[1]), parts[2], tuple(parts[3:])))
         elif parts[0] == "traffic":
             path = parts[1].split(",")
             check_tokens(path)
             attrs = _parse_attrs(parts[2:], lineno)
-            flow = FlowDecl(tuple(path), int(attrs["period"]), int(attrs.get("start", 0)))
-            _raise_if(flow_problem(flow), lineno)
-            doc.flows.append(flow)
+            doc.flows.append(FlowDecl(tuple(path), int(attrs["period"]), int(attrs.get("start", 0))))
         else:
             key, value = _parse_kv(line, lineno)
+            if key in doc.scenario_keys:
+                raise ScenarioParseError(f"repeated scenario key {key!r}", line=lineno)
             doc.scenario_keys[key] = parse_scalar(value)
 
 
-# The arguments of each fault and probe kind, in order: a host name, or a
-# finite number under the name given.
-_FAULT_ARGS = {
-    "kill": ("host",), "revive": ("host",), "leak": ("host", "rate"),
-    "link": ("host", "host", "quality"),
-}
-_PROBE_ARGS = {"liveness": ("host",), "resource": ("host",), "link": ("host", "host")}
-
-
-def _args_problem(what: str, kind: str, args: tuple[str, ...], shapes: dict) -> Optional[str]:
-    shape = shapes.get(kind)
-    if shape is None:
-        return f"unknown {what} kind {kind!r}"
-    if len(args) != len(shape):
-        return f"{what} {kind} takes {' '.join(f'<{name}>' for name in shape)}"
-    for name, value in zip(shape, args):
-        if name != "host":
-            try:
-                number = float(value)
-            except ValueError:
-                number = math.nan
-            if not math.isfinite(number):
-                return f"{what} {kind}: {name} {value!r} is not a finite number"
-    return None
-
-
-def host_problem(host: tuple[str, float, float, float, str]) -> Optional[str]:
-    """Why the simulator cannot load the host row `host` (a status other
-    than `up` or `down`), or None."""
+def _check_host(host: tuple[str, float, float, float, str]) -> None:
+    """Raise `ScenarioParseError` for a host row the simulator cannot load:
+    a status other than `up` or `down`."""
     if host[4] not in ("up", "down"):
-        return f"host {host[0]}: status must be up or down, got {host[4]!r}"
-    return None
-
-
-def fault_problem(fault: FaultEntry) -> Optional[str]:
-    """Why the simulator cannot apply `fault` (an unknown kind, a wrong
-    number of arguments, or a rate or quality that is not a finite
-    number), or None."""
-    return _args_problem("fault", fault.kind, fault.args, _FAULT_ARGS)
-
-
-def probe_problem(probe: ProbeDecl) -> Optional[str]:
-    """Why the simulator cannot run `probe` (an unknown kind or a wrong
-    number of hosts), or None."""
-    return _args_problem("probe", probe.kind, probe.args, _PROBE_ARGS)
-
-
-def flow_problem(flow: FlowDecl) -> Optional[str]:
-    """Why the simulator cannot run `flow`, or None. A flow re-schedules
-    itself `period` ticks on: at 0 or less it would run at one tick for
-    ever."""
-    if flow.period <= 0:
-        return f"traffic period must be positive, got {flow.period}"
-    return None
-
-
-def _raise_if(problem, lineno: int = 0) -> None:
-    if problem:
-        raise ScenarioParseError(problem, line=lineno)
+        raise ScenarioParseError(f"host {host[0]}: status must be up or down, got {host[4]!r}")
 
 
 # --- document -> live system ---
@@ -439,8 +430,28 @@ def _build_strategy(section: LogicSection) -> Strategy:
     raise DanglingReference(f"unknown strategy {section.strategy!r}")
 
 
+# The scenario keys read as integers, as every `host_object.<host>` is.
+_INT_KEYS = {"agent_hop_latency", "audit_period", "jitter", "link_period",
+             "liveness_period", "reconfig_latency", "resource_period"}
+
+
+def _scenario_key_wants(key: str, value) -> Optional[str]:
+    """What scenario key `key` must hold if `value` does not, else None."""
+    if key in _INT_KEYS or key.startswith("host_object."):
+        return None if isinstance(value, int) else "an integer"
+    if key == "exhaustion_critical":
+        return None if isinstance(value, (int, float)) and math.isfinite(value) else "a finite number"
+    if key == "name":
+        return None if TOKEN_RE.fullmatch(str(value)) else "a token"
+    return None
+
+
 def build_system(doc: ConfigDocument) -> System:
     """Reconstruct a live system from a parsed document."""
+    for key, value in doc.scenario_keys.items():
+        wanted = _scenario_key_wants(key, value)
+        if wanted:
+            raise ScenarioParseError(f"scenario key {key}: {value!r} is not {wanted}")
     # The graph lines' token check, for a document built in code: each
     # distinct name once, in row order.
     try:
@@ -458,8 +469,9 @@ def build_system(doc: ConfigDocument) -> System:
         if src not in components or dst not in components:
             raise DanglingReference(f"connection references unknown component: {src}->{dst}")
         connections.add(Connection(src, sport, dst, dport))
-    latency = int(doc.scenario_keys.get("reconfig_latency", 1))
-    system = System(ConfigGraph(components, connections), reconfig_latency=latency)
+    system = System(ConfigGraph(components, connections),
+                    reconfig_latency=doc.scenario_keys.get("reconfig_latency", 1),
+                    agent_hop_latency=doc.scenario_keys.get("agent_hop_latency", 1))
     declared = dict(doc.objects)
     if doc.root_id not in declared:
         raise DanglingReference(f"root id {doc.root_id} not declared")
@@ -508,24 +520,17 @@ def build_system(doc: ConfigDocument) -> System:
     for doc_id, heartbeat in sorted(doc.sensors):
         system.hub.register_sensor(lookup(doc_id), int(heartbeat))
     for host_id, capacity, level, leak, status in sorted(doc.hosts):
-        host = Host(host_id, capacity, leak_rate=leak, up=(status == "up"))
-        host._mark_level = level
-        system.hosts.add(host)
+        system.hosts.add(Host(host_id, capacity, leak, status == "up", start_level=level))
     for a, b, quality in sorted(doc.links):
         system.hosts.set_link_quality(a, b, quality)
     system.scenario_params = dict(doc.scenario_keys)
-    system.hub.agent_hop_latency = int(doc.scenario_keys.get("agent_hop_latency", 1))
-    # The host and scenario lines' own checks, for a document built in code.
-    for problem in chain(map(host_problem, doc.hosts), map(fault_problem, doc.faults),
-                         map(probe_problem, doc.probes), map(flow_problem, doc.flows)):
-        _raise_if(problem)
+    # The host lines' own check, for a document built in code.
+    for host in doc.hosts:
+        _check_host(host)
     for fault in doc.faults:
-        if fault.kind in ("kill", "revive", "leak") and not system.hosts.host_exists(fault.args[0]):
-            raise DanglingReference(f"fault references unknown host {fault.args[0]!r}")
-        if fault.kind == "link" and not (
-            system.hosts.host_exists(fault.args[0]) and system.hosts.host_exists(fault.args[1])
-        ):
-            raise DanglingReference(f"fault references unknown link {fault.args[:2]}")
+        for host_arg in fault.hosts:
+            if not system.hosts.host_exists(host_arg):
+                raise DanglingReference(f"fault references unknown host {host_arg!r}")
     for probe in doc.probes:
         sensor = lookup(probe.sensor)
         if not system.hub.is_sensor(sensor):
@@ -545,7 +550,7 @@ def build_system(doc: ConfigDocument) -> System:
     # the scenario paired with it via `host_object` scenario keys.
     for key, value in doc.scenario_keys.items():
         if key.startswith("host_object."):
-            system.bind_host_object(key[len("host_object."):], lookup(int(value)))
+            system.bind_host_object(key[len("host_object."):], lookup(value))
     return system
 
 

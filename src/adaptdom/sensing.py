@@ -136,7 +136,8 @@ class ActuationHub:
     goes to it. Agents fly on the clock, one hop every `agent_hop_latency`
     ticks."""
 
-    def __init__(self, registry: Registry, trace: TraceLog, clock, engine):
+    def __init__(self, registry: Registry, trace: TraceLog, clock, engine,
+                 agent_hop_latency: int = 1):
         self._registry = registry
         self._trace = trace
         self._clock = clock
@@ -144,7 +145,7 @@ class ActuationHub:
         self._sensors: dict[ObjectId, _SensorInfo] = {}
         self._actions: dict[str, Callable] = {"noop": lambda stop, target: None}
         self._next_event_id = 1
-        self.agent_hop_latency = 1
+        self.agent_hop_latency = agent_hop_latency
 
     # --- sensors ---
 

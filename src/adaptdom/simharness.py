@@ -14,8 +14,8 @@ from functools import partial
 from dataclasses import dataclass
 
 from .confgraph import ComponentState
-from .errors import HostDown, ScenarioParseError, UnknownHost
-from .persistence import ConfigDocument, FaultEntry, build_system, fault_problem
+from .errors import UnknownHost
+from .persistence import ConfigDocument, FaultEntry, build_system
 from .registry import EnumerateMode
 from .report import RunReport
 from .system import System
@@ -69,9 +69,6 @@ class Simulator:
         self._schedule = self.clock.schedule
         self._record_hop = self.trace.recorder("app_hop", "flow", "comp")
         self._record_drop = self.trace.recorder("app_drop", "flow", "comp")
-        self.system.hub.register_action(
-            "reset_host_resource", partial(_reset_host_resource, self.system)
-        )
         self._down_since: dict[str, int] = {}
         self._downtime = 0
         self._exhausted: set[str] = set()
@@ -119,12 +116,9 @@ class Simulator:
 
     def inject(self, fault: FaultEntry) -> None:
         """Schedule one fault entry; it takes effect at its own tick.
-        Raises `ScenarioParseError` for an entry a document could not
-        hold, and `UnknownHost` for a host the system lacks."""
-        problem = fault_problem(fault)
-        if problem:
-            raise ScenarioParseError(problem)
-        for host_arg in fault.args[:2] if fault.kind == "link" else fault.args[:1]:
+        Raises `UnknownHost` for a host the system lacks. The entry checked
+        its own kind and arguments when it was built."""
+        for host_arg in fault.hosts:
             if not self.system.hosts.host_exists(host_arg):
                 raise UnknownHost(f"fault targets unknown host {host_arg!r}")
         self.clock.schedule(fault.time, partial(self._apply_fault, fault))
@@ -133,11 +127,8 @@ class Simulator:
         now = self.clock.now
         hosts = self.system.hosts
         if fault.kind == "kill":
-            host = hosts.get(fault.args[0])
-            if host.up:
-                host.kill(now)
-                self._down_since[host.host_id] = now
-                self.system.config_manager.mark_host_down(host.host_id)
+            if self.system.kill_host(fault.args[0]):
+                self._down_since[fault.args[0]] = now
         elif fault.kind == "revive":
             host = hosts.get(fault.args[0])
             if not host.up:
@@ -231,7 +222,7 @@ class Simulator:
     def run_until(self, until: int) -> None:
         """Advance the clock without finalizing a report (stepwise runs)."""
         self._install()
-        self.clock.run_until(until)
+        self.system.run_until(until)
 
     def snapshot(self, now: int | None = None) -> SystemState:
         clock_now = self.clock.now if now is None else now
@@ -254,16 +245,3 @@ class Simulator:
             tree_lines=tree_lines,
             pending_txns=self.system.config_manager.pending,
         )
-
-
-def _reset_host_resource(system, stop_path, target) -> None:
-    """Registered agent action: restore the visited host's resource pool.
-    A host that is down has no pool to restore."""
-    host_id = system.host_id_of_object(target)
-    if host_id is None:
-        raise UnknownHost(f"object {target} is not bound to a host")
-    host = system.hosts.get(host_id)
-    if not host.up:
-        raise HostDown(f"host {host_id} is down")
-    host.reset(system.clock.now)
-    system.trace.record("host_reset", host=host_id)

@@ -8,9 +8,10 @@ every line with the clock's time), the registry and host table; the
 state the System owns and lends out (the occupancy counts that traffic
 writes, the host-to-object map that loading fills in); the
 configuration manager, with the System's commit and abort hooks; then
-the adaptation engine, which builds its own actuation hub. Nothing is
-attached to them afterwards. The simulator drives a System from a
-scenario; tests may also drive one directly.
+the adaptation engine, which builds its own actuation hub, and the
+System's agent action `reset_host_resource`. Nothing is attached to
+them afterwards. Hosts fail through `kill_host`. The simulator drives a
+System from a scenario; tests may also drive one directly.
 
 The clock is a calendar queue (R. Brown, CACM 31(10), 1988): time is
 integer ticks, so each pending tick keeps a FIFO list of its callbacks
@@ -22,12 +23,12 @@ schedule more, but must not call `run_until`.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Optional
 
 from .adaptation import AdaptationEngine
 from .confgraph import ConfigGraph, ConfigManager
-from .errors import UnknownHost
+from .errors import HostDown, UnknownHost
 from .registry import ObjectId, Registry
 from .trace import TraceLog
 
@@ -82,8 +83,8 @@ class SimClock:
 class Host:
     """A simulated host: liveness, a leaking resource pool, link qualities.
 
-    The level is computed lazily from the last mark so consecutive samples
-    at period p differ by exactly leak_rate * p while the host is up.
+    The level starts at `start_level` (else capacity) and is computed lazily
+    so consecutive samples at period p differ by leak_rate * p while up.
     """
 
     host_id: str
@@ -91,14 +92,14 @@ class Host:
     leak_rate: float = 0.0
     up: bool = True
     links: dict[str, float] = None
-    _mark_level: float = None
-    _mark_time: int = 0
+    start_level: InitVar[Optional[float]] = None
+    _mark_level: float = field(init=False)
+    _mark_time: int = field(init=False, default=0)
 
-    def __post_init__(self):
+    def __post_init__(self, start_level):
         if self.links is None:
             self.links = {}
-        if self._mark_level is None:
-            self._mark_level = self.capacity
+        self._mark_level = self.capacity if start_level is None else start_level
 
     def level(self, now: int) -> float:
         if not self.up:
@@ -177,7 +178,7 @@ class System:
     """One fully wired framework instance around a shared clock and trace."""
 
     def __init__(self, graph: Optional[ConfigGraph] = None,
-                 reconfig_latency: int = 1):
+                 reconfig_latency: int = 1, agent_hop_latency: int = 1):
         self.clock = SimClock()
         self.trace = TraceLog(self.clock)
         self.registry = Registry()
@@ -199,9 +200,10 @@ class System:
         )
         self.engine = AdaptationEngine(
             self.registry, self.trace, self.clock, self.config_manager,
-            self.hosts, self.host_objects,
+            self.hosts, self.host_objects, agent_hop_latency,
         )
         self.hub = self.engine.hub
+        self.hub.register_action("reset_host_resource", self._reset_host_resource)
         self.scenario_params: dict[str, float | int | str] = {}
         # Scenario script (faults, probes, traffic flows) from the document.
         self.doc_faults: list = []
@@ -224,6 +226,28 @@ class System:
 
     def run_until(self, until: int) -> None:
         self.clock.run_until(until)
+
+    def kill_host(self, host_id: str) -> bool:
+        """Take the host down at the clock's time, and its resident
+        components with it. False if the host was already down."""
+        host = self.hosts.get(host_id)
+        if not host.up:
+            return False
+        host.kill(self.clock.now)
+        self.config_manager.mark_host_down(host_id)
+        return True
+
+    def _reset_host_resource(self, stop_path, target) -> None:
+        """Registered agent action: restore the visited host's resource pool.
+        A host that is down has no pool to restore."""
+        host_id = self.host_id_of_object(target)
+        if host_id is None:
+            raise UnknownHost(f"object {target} is not bound to a host")
+        host = self.hosts.get(host_id)
+        if not host.up:
+            raise HostDown(f"host {host_id} is down")
+        host.reset(self.clock.now)
+        self.trace.record("host_reset", host=host_id)
 
     # --- transaction hooks ---
 

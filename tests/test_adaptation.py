@@ -206,8 +206,7 @@ class TestDispatch:
         # Scripted scenario with one valid placement: everything from the
         # dead hostA must land on hostB.
         system, healing, sensor = healing_system()
-        system.hosts.get("hostA").kill(5)
-        system.config_manager.mark_host_down("hostA")
+        system.kill_host("hostA")
         system.run_until(5)
         system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         system.run_until(10)
@@ -246,8 +245,7 @@ class TestRunPipeline:
     def test_refire_within_cooldown_yields_one_scenario(self):
         # Oracle: count executed scenarios in the replayed trace.
         system, healing, sensor = healing_system(cooldown=50, count=1)
-        system.hosts.get("hostA").kill(5)
-        system.config_manager.mark_host_down("hostA")
+        system.kill_host("hostA")
         system.run_until(5)
         system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         # Undo the heal so the same decision would be proposed again.
@@ -265,8 +263,7 @@ class TestRunPipeline:
 
     def test_policy_disabled_suppresses_execution(self):
         system, healing, sensor = healing_system(enabled=False)
-        system.hosts.get("hostA").kill(5)
-        system.config_manager.mark_host_down("hostA")
+        system.kill_host("hostA")
         system.run_until(5)
         system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         [decision] = of_kind(system.trace, "decision")
@@ -278,8 +275,7 @@ class TestRunPipeline:
         traces = {}
         for enabled in (True, False):
             system, healing, sensor = healing_system(enabled=enabled)
-            system.hosts.get("hostA").kill(5)
-            system.config_manager.mark_host_down("hostA")
+            system.kill_host("hostA")
             system.run_until(5)
             system.hub.emit(sensor, "host_failed", {"host": "hostA"})
             system.run_until(10)
@@ -299,8 +295,7 @@ class TestRunPipeline:
             monitor=logic.monitor,
             params={**logic.params, "count": 2, "window": 10},
         ))
-        system.hosts.get("hostA").kill(0)
-        system.config_manager.mark_host_down("hostA")
+        system.kill_host("hostA")
         # Two failures 50 ticks apart never coincide in a 10-tick window.
         system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         system.run_until(50)
@@ -414,8 +409,7 @@ class TestStrategies:
     def test_analyze_is_replay_deterministic(self):
         def run_once():
             system, healing, sensor = healing_system()
-            system.hosts.get("hostA").kill(5)
-            system.config_manager.mark_host_down("hostA")
+            system.kill_host("hostA")
             system.run_until(5)
             system.hub.emit(sensor, "host_failed", {"host": "hostA"})
             system.run_until(20)
@@ -484,8 +478,7 @@ class TestAudit:
 
     def test_dangling_reference_after_exclusion(self):
         system, healing, sensor = healing_system()
-        system.hosts.get("hostA").kill(5)
-        system.config_manager.mark_host_down("hostA")
+        system.kill_host("hostA")
         system.run_until(5)
         system.hub.emit(sensor, "host_failed", {"host": "hostA"})
         system.run_until(10)

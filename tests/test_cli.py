@@ -142,6 +142,44 @@ class TestValidate:
             assert f"line {lineno}: host hostA: status must be up or down, got 'Up'" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("scenario, line, edited, problem", [
+        ("healing", "jitter = 0", "jitter = yes", "jitter: 'yes' is not an integer"),
+        ("healing", "reconfig_latency = 1", "reconfig_latency = abc",
+         "reconfig_latency: 'abc' is not an integer"),
+        ("healing", "host_object.hostA = 6", "host_object.hostA = abc",
+         "host_object.hostA: 'abc' is not an integer"),
+        ("healing", "liveness_period = 10", "liveness_period = 1e400",
+         "liveness_period: inf is not an integer"),
+        ("healing", "name = healing-demo", "name = a b", "name: 'a b' is not a token"),
+        ("rejuvenation", "exhaustion_critical = 0.0", "exhaustion_critical = hi",
+         "exhaustion_critical: 'hi' is not a finite number"),
+    ])
+    def test_a_scenario_key_the_program_cannot_read_exits_2(self, tmp_path, capsys, scenario,
+                                                            line, edited, problem):
+        with open(SCENARIOS[scenario]) as fh:
+            text = fh.read()
+        assert f"\n{line}\n" in text
+        bad = tmp_path / "key.cfg"
+        bad.write_text(text.replace(f"\n{line}\n", f"\n{edited}\n"))
+        for argv in (["validate", str(bad)], ["run", str(bad), "--until", "300"]):
+            capsys.readouterr()
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"scenario key {problem}" in err
+            assert "Traceback" not in err
+
+    def test_a_repeated_scenario_key_exits_2_naming_its_line(self, tmp_path, capsys):
+        with open(SCENARIOS["healing"]) as fh:
+            lines = fh.read().splitlines()
+        lineno = lines.index("jitter = 0") + 2
+        lines.insert(lineno - 1, "jitter = 1")
+        bad = tmp_path / "twice.cfg"
+        bad.write_text("\n".join(lines) + "\n")
+        assert cli_main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {lineno}: repeated scenario key 'jitter'" in err
+        assert "Traceback" not in err
+
     def test_bar_in_ids_exits_2(self, tmp_path):
         bad = tmp_path / "bar.cfg"
         bad.write_text(

@@ -130,8 +130,7 @@ class TestValidate:
         # A replace restarts its component where it is, so that host must
         # be up, as a move's target must be.
         system = manager_on(chain_graph(3))
-        system.hosts.get("h1").kill(0)
-        system.config_manager.mark_host_down("h1")
+        system.kill_host("h1")
         txn = ReconfigTxn("restart", (ReplaceComponent("c1", "svc"),))
         report = validate(system.graph, txn, system.hosts)
         assert [str(v) for v in report.violations] == ["HostDown: c1 -> h1"]
@@ -373,7 +372,7 @@ class TestSubmit:
         flight = system.config_manager.submit(
             ReconfigTxn("t1", (ReplaceComponent("C", "svc"),))
         )
-        system.clock.schedule(2, lambda: system.hosts.get("h1").kill(2))
+        system.clock.schedule(2, lambda: system.kill_host("h1"))
         system.run_until(20)
         assert flight.result.status == "aborted"
         assert "host_down" in flight.result.reason
@@ -385,7 +384,7 @@ class TestSubmit:
         owner = system.registry.register(Kind.DOMAIN)
         system.config_manager.submit(ReconfigTxn("t1", (ReplaceComponent("B", "svc"),)), owner)
         queued = system.config_manager.submit(ReconfigTxn("t2", (MoveComponent("B", "h2"),)), owner)
-        system.clock.schedule(1, lambda: system.hosts.get("h2").kill(1))
+        system.clock.schedule(1, lambda: system.kill_host("h2"))
         system.run_until(10)
         assert queued.result.status == "aborted"
         assert queued.result.reason == "HostDown: B -> h2"
@@ -401,12 +400,7 @@ class TestSubmit:
         system = manager_on(fan_in_graph(), latency=3)
         system.config_manager.submit(ReconfigTxn("t1", (ReplaceComponent("C", "svc"),)))
         queued = system.config_manager.submit(ReconfigTxn("t2", (ReplaceComponent("C", "db"),)))
-
-        def kill():
-            system.hosts.get("h1").kill(1)
-            system.config_manager.mark_host_down("h1")
-
-        system.clock.schedule(1, kill)
+        system.clock.schedule(1, lambda: system.kill_host("h1"))
         system.run_until(10)
         assert queued.result.status == "aborted"
         assert queued.result.reason == "HostDown: C -> h1"

@@ -50,7 +50,6 @@ UNREACHED: dict[str, str] = {
     "confgraph:ConfigGraph.incident": "component removal: no shipped analyzer removes a component",
     "paths:PathName.__lt__": "orders the paths of a domain with two parents; no shipped domain has two",
     # Library API.
-    "system:System.run_until": "the README's agent example advances the clock with it",
     "sensing:AgentReport.done": "the README's agent example checks it",
     "simharness:Simulator.snapshot": "a between-events view of a run",
     "simharness:SystemState.canonical_lines": "the text of a snapshot",

@@ -199,7 +199,7 @@ class TestClockStamps:
         system, parent, child, _ = nested_system(monkeypatch)
         flight = system.config_manager.submit(
             ReconfigTxn("t1", (ReplaceComponent("c1", "svc"),)), owner=child)
-        system.hosts.get("h1").kill(0)
+        system.kill_host("h1")
         system.run_until(5)
         assert flight.result.status == "aborted"
         [event] = of_kind(system.trace, "event")
@@ -260,8 +260,7 @@ class TestClockStamps:
                     assert not hosts.get("h1").up
                     assert [v.code for v in exc.report.violations] == ["HostDown"]
             elif op == "kill":
-                hosts.get("h1").kill(now)
-                system.config_manager.mark_host_down("h1")
+                system.kill_host("h1")
             else:
                 hosts.get("h1").revive(now)
         system.run_until(system.clock.now + 10)

@@ -99,17 +99,19 @@ class TestFaults:
         with pytest.raises(UnknownHost):
             sim.inject(FaultEntry(1, "kill", ("ghost",)))
 
+    # Each entry is built inside `pytest.raises`: a malformed one raises
+    # as it is constructed, before the simulator can see it.
     @pytest.mark.parametrize("fault, problem", [
-        (FaultEntry(1, "kill", ()), "fault kill takes <host>"),
-        (FaultEntry(1, "leak", ("h1",)), "fault leak takes <host> <rate>"),
-        (FaultEntry(1, "leak", ("h1", "abc")), "rate 'abc' is not a finite number"),
-        (FaultEntry(1, "explode", ("h1",)), "unknown fault kind 'explode'"),
+        ((1, "kill", ()), "fault kill takes <host>"),
+        ((1, "leak", ("h1",)), "fault leak takes <host> <rate>"),
+        ((1, "leak", ("h1", "abc")), "rate 'abc' is not a finite number"),
+        ((1, "explode", ("h1",)), "unknown fault kind 'explode'"),
     ])
     def test_malformed_fault_rejected_before_it_is_scheduled(self, fault, problem):
         sim = empty_sim()
         sim.system.hosts.add(Host("h1", 100.0))
         with pytest.raises(ScenarioParseError, match=problem):
-            sim.inject(fault)
+            sim.inject(FaultEntry(*fault))
         sim.run_until(10)
         assert of_kind(sim.trace, "fault") == []
 
@@ -243,7 +245,7 @@ class TestTrafficThroughCommits:
 
 class TestDocumentsBuiltInCode:
     """A document built in code gets the scenario-line checks the parser
-    makes, when the simulator is built, before any run."""
+    makes: each entry checks itself as it is constructed, before any run."""
 
     @staticmethod
     def doc_with(**changes):
@@ -254,19 +256,35 @@ class TestDocumentsBuiltInCode:
         return doc
 
     def test_flow_period_zero_rejected(self):
-        doc = self.doc_with(flows=lambda sensor: FlowDecl(("c1",), 0))
         with pytest.raises(ScenarioParseError, match="traffic period must be positive, got 0"):
-            Simulator(doc)
+            Simulator(self.doc_with(flows=lambda sensor: FlowDecl(("c1",), 0)))
 
     def test_probe_without_its_host_rejected(self):
-        doc = self.doc_with(probes=lambda sensor: ProbeDecl(sensor, "liveness", ()))
         with pytest.raises(ScenarioParseError, match="probe liveness takes <host>"):
-            Simulator(doc)
+            Simulator(self.doc_with(probes=lambda sensor: ProbeDecl(sensor, "liveness", ())))
 
     def test_probe_of_unknown_kind_rejected(self):
-        doc = self.doc_with(probes=lambda sensor: ProbeDecl(sensor, "bogus", ("hostA",)))
         with pytest.raises(ScenarioParseError, match="unknown probe kind 'bogus'"):
+            Simulator(self.doc_with(probes=lambda sensor: ProbeDecl(sensor, "bogus", ("hostA",))))
+
+    @pytest.mark.parametrize("key, value", [
+        ("jitter", "yes"), ("agent_hop_latency", 1.5), ("host_object.hostA", "abc"),
+        ("exhaustion_critical", float("nan")), ("name", "a b"),
+    ])
+    def test_a_scenario_key_the_program_cannot_read_rejected(self, key, value):
+        doc = parse_document(HEAL_TRAFFIC_SCENARIO)
+        doc.scenario_keys[key] = value
+        with pytest.raises(ScenarioParseError, match=f"scenario key {key}: "):
             Simulator(doc)
+
+    @pytest.mark.parametrize("build", [
+        lambda: FaultEntry(1, "kill", ()),
+        lambda: ProbeDecl(1, "bogus", ("h",)),
+        lambda: FlowDecl(("c1",), 0),
+    ], ids=["fault", "probe", "flow"])
+    def test_a_malformed_entry_raises_as_it_is_constructed(self, build):
+        with pytest.raises(ScenarioParseError):
+            build()
 
 
 class TestSnapshot:
@@ -326,24 +344,52 @@ class TestHostObjects:
             assert system.host_id_of_object(oid) == host == self.scan(system, oid)
 
 
+def launch_reset_agent(system, host_id):
+    """Fly a `reset_host_resource` agent from the root to `host_id`'s object."""
+    stop = min(system.registry.paths_of(system.host_objects[host_id]))
+    agent = system.registry.register(Kind.AGENT)
+    system.registry.include(system.registry.root, agent, "agent")
+    return system.hub.launch_agent(
+        system.registry.root, MobileAgent(agent, (stop,), "reset_host_resource"))
+
+
 class TestAgentOnADeadHost:
     def test_a_reset_on_a_dead_host_fails_and_leaves_its_level(self):
         # A dead host has no pool to restore: the hop fails with HostDown,
         # writes no `host_reset` line and keeps the level the host died at.
         system = load_config(SCENARIOS["rejuvenation"])
-        Simulator(system, seed=1)  # registers `reset_host_resource`
         host = system.hosts.get("hostA")
         host.set_leak(2.0, 0)
         system.run_until(50)
-        host.kill(50)
+        assert system.kill_host("hostA")
         level = host.level(50)
         assert level == 900.0
-        stop = min(system.registry.paths_of(system.host_objects["hostA"]))
-        agent = system.registry.register(Kind.AGENT)
-        system.registry.include(system.registry.root, agent, "agent")
-        report = system.hub.launch_agent(
-            system.registry.root, MobileAgent(agent, (stop,), "reset_host_resource"))
+        report = launch_reset_agent(system, "hostA")
         system.run_until(60)
         assert [outcome.render() for outcome in report.outcomes] == ["failed:HostDown"]
         assert of_kind(system.trace, "host_reset") == []
         assert host.level(60) == level
+
+
+class TestBuiltWhole:
+    """A loaded System fails hosts and flies agents with no Simulator."""
+
+    def test_a_reset_agent_flies_without_a_simulator(self):
+        system = load_config(SCENARIOS["rejuvenation"])
+        host = system.hosts.get("hostA")
+        host.set_leak(2.0, 0)
+        system.run_until(50)
+        report = launch_reset_agent(system, "hostA")
+        system.run_until(60)
+        assert [outcome.render() for outcome in report.outcomes] == ["ok"]
+        [reset] = of_kind(system.trace, "host_reset")
+        assert reset.get("host") == "hostA"
+        assert host.level(reset.time) == host.capacity
+
+    def test_kill_host_takes_its_components_down_once(self):
+        system = load_config(SCENARIOS["healing"])
+        on_a = system.graph.components_on("hostA")
+        assert on_a and system.kill_host("hostA")
+        assert not system.hosts.host_is_up("hostA")
+        assert {system.graph.components[cid].state.value for cid in on_a} == {"down"}
+        assert not system.kill_host("hostA")
