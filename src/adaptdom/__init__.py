@@ -4,10 +4,10 @@ Managed objects live in a registry and are grouped into domains by
 reference; each domain may load separate adaptation logic (a five-stage
 pipeline with a reactive, proactive, or retroactive firing strategy).
 Sensors emit events routed to every containing domain; actuators carry
-decisions out as graph reconfigurations, parent-to-child commands, or
-mobile agents. A configuration manager applies transactional graph edits
-under blocking with disjointness-based concurrency, and a discrete-event
-harness drives the whole thing reproducibly.
+decisions out as graph reconfigurations or mobile agents. A configuration
+manager applies transactional graph edits under blocking with
+disjointness-based concurrency, and a discrete-event harness drives the
+whole thing reproducibly.
 """
 
 from .adaptation import (
@@ -46,11 +46,9 @@ from .registry import EnumerateMode, Kind, ObjectId, Registry
 from .report import RunReport, verify_report
 from .sensing import (
     ActuationHub,
-    AdaptationCommand,
     AdaptationEvent,
     AgentLaunchAction,
     AgentReport,
-    CommandAction,
     GraphEditAction,
     MobileAgent,
 )
@@ -61,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActuationHub",
-    "AdaptationCommand",
     "AdaptationEngine",
     "AdaptationEvent",
     "AdaptationLogic",
@@ -71,7 +68,6 @@ __all__ = [
     "AgentLaunchAction",
     "AgentReport",
     "AuditFinding",
-    "CommandAction",
     "Component",
     "ComponentState",
     "ConfigGraph",

@@ -32,7 +32,6 @@ from .errors import (
     InsufficientSamples,
     InvalidPolicy,
     NoLogicLoaded,
-    NoParent,
     NotADomain,
     UnknownId,
     UnknownSensor,
@@ -43,11 +42,8 @@ from .registry import EnumerateMode, Kind, ObjectId, Registry
 from .sensing import (
     ActuationHub,
     ActuatorAction,
-    AdaptationCommand,
     AdaptationEvent,
     AgentLaunchAction,
-    CommandAction,
-    CommandResult,
     GraphEditAction,
     MobileAgent,
     action_signature,
@@ -521,9 +517,9 @@ class _Binding:
 
 class AdaptationEngine:
     """Owns bindings, routes events, runs pipelines, audits domains, and
-    carries out the actions its pipelines decide. It builds its own hub,
-    passing itself in, so the hub routes every event and command here; its
-    agents take `agent_hop_latency` ticks a hop.
+    carries out the actions its pipelines decide: graph edits and agent
+    launches. It builds its own hub, passing itself in, so the hub routes
+    every event here; its agents take `agent_hop_latency` ticks a hop.
     Graph edits go to `manager`; analyzers read `hosts` and `host_objects`
     (host id -> managed object, a dict the caller owns and fills)."""
 
@@ -639,22 +635,6 @@ class AdaptationEngine:
             return None
         return self._pipeline(domain, binding, [event]).decision
 
-    def propagate_to_parent(self, domain: ObjectId, event: AdaptationEvent) -> None:
-        parents = self.registry.parent_domains(domain)
-        if not parents:
-            raise NoParent(f"{domain} has no parent domain")
-        escalated = AdaptationEvent(
-            event.event_id,
-            event.source,
-            event.event_type,
-            dict(event.payload),
-            event.timestamp,
-            event.provenance + (domain,),
-        )
-        self.trace.record("propagate", domain=domain, event=event.event_id, parents=len(parents))
-        for parent in parents:
-            self._deliver(parent, escalated)
-
     # --- pipeline ---
 
     def retro_boundary(self, domain: ObjectId) -> PipelineOutcome:
@@ -673,16 +653,12 @@ class AdaptationEngine:
         domain: ObjectId,
         binding: _Binding,
         inputs: list[AdaptationEvent],
-        *,
-        entry: str = "monitor",
     ) -> PipelineOutcome:
         logic = binding.logic
         ctx = StageContext(self, domain, binding)
         now = ctx.now
-        events = list(inputs)
-        if entry == "monitor":
-            events = MONITORS[logic.monitor](ctx, events)
-            events = AUDITORS[logic.audit](ctx, events)
+        events = MONITORS[logic.monitor](ctx, list(inputs))
+        events = AUDITORS[logic.audit](ctx, events)
         decision = ANALYZERS[logic.analyze](ctx, events)
         if decision is None:
             return PipelineOutcome(PIPELINE_NO_DECISION)
@@ -757,14 +733,6 @@ class AdaptationEngine:
                 report = validate_txn(self.manager.graph, action.txn, self.hosts)
                 if not report.ok:
                     return False, f"graph edit invalid: {report.violations[0]}"
-            elif isinstance(action, CommandAction):
-                cmd = action.command
-                if not self.registry.known(cmd.to_domain):
-                    return False, f"command target {cmd.to_domain} unknown"
-                if cmd.to_domain.kind is not Kind.DOMAIN:
-                    return False, f"command target {cmd.to_domain} is not a domain"
-                if not self.registry.is_descendant_domain(cmd.from_domain, cmd.to_domain):
-                    return False, f"{cmd.to_domain} is not a child of {cmd.from_domain}"
             elif isinstance(action, AgentLaunchAction):
                 agent = action.agent
                 if not agent.itinerary:
@@ -786,43 +754,10 @@ class AdaptationEngine:
         try:
             if isinstance(action, GraphEditAction):
                 self.manager.submit(action.txn, owner=domain)
-            elif isinstance(action, CommandAction):
-                self.hub.send_command(action.command)
             elif isinstance(action, AgentLaunchAction):
                 self.hub.launch_agent(domain, action.agent)
         except AdaptdomError as exc:
             self.trace.record("actuator_error", domain=domain, error=type(exc).__name__)
-
-    # --- commands ---
-
-    def deliver_command(self, cmd: AdaptationCommand) -> CommandResult:
-        binding = self._bindings.get(cmd.to_domain)
-        if binding is None or binding.logic is None:
-            return CommandResult(False, "no logic loaded")
-        if cmd.verb == "set_policy":
-            directives = dict(binding.policy.directives)
-            enabled = binding.policy.enabled
-            for key, value in cmd.args.items():
-                if key not in POLICY_KEYS:
-                    return CommandResult(False, f"unknown policy key {key!r}")
-                if key == "enabled":
-                    enabled = bool(int(value))
-                else:
-                    directives[key] = float(value)
-            binding.policy = Policy(PolicySource.PARENT_DOMAIN, directives, enabled)
-            return CommandResult(True, "policy updated")
-        # Other verbs are decisions-in-progress: they skip monitor/audit and
-        # enter the pipeline directly at analyze.
-        synthetic = AdaptationEvent(
-            self.hub.allocate_event_id(),
-            cmd.from_domain,
-            f"command:{cmd.verb}",
-            dict(cmd.args),
-            self.clock.now,
-        )
-        outcome = self._pipeline(cmd.to_domain, binding, [synthetic], entry="analyze")
-        handled = outcome.status != PIPELINE_NO_DECISION
-        return CommandResult(handled, outcome.status)
 
     # --- audits ---
 

@@ -72,18 +72,10 @@ class InsufficientSamples(AdaptdomError):
     """Fewer than two distinct-time samples supplied to the forecaster."""
 
 
-class NoParent(AdaptdomError):
-    """Event escalation attempted from a domain with no parent."""
-
-
 # --- sensing / actuation ---
 
 class UnknownSensor(AdaptdomError):
     """Emitting object was never registered as a sensor."""
-
-
-class NotAChild(AdaptdomError):
-    """Command target is not a (transitive) child domain of the sender."""
 
 
 class UnknownAction(AdaptdomError):

@@ -421,25 +421,34 @@ def _build_strategy(section: LogicSection) -> Strategy:
     if section.strategy == "proactive":
         sp = section.strategy_params
         return Proactive(
-            window=int(sp.get("window", 100)),
+            window=sp.get("window", 100),
             critical=float(sp.get("critical", 0.0)),
             margin=float(sp.get("margin", 0.0)),
         )
     if section.strategy == "retroactive":
-        return Retroactive(period=int(section.strategy_params.get("period", 100)))
+        return Retroactive(period=section.strategy_params.get("period", 100))
     raise DanglingReference(f"unknown strategy {section.strategy!r}")
 
 
-# The scenario keys read as integers, as every `host_object.<host>` is.
+# The keys read as integers: scenario keys, as every `host_object.<host>`
+# is, and a logic section's `strategy.*` keys.
 _INT_KEYS = {"agent_hop_latency", "audit_period", "jitter", "link_period",
-             "liveness_period", "reconfig_latency", "resource_period"}
+             "liveness_period", "reconfig_latency", "resource_period",
+             "strategy.window", "strategy.period"}
+# The keys read as finite numbers, as every `policy.*` directive is.
+_NUMBER_KEYS = {"exhaustion_critical", "strategy.critical", "strategy.margin"}
 
 
-def _scenario_key_wants(key: str, value) -> Optional[str]:
-    """What scenario key `key` must hold if `value` does not, else None."""
+def _key_wants(key: str, value) -> Optional[str]:
+    """What key `key` must hold if `value` does not, else None: a scenario
+    key, or a logic section's `strategy.*` or `policy.*` key."""
     if key in _INT_KEYS or key.startswith("host_object."):
         return None if isinstance(value, int) else "an integer"
-    if key == "exhaustion_critical":
+    if key == "policy.enabled":
+        return None if isinstance(value, int) and value in (0, 1) else "0 or 1"
+    if key == "policy.source":
+        return None if value in ("human", "parent") else "human or parent"
+    if key in _NUMBER_KEYS or key.startswith("policy."):
         return None if isinstance(value, (int, float)) and math.isfinite(value) else "a finite number"
     if key == "name":
         return None if TOKEN_RE.fullmatch(str(value)) else "a token"
@@ -449,9 +458,16 @@ def _scenario_key_wants(key: str, value) -> Optional[str]:
 def build_system(doc: ConfigDocument) -> System:
     """Reconstruct a live system from a parsed document."""
     for key, value in doc.scenario_keys.items():
-        wanted = _scenario_key_wants(key, value)
+        wanted = _key_wants(key, value)
         if wanted:
             raise ScenarioParseError(f"scenario key {key}: {value!r} is not {wanted}")
+    for section in doc.logics:
+        for prefix, values in (("strategy", section.strategy_params), ("policy", section.policy)):
+            for key, value in values.items():
+                wanted = _key_wants(f"{prefix}.{key}", value)
+                if wanted:
+                    raise ScenarioParseError(
+                        f"logic {section.path} key {prefix}.{key}: {value!r} is not {wanted}")
     # The graph lines' token check, for a document built in code: each
     # distinct name once, in row order.
     try:
@@ -511,10 +527,9 @@ def build_system(doc: ConfigDocument) -> System:
             if k not in ("source", "enabled")
         }
         policy = Policy(
-            source=PolicySource.PARENT_DOMAIN
-            if section.policy.get("source") == "parent" else PolicySource.HUMAN_MANAGER,
+            source=PolicySource(section.policy.get("source", "human")),
             directives=directives,
-            enabled=bool(int(section.policy.get("enabled", 1))),
+            enabled=bool(section.policy.get("enabled", 1)),
         )
         system.engine.load_logic(domain, logic, policy)
     for doc_id, heartbeat in sorted(doc.sensors):

@@ -232,11 +232,6 @@ class Registry:
 
     # --- reverse lookups and audits ---
 
-    def parent_domains(self, oid: ObjectId) -> list[ObjectId]:
-        """Domains holding `oid` as a direct member, sorted."""
-        self._require(oid)
-        return sorted({parent for parent, _ in self._parents[oid]})
-
     def domains_containing(self, oid: ObjectId) -> tuple[ObjectId, ...]:
         """Sorted domains holding `oid` directly or indirectly; kept until a membership changes."""
         cached = self._containing.get(oid)
@@ -282,11 +277,3 @@ class Registry:
                 continue
             stack.extend((parent, (name,) + segs) for parent, name in self._parents[cur])
         return min(found) if found else None
-
-    def is_descendant_domain(self, ancestor: ObjectId, candidate: ObjectId) -> bool:
-        """True iff `candidate` is a Domain-kind member of `ancestor`,
-        directly or through other domains."""
-        self._domain_record(ancestor)
-        if candidate.kind is not Kind.DOMAIN:
-            return False
-        return self.member_path(ancestor, candidate) is not None

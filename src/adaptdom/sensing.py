@@ -3,12 +3,12 @@
 Any managed object registered here may emit events; routing delivers an
 event to every domain the source belongs to, directly or indirectly. A
 domain's own events (a transaction's abort notice) go to that domain.
-`ActuationHub.emit` is the one place that makes an event, and every
-event, command and agent line is stamped with the clock's time.
-Adaptation commands flow from a parent domain to one of its (transitive)
-child domains. Mobile agents walk an itinerary of path names, executing
-a registered action at each stop and reporting per-stop outcomes; an
-unresolvable stop is skipped, not fatal.
+`ActuationHub.emit` is the one place that numbers and makes an event,
+and every event and agent line is stamped with the clock's time. The two
+actuator kinds are graph transactions and mobile agents. Mobile agents
+walk an itinerary of path names, executing a registered action at each
+stop and reporting per-stop outcomes; an unresolvable stop is skipped,
+not fatal.
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .confgraph import ReconfigTxn
-from .errors import (
-    EmptyItinerary,
-    NotAChild,
-    UnknownAction,
-    UnknownId,
-)
+from .errors import EmptyItinerary, UnknownAction, UnknownId
 from .paths import PathName
 from .registry import ObjectId, Registry
 from .trace import TraceLog, format_scalar
@@ -35,30 +30,15 @@ class AdaptationEvent:
     event_type: str
     payload: dict[str, float | int | str]
     timestamp: int
-    provenance: tuple[ObjectId, ...] = ()
 
 
 def render_pairs(pairs: dict) -> str:
-    """An event's payload or a command's arguments as `key:value` pairs,
-    sorted by key and joined by `,`; `-` when there are none."""
+    """An event's payload as `key:value` pairs, sorted by key and joined
+    by `,`; `-` when there are none."""
     return ",".join(f"{k}:{format_scalar(v)}" for k, v in sorted(pairs.items())) or "-"
 
 
 # --- actuator actions ---
-
-@dataclass(frozen=True)
-class AdaptationCommand:
-    from_domain: ObjectId
-    to_domain: ObjectId
-    verb: str
-    args: dict[str, float | int | str] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CommandResult:
-    handled: bool
-    detail: str = ""
-
 
 @dataclass(frozen=True)
 class MobileAgent:
@@ -97,25 +77,17 @@ class GraphEditAction:
 
 
 @dataclass(frozen=True)
-class CommandAction:
-    command: AdaptationCommand
-
-
-@dataclass(frozen=True)
 class AgentLaunchAction:
     agent: MobileAgent
 
 
-ActuatorAction = GraphEditAction | CommandAction | AgentLaunchAction
+ActuatorAction = GraphEditAction | AgentLaunchAction
 
 
 def action_signature(action: ActuatorAction) -> str:
     """Canonical rendering used for cooldown deduplication and traces."""
     if isinstance(action, GraphEditAction):
         return f"graph_edit[{action.txn.render_edits()}]"
-    if isinstance(action, CommandAction):
-        cmd = action.command
-        return f"command[{cmd.verb}@{cmd.to_domain} {render_pairs(cmd.args)}]"
     agent = action.agent
     stops = ",".join(p.render() for p in agent.itinerary)
     return f"agent[{agent.action}:{stops}]"
@@ -130,10 +102,10 @@ class _SensorInfo:
 
 
 class ActuationHub:
-    """Sensor registrations, event emission, commands, and agent flights.
+    """Sensor registrations, event emission, and agent flights.
 
-    The engine builds its hub and passes itself in; every event and command
-    goes to it. Agents fly on the clock, one hop every `agent_hop_latency`
+    The engine builds its hub and passes itself in; every event goes to
+    it. Agents fly on the clock, one hop every `agent_hop_latency`
     ticks."""
 
     def __init__(self, registry: Registry, trace: TraceLog, clock, engine,
@@ -167,23 +139,17 @@ class ActuationHub:
     def registered_sensors(self) -> list[ObjectId]:
         return sorted(self._sensors)
 
-    def allocate_event_id(self) -> int:
-        """Reserve the next globally monotone event id."""
-        eid = self._next_event_id
-        self._next_event_id += 1
-        return eid
-
     def emit(self, source: ObjectId, event_type: str, payload: dict) -> int:
-        """Build an event from a registered sensor or a domain, stamped with
-        the clock's time, and route it; returns the number of domains
-        reached. Raises `UnknownSensor` for any other source."""
+        """Build an event from a registered sensor or a domain, numbered by
+        a globally monotone id and stamped with the clock's time, and route
+        it; returns the number of domains reached. Raises `UnknownSensor`
+        for any other source."""
         now = self._clock.now
         info = self._sensors.get(source)
         if info is not None:
             info.last_emit = now
-        event = AdaptationEvent(
-            self.allocate_event_id(), source, event_type, dict(payload), now
-        )
+        event = AdaptationEvent(self._next_event_id, source, event_type, dict(payload), now)
+        self._next_event_id += 1
         routed = len(self._engine.dispatch_event(event))
         self._trace.record(
             "event",
@@ -194,22 +160,6 @@ class ActuationHub:
             payload=render_pairs(event.payload),
         )
         return routed
-
-    # --- commands ---
-
-    def send_command(self, cmd: AdaptationCommand) -> CommandResult:
-        if not self._registry.is_descendant_domain(cmd.from_domain, cmd.to_domain):
-            raise NotAChild(f"{cmd.to_domain} is not a child domain of {cmd.from_domain}")
-        result = self._engine.deliver_command(cmd)
-        self._trace.record(
-            "command",
-            src=cmd.from_domain,
-            dst=cmd.to_domain,
-            verb=cmd.verb,
-            args=render_pairs(cmd.args),
-            result="handled" if result.handled else "unhandled",
-        )
-        return result
 
     # --- agents ---
 

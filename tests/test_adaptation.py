@@ -1,4 +1,4 @@
-"""Pipelines, strategies, policies, audits, and escalation."""
+"""Pipelines, strategies, policies and audits."""
 
 import math
 import random
@@ -10,7 +10,6 @@ from adaptdom.adaptation import (
     AdaptationLogic,
     Decision,
     Policy,
-    PolicySource,
     Proactive,
     Reactive,
     Retroactive,
@@ -25,14 +24,13 @@ from adaptdom.confgraph import (
 from adaptdom.errors import (
     InvalidPolicy,
     NoLogicLoaded,
-    NoParent,
     NotADomain,
     UnknownSensor,
     UnknownStage,
 )
 from adaptdom.registry import Kind
 from adaptdom.report import RunReport, verify_report
-from adaptdom.sensing import AdaptationCommand, AdaptationEvent
+from adaptdom.sensing import AdaptationEvent
 from adaptdom.system import Host, System
 
 from conftest import commit, of_kind
@@ -418,41 +416,6 @@ class TestStrategies:
         assert run_once() == run_once()
 
 
-class TestCommandsIntoPipeline:
-    def test_set_policy_updates_child(self):
-        system, healing, _ = healing_system()
-        result = system.hub.send_command(AdaptationCommand(
-            system.registry.root, healing, "set_policy",
-            {"cooldown": 75, "enabled": 1},
-        ))
-        assert result.handled
-        policy = system.engine.policy_of(healing)
-        assert policy.directives["cooldown"] == 75.0
-        assert policy.source is PolicySource.PARENT_DOMAIN
-
-    def test_unknown_policy_key_is_unhandled(self):
-        system, healing, _ = healing_system()
-        result = system.hub.send_command(AdaptationCommand(
-            system.registry.root, healing, "set_policy", {"mystery": 1},
-        ))
-        assert not result.handled
-
-    def test_other_verbs_enter_at_analyze(self, system, marker_analyzer):
-        d = system.registry.register(Kind.DOMAIN)
-        system.registry.include(system.registry.root, d, "d")
-        # The monitor filter would reject command inputs; entering at
-        # analyze bypasses it, so the command is handled anyway.
-        system.engine.load_logic(d, AdaptationLogic(
-            "m", Reactive(), analyze=marker_analyzer,
-            monitor="event_type_filter", params={"event_types": "nothing"},
-        ))
-        system.run_until(3)
-        result = system.hub.send_command(
-            AdaptationCommand(system.registry.root, d, "poke", {})
-        )
-        assert result.handled
-
-
 class TestAudit:
     def test_healthy_tree_is_clean(self):
         system, healing, sensor = healing_system()
@@ -520,54 +483,6 @@ class TestAudit:
         assert {e.time for e in of_kind(system.trace, "retro_boundary")} == {100}
         report = RunReport("retro", 0, 100, system.trace.lines(), system.graph.canonical_lines())
         assert verify_report(report.render()) == []
-
-
-class TestPropagation:
-    def test_child_escalates_to_parent(self, system, marker_analyzer):
-        parent = system.registry.register(Kind.DOMAIN)
-        child = system.registry.register(Kind.DOMAIN)
-        s = system.registry.register(Kind.SENSOR)
-        system.registry.include(system.registry.root, parent, "parent")
-        system.registry.include(parent, child, "child")
-        system.registry.include(child, s, "s")
-        system.hub.register_sensor(s, 0)
-        system.engine.load_logic(
-            parent, AdaptationLogic("escalation", Reactive(), analyze=marker_analyzer)
-        )
-        event = AdaptationEvent(7, s, "unresolved_failure", {}, 4)
-        before = len(of_kind(system.trace, "decision"))
-        system.engine.propagate_to_parent(child, event)
-        decisions = of_kind(system.trace, "decision")
-        assert len(decisions) == before + 1
-
-    def test_root_has_no_parent(self, system):
-        event = AdaptationEvent(1, system.registry.root, "x", {}, 0)
-        with pytest.raises(NoParent):
-            system.engine.propagate_to_parent(system.registry.root, event)
-
-    def test_provenance_grows_by_one_per_hop(self, system, marker_analyzer):
-        a = system.registry.register(Kind.DOMAIN)
-        b = system.registry.register(Kind.DOMAIN)
-        system.registry.include(system.registry.root, a, "a")
-        system.registry.include(a, b, "b")
-        s = system.registry.register(Kind.SENSOR)
-        system.registry.include(b, s, "s")
-        system.hub.register_sensor(s, 0)
-        seen = []
-
-        def spy(ctx, events):
-            seen.extend(events)
-            return None
-
-        ANALYZERS["spy"] = spy
-        try:
-            system.engine.load_logic(a, AdaptationLogic("spy", Reactive(), analyze="spy"))
-            event = AdaptationEvent(9, s, "x", {}, 2)
-            assert event.provenance == ()
-            system.engine.propagate_to_parent(b, event)
-            assert len(seen) == 1 and seen[0].provenance == (b,)
-        finally:
-            del ANALYZERS["spy"]
 
 
 def test_policy_rejects_unknown_directives():

@@ -168,6 +168,38 @@ class TestValidate:
             assert f"scenario key {problem}" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("scenario, line, edited, problem", [
+        ("healing", "policy.cooldown = 50", "policy.cooldown = abc",
+         "/healing key policy.cooldown: 'abc' is not a finite number"),
+        ("healing", "policy.cooldown = 50", "policy.cooldown = 1e400",
+         "/healing key policy.cooldown: inf is not a finite number"),
+        ("healing", "policy.enabled = 1", "policy.enabled = yes",
+         "/healing key policy.enabled: 'yes' is not 0 or 1"),
+        ("healing", "policy.enabled = 1", "policy.enabled = 2",
+         "/healing key policy.enabled: 2 is not 0 or 1"),
+        ("healing", "policy.source = human", "policy.source = bogus",
+         "/healing key policy.source: 'bogus' is not human or parent"),
+        ("rejuvenation", "strategy.window = 300", "strategy.window = abc",
+         "/rejuvenation key strategy.window: 'abc' is not an integer"),
+        ("rejuvenation", "strategy.margin = 100.0", "strategy.margin = hi",
+         "/rejuvenation key strategy.margin: 'hi' is not a finite number"),
+        ("optimization", "strategy.period = 50", "strategy.period = 5.5",
+         "/optimization key strategy.period: 5.5 is not an integer"),
+    ])
+    def test_a_logic_value_the_program_cannot_read_exits_2(self, tmp_path, capsys, scenario,
+                                                           line, edited, problem):
+        with open(SCENARIOS[scenario]) as fh:
+            text = fh.read()
+        assert f"\n{line}\n" in text
+        bad = tmp_path / "logic.cfg"
+        bad.write_text(text.replace(f"\n{line}\n", f"\n{edited}\n"))
+        for argv in (["validate", str(bad)], ["run", str(bad), "--until", "300"]):
+            capsys.readouterr()
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"logic {problem}" in err
+            assert "Traceback" not in err
+
     def test_a_repeated_scenario_key_exits_2_naming_its_line(self, tmp_path, capsys):
         with open(SCENARIOS["healing"]) as fh:
             lines = fh.read().splitlines()

@@ -39,11 +39,6 @@ UNREACHED: dict[str, str] = {
     "sensing:ActuationHub.last_emit_of": "a sensor's last emission, read by audits (item 4)",
     "adaptation:_audit_drop_stale_sources": "an audit stage no shipped logic selects",
     "adaptation:_monitor_pass_through": "the default monitor; every shipped logic filters by event type",
-    "adaptation:AdaptationEngine.propagate_to_parent": "escalation to a parent domain (item 5)",
-    "registry:Registry.parent_domains": "the parents escalation reaches (item 5)",
-    "adaptation:AdaptationEngine.deliver_command": "commands from a parent domain (item 5)",
-    "sensing:ActuationHub.send_command": "commands from a parent domain (item 5)",
-    "registry:Registry.is_descendant_domain": "checks a command's target (item 5)",
     "system:Host.revive": "no shipped scenario revives a host",
     "system:System._on_txn_abort": "no shipped scenario aborts a transaction (item 5)",
     "confgraph:prepare.<locals>.present": "connection edits: no shipped analyzer connects or disconnects",

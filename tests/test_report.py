@@ -465,7 +465,7 @@ class HandClock:
     now = 0
 
 
-def stamped(clock: HandClock, log: TraceLog, time: int, kind: str, **fields) -> None:
+def stamped(clock: HandClock, log: TraceLog, time: int, kind: str, /, **fields) -> None:
     """Record a line at `time`."""
     clock.now = time
     log.record(kind, **fields)
@@ -706,7 +706,7 @@ def reference_encode(value) -> str:
                    for ch in value)
 
 
-def reference_record_line(time: int, seq: int, kind: str, **fields) -> str:
+def reference_record_line(time: int, seq: int, kind: str, /, **fields) -> str:
     line = f"t={time} s={seq} {kind}"
     for key, value in fields.items():
         line += f" {key}={reference_encode(value)}"

@@ -1,4 +1,4 @@
-"""Events, sensors, commands, and mobile agents."""
+"""Events, sensors, and mobile agents."""
 
 import random
 
@@ -11,7 +11,6 @@ from adaptdom.confgraph import ReconfigTxn, ReplaceComponent
 from adaptdom.errors import (
     EmptyItinerary,
     InvalidTxn,
-    NotAChild,
     UnknownAction,
     UnknownId,
     UnknownSensor,
@@ -19,10 +18,10 @@ from adaptdom.errors import (
 from adaptdom.paths import PathName
 from adaptdom.registry import EnumerateMode, Kind
 from adaptdom.report import RunReport, verify_report
-from adaptdom.sensing import AdaptationCommand, AdaptationEvent, MobileAgent
+from adaptdom.sensing import AdaptationEvent, MobileAgent
 from adaptdom.system import Host, System
 
-from conftest import chain_graph, entries, of_kind, random_hierarchy
+from conftest import chain_graph, entries, of_kind
 
 
 class TestSensors:
@@ -102,51 +101,8 @@ class TestSensors:
         assert ids == sorted(ids) and len(set(ids)) == len(ids)
 
 
-class TestCommands:
-    def test_sibling_is_not_a_child(self, system):
-        a = system.registry.register(Kind.DOMAIN)
-        b = system.registry.register(Kind.DOMAIN)
-        system.registry.include(system.registry.root, a, "a")
-        system.registry.include(system.registry.root, b, "b")
-        with pytest.raises(NotAChild):
-            system.hub.send_command(AdaptationCommand(a, b, "set_policy", {}))
-
-    def test_command_to_child_without_logic_is_unhandled(self, system):
-        child = system.registry.register(Kind.DOMAIN)
-        system.registry.include(system.registry.root, child, "child")
-        result = system.hub.send_command(
-            AdaptationCommand(system.registry.root, child, "set_policy", {"enabled": 0})
-        )
-        assert not result.handled
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_reachability_matches_indirect_enumeration(self, seed):
-        # Brute-force cross-check on random hierarchies: a command is
-        # accepted iff the target appears among the sender's indirect
-        # domain-kind members.
-        rng = random.Random(seed)
-        from adaptdom.system import System
-
-        system = System()
-        system.registry.create_root()
-        random_hierarchy(rng, system.registry, max_objects=50)
-        domains = [o for o in system.registry.all_objects() if o.kind is Kind.DOMAIN]
-        for _ in range(30):
-            src, dst = rng.choice(domains), rng.choice(domains)
-            expected = dst in {
-                m for _, m in system.registry.enumerate(src, EnumerateMode.INDIRECT)
-                if m.kind is Kind.DOMAIN
-            }
-            cmd = AdaptationCommand(src, dst, "set_policy", {"enabled": 1})
-            if expected:
-                system.hub.send_command(cmd)  # must not raise
-            else:
-                with pytest.raises(NotAChild):
-                    system.hub.send_command(cmd)
-
-
 class TestClockStamps:
-    def test_commands_and_agents_after_the_clock_advanced_replay_clean(self, system):
+    def test_agents_after_the_clock_advanced_replay_clean(self, system):
         root = system.registry.root
         child = system.registry.register(Kind.DOMAIN)
         system.registry.include(root, child, "child")
@@ -159,24 +115,19 @@ class TestClockStamps:
         system.registry.include(root, agent, "agent")
         system.run_until(10)
         system.hub.emit(sensor, "ping", {})
-        system.hub.send_command(AdaptationCommand(root, child, "set_policy", {}))
         report = system.hub.launch_agent(
             root, MobileAgent(agent, (PathName(("stop",)),), "noop")
         )
         system.run_until(20)
-        [command] = of_kind(system.trace, "command")
-        assert command.time == 10
         assert report.started == 10 and report.finished == 11
-        assert [e.time for e in entries(system.trace)] == [10, 10, 11, 11, 11]
+        assert [e.time for e in entries(system.trace)] == [10, 11, 11, 11]
         rendered = RunReport("clock", 0, 20, system.trace.lines(),
                              system.graph.canonical_lines()).render()
         assert verify_report(rendered) == []
 
 
-    def test_emit_then_command_keeps_time_order(self, system):
-        # An emit used to take its time from the caller: emitting at t=10
-        # with the clock at 0 and then sending a command wrote the command
-        # at t=0 after the event at t=10, and replay failed.
+    def test_emit_after_the_clock_advanced_keeps_time_order(self, system):
+        # An emit takes its time from the clock, not from the caller.
         root = system.registry.root
         child = system.registry.register(Kind.DOMAIN)
         system.registry.include(root, child, "child")
@@ -186,9 +137,8 @@ class TestClockStamps:
         system.hub.emit(sensor, "ping", {})
         system.run_until(10)
         system.hub.emit(sensor, "ping", {})
-        system.hub.send_command(AdaptationCommand(root, child, "set_policy", {}))
         assert [(e.time, e.kind) for e in entries(system.trace)] == [
-            (0, "event"), (10, "event"), (10, "command"),
+            (0, "event"), (10, "event"),
         ]
         rendered = RunReport("clock", 0, 10, system.trace.lines(),
                              system.graph.canonical_lines()).render()
@@ -213,14 +163,13 @@ class TestClockStamps:
     @given(st.lists(st.one_of(
         st.tuples(st.just("run"), st.integers(0, 4)),
         st.tuples(st.just("dispatch"), st.integers(0, 40)),
-        st.tuples(st.just("propagate"), st.integers(0, 40)),
-        st.tuples(st.sampled_from(("emit", "command", "agent", "audit", "submit",
+        st.tuples(st.sampled_from(("emit", "agent", "audit", "submit",
                                    "kill", "revive")), st.just(0)),
     ), max_size=25))
-    @example([("run", 4), ("emit", 0), ("run", 4), ("propagate", 6)])  # escalated at t=2
+    @example([("run", 4), ("emit", 0), ("run", 4), ("dispatch", 2)])  # stamped t=2 at t=8
     def test_every_line_is_in_clock_order(self, steps):
-        # Events built with any timestamp, dispatched or escalated between
-        # clock steps, still write their lines at the clock's time.
+        # Events built with any timestamp and dispatched between clock
+        # steps still write their lines at the clock's time.
         with pytest.MonkeyPatch.context() as patch:
             system = self._run_steps(nested_system(patch), steps)
         rendered = RunReport("clock", 0, system.clock.now, system.trace.lines(),
@@ -238,14 +187,9 @@ class TestClockStamps:
             if op == "run":
                 system.run_until(now + arg)
             elif op == "dispatch":
-                engine.dispatch_event(AdaptationEvent(hub.allocate_event_id(), sensor, "x", {}, arg))
-            elif op == "propagate":
-                event = AdaptationEvent(hub.allocate_event_id(), sensor, "x", {}, max(0, now - arg))
-                engine.propagate_to_parent(child, event)
+                engine.dispatch_event(AdaptationEvent(n, sensor, "x", {}, arg))
             elif op == "emit":
                 hub.emit(sensor, "x", {"v": n})
-            elif op == "command":
-                hub.send_command(AdaptationCommand(parent, child, "probe", {}))
             elif op == "agent":
                 hub.launch_agent(parent, agent)
             elif op == "audit":

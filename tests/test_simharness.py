@@ -277,6 +277,17 @@ class TestDocumentsBuiltInCode:
         with pytest.raises(ScenarioParseError, match=f"scenario key {key}: "):
             Simulator(doc)
 
+    @pytest.mark.parametrize("part, key, value", [
+        ("policy", "cooldown", "abc"), ("policy", "enabled", 0.5), ("policy", "source", "bogus"),
+        ("strategy", "window", 1.5), ("strategy", "critical", float("inf")),
+    ])
+    def test_a_logic_value_the_program_cannot_read_rejected(self, part, key, value):
+        doc = parse_document(HEAL_TRAFFIC_SCENARIO)
+        section = doc.logics[0]
+        (section.policy if part == "policy" else section.strategy_params)[key] = value
+        with pytest.raises(ScenarioParseError, match=f"logic {section.path} key {part}.{key}: "):
+            Simulator(doc)
+
     @pytest.mark.parametrize("build", [
         lambda: FaultEntry(1, "kill", ()),
         lambda: ProbeDecl(1, "bogus", ("h",)),
