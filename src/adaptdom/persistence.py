@@ -28,6 +28,7 @@ from itertools import chain
 from typing import Optional
 
 from .adaptation import (
+    POLICY_KEYS,
     AdaptationLogic,
     Policy,
     PolicySource,
@@ -464,6 +465,9 @@ def build_system(doc: ConfigDocument) -> System:
     for section in doc.logics:
         for prefix, values in (("strategy", section.strategy_params), ("policy", section.policy)):
             for key, value in values.items():
+                if prefix == "policy" and key != "source" and key not in POLICY_KEYS:
+                    raise ScenarioParseError(
+                        f"logic {section.path} key policy.{key}: not a policy key")
                 wanted = _key_wants(f"{prefix}.{key}", value)
                 if wanted:
                     raise ScenarioParseError(

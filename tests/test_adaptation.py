@@ -1,4 +1,4 @@
-"""Pipelines, strategies, policies and audits."""
+"""Pipelines, strategies, policies, audits, and routing to parent domains."""
 
 import math
 import random
@@ -10,6 +10,7 @@ from adaptdom.adaptation import (
     AdaptationLogic,
     Decision,
     Policy,
+    PolicySource,
     Proactive,
     Reactive,
     Retroactive,
@@ -25,15 +26,17 @@ from adaptdom.errors import (
     InvalidPolicy,
     NoLogicLoaded,
     NotADomain,
+    ScenarioParseError,
     UnknownSensor,
     UnknownStage,
 )
+from adaptdom.persistence import load_config, save_config
 from adaptdom.registry import Kind
 from adaptdom.report import RunReport, verify_report
 from adaptdom.sensing import AdaptationEvent
 from adaptdom.system import Host, System
 
-from conftest import commit, of_kind
+from conftest import SCENARIOS, commit, of_kind
 
 
 def healing_system(cooldown=0, enabled=True, count=1):
@@ -416,6 +419,38 @@ class TestStrategies:
         assert run_once() == run_once()
 
 
+def edited_healing(old: str, new: str) -> bytes:
+    """The shipped healing scenario with its line `old` replaced by `new`."""
+    with open(SCENARIOS["healing"]) as fh:
+        text = fh.read()
+    assert f"\n{old}\n" in text
+    return text.replace(f"\n{old}\n", f"\n{new}\n").encode()
+
+
+class TestCommandsIntoPipeline:
+    """The policy a parent domain sets on a child's pipeline, carried by the
+    document as `policy.source = parent` and the `policy.*` directives."""
+
+    def test_set_policy_updates_child(self):
+        text = edited_healing("policy.source = human", "policy.source = parent")
+        system = load_config(text.replace(b"\npolicy.cooldown = 50\n", b"\npolicy.cooldown = 75\n"))
+        [healing] = system.engine.bound_domains()
+        policy = system.engine.policy_of(healing)
+        assert policy.directives["cooldown"] == 75.0
+        assert policy.source is PolicySource.PARENT_DOMAIN
+        saved = save_config(system).decode()
+        assert saved.count("\npolicy.source = parent\n") == 1
+        assert saved.count("\npolicy.cooldown = 75.0\n") == 1
+
+    def test_unknown_policy_key_is_unhandled(self):
+        # A misspelled directive is a parse error naming the key, not a
+        # policy with the key silently dropped.
+        text = edited_healing("policy.cooldown = 50", "policy.mystery = 1")
+        with pytest.raises(ScenarioParseError,
+                           match="logic /healing key policy.mystery: not a policy key"):
+            load_config(text)
+
+
 class TestAudit:
     def test_healthy_tree_is_clean(self):
         system, healing, sensor = healing_system()
@@ -483,6 +518,62 @@ class TestAudit:
         assert {e.time for e in of_kind(system.trace, "retro_boundary")} == {100}
         report = RunReport("retro", 0, 100, system.trace.lines(), system.graph.canonical_lines())
         assert verify_report(report.render()) == []
+
+
+class TestPropagation:
+    """A sensor's event reaches every domain above it, so a child domain's
+    events reach its parent's logic with no step of their own."""
+
+    def test_child_escalates_to_parent(self, system, marker_analyzer):
+        parent = system.registry.register(Kind.DOMAIN)
+        child = system.registry.register(Kind.DOMAIN)
+        s = system.registry.register(Kind.SENSOR)
+        system.registry.include(system.registry.root, parent, "parent")
+        system.registry.include(parent, child, "child")
+        system.registry.include(child, s, "s")
+        system.hub.register_sensor(s, 0)
+        system.engine.load_logic(
+            parent, AdaptationLogic("escalation", Reactive(), analyze=marker_analyzer)
+        )
+        assert system.hub.emit(s, "unresolved_failure", {}) == 3  # child, parent, root
+        [decision] = of_kind(system.trace, "decision")
+        assert decision.get("domain") == str(parent)
+
+    def test_root_has_no_parent(self, system):
+        root = system.registry.root
+        assert system.registry.domains_containing(root) == ()
+        assert system.hub.emit(root, "x", {}) == 1
+        assert [dom for dom, _ in system.engine.dispatch_event(
+            AdaptationEvent(1, root, "x", {}, 0))] == [root]
+
+    def test_provenance_grows_by_one_per_hop(self, system):
+        a = system.registry.register(Kind.DOMAIN)
+        b = system.registry.register(Kind.DOMAIN)
+        system.registry.include(system.registry.root, a, "a")
+        system.registry.include(a, b, "b")
+        s = system.registry.register(Kind.SENSOR)
+        system.registry.include(b, s, "s")
+        system.hub.register_sensor(s, 0)
+        seen = []
+
+        def spy(ctx, events):
+            seen.extend((ctx.domain, event) for event in events)
+            return None
+
+        ANALYZERS["spy"] = spy
+        try:
+            for domain in (a, b):
+                system.engine.load_logic(domain, AdaptationLogic("spy", Reactive(), analyze="spy"))
+            system.hub.emit(s, "x", {})
+            # Each domain up the chain sees the one event, whose source is
+            # one name further from it than from the domain below.
+            assert sorted(domain for domain, _ in seen) == sorted((a, b))
+            assert len({(event.event_id, event.source) for _, event in seen}) == 1
+            assert system.registry.member_path(b, s) == "s"
+            assert system.registry.member_path(a, s) == "b/s"
+            assert system.registry.member_path(system.registry.root, s) == "a/b/s"
+        finally:
+            del ANALYZERS["spy"]
 
 
 def test_policy_rejects_unknown_directives():

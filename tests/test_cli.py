@@ -179,6 +179,8 @@ class TestValidate:
          "/healing key policy.enabled: 2 is not 0 or 1"),
         ("healing", "policy.source = human", "policy.source = bogus",
          "/healing key policy.source: 'bogus' is not human or parent"),
+        ("healing", "policy.cooldown = 50", "policy.cooldwn = 50",
+         "/healing key policy.cooldwn: not a policy key"),
         ("rejuvenation", "strategy.window = 300", "strategy.window = abc",
          "/rejuvenation key strategy.window: 'abc' is not an integer"),
         ("rejuvenation", "strategy.margin = 100.0", "strategy.margin = hi",

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from adaptdom.adaptation import AdaptationLogic, Policy, PolicySource, Reactive, Retroactive
+from adaptdom.adaptation import AdaptationLogic, Policy, Reactive, Retroactive
 from adaptdom.confgraph import Component, ConfigGraph, Connection
 from adaptdom.errors import (
     DanglingReference,
@@ -134,14 +134,6 @@ class TestCanonicalForm:
         first = save_config(load_config(SCENARIOS[name]))
         second = save_config(load_config(first))
         assert first == second
-
-    def test_a_parent_policy_source_round_trips(self):
-        with open(SCENARIOS["healing"]) as fh:
-            text = fh.read().replace("\npolicy.source = human\n", "\npolicy.source = parent\n")
-        system = load_config(text.encode())
-        [domain] = system.engine.bound_domains()
-        assert system.engine.policy_of(domain).source is PolicySource.PARENT_DOMAIN
-        assert save_config(system).decode().count("\npolicy.source = parent\n") == 1
 
 
 class TestIsomorphism:

@@ -21,7 +21,7 @@ from adaptdom.report import RunReport, verify_report
 from adaptdom.sensing import AdaptationEvent, MobileAgent
 from adaptdom.system import Host, System
 
-from conftest import chain_graph, entries, of_kind
+from conftest import chain_graph, entries, of_kind, random_hierarchy
 
 
 class TestSensors:
@@ -99,6 +99,63 @@ class TestSensors:
             system.hub.emit(rng.choice(sensors), "tick", {})
         ids = [int(e.get("id")) for e in of_kind(system.trace, "event")]
         assert ids == sorted(ids) and len(set(ids)) == len(ids)
+
+
+class TestCommands:
+    """A parent domain's reach into its children, which its logic acts
+    through: a member's events reach every domain above it and no other."""
+
+    def test_sibling_is_not_a_child(self, system):
+        a = system.registry.register(Kind.DOMAIN)
+        b = system.registry.register(Kind.DOMAIN)
+        s = system.registry.register(Kind.SENSOR)
+        system.registry.include(system.registry.root, a, "a")
+        system.registry.include(system.registry.root, b, "b")
+        system.registry.include(b, s, "s")
+        system.hub.register_sensor(s, 0)
+        reached = [dom for dom, _ in system.engine.dispatch_event(AdaptationEvent(1, s, "x", {}, 0))]
+        assert b in reached and a not in reached
+        assert system.registry.member_path(a, b) is None
+
+    def test_command_to_child_without_logic_is_unhandled(self, system):
+        # A child with no logic decides nothing; its parent's logic still
+        # decides on the child's events.
+        root = system.registry.root
+        child = system.registry.register(Kind.DOMAIN)
+        s = system.registry.register(Kind.SENSOR)
+        system.registry.include(root, child, "child")
+        system.registry.include(child, s, "s")
+        system.hub.register_sensor(s, 0)
+        ANALYZERS["mark"] = lambda ctx, events: Decision(ctx.domain, (events[-1].event_id,), ())
+        try:
+            system.engine.load_logic(root, AdaptationLogic("m", Reactive(), analyze="mark"))
+            outcomes = dict(system.engine.dispatch_event(AdaptationEvent(1, s, "x", {}, 0)))
+        finally:
+            del ANALYZERS["mark"]
+        assert outcomes[child] is None
+        assert outcomes[root] is not None and outcomes[root].domain == root
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reachability_matches_indirect_enumeration(self, seed):
+        # Brute-force cross-check on random hierarchies: a sensor's event
+        # reaches a domain iff the sensor appears among that domain's
+        # indirect members.
+        rng = random.Random(seed)
+        system = System()
+        system.registry.create_root()
+        objects = random_hierarchy(rng, system.registry, max_objects=50)
+        domains = [o for o in objects if o.kind is Kind.DOMAIN]
+        sensors = [o for o in objects if o.kind is Kind.SENSOR]
+        for sensor in sensors:
+            system.hub.register_sensor(sensor, 0)
+        for n, sensor in enumerate(sensors):
+            reached = [dom for dom, _ in system.engine.dispatch_event(
+                AdaptationEvent(n, sensor, "x", {}, 0))]
+            expected = sorted(d for d in domains if sensor in {
+                m for _, m in system.registry.enumerate(d, EnumerateMode.INDIRECT)
+            })
+            assert sorted(reached) == expected
+            assert system.hub.emit(sensor, "x", {}) == len(expected)
 
 
 class TestClockStamps:
