@@ -227,6 +227,11 @@ def plan_placement_moves(
 
 # --- pipeline stage registries ---
 
+# The `param.*` keys that stages read as numbers; `build_system` checks
+# that each one a document sets is a finite number.
+NUMBER_PARAMS = {"count", "window", "cooldown", "step_spacing", "limit", "placement_weight"}
+
+
 class StageContext:
     """What a stage behavior may see and touch while running, at the
     clock's time `now`."""
@@ -704,11 +709,11 @@ class AdaptationEngine:
             "decision",
             domain=domain,
             logic=logic.name,
-            cause="|".join(str(c) for c in decision.cause) or "-",
+            cause=decision.cause,
             actions=len(decision.proposed_actions),
             ok=decision.consistency_ok,
             status=status,
-            detail=decision.detail or "-",
+            detail=decision.detail,
         )
 
     def absolute_path(self, domain: ObjectId, rel_path: str) -> Optional[PathName]:
@@ -794,6 +799,6 @@ class AdaptationEngine:
                 domain=domain,
                 finding=finding.kind,
                 subject=finding.subject,
-                detail=finding.detail or "-",
+                detail=finding.detail,
             )
         return findings

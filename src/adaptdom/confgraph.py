@@ -605,7 +605,7 @@ class ConfigManager:
             "txn_submit",
             id=txn.txn_id,
             edits=txn.render_edits(),
-            block="|".join(sorted(prepared.block_set)) or "-",
+            block=prepared.block_set,
             status="started" if clear else "queued",
         )
         if clear:
@@ -630,11 +630,7 @@ class ConfigManager:
             and self._hosts.host_is_up(self.graph.components[cid].host)
         )
         self._swap_states(flight, ComponentState.ACTIVE, ComponentState.BLOCKED)
-        self._trace.record(
-            "txn_block",
-            id=flight.txn.txn_id,
-            components="|".join(sorted(block)) or "-",
-        )
+        self._trace.record("txn_block", id=flight.txn.txn_id, components=block)
         self._in_flight.append(flight)
         self._scheduler.schedule(now + self._latency, lambda: self._check(flight))
 
@@ -673,18 +669,10 @@ class ConfigManager:
         if flight in self._in_flight:
             self._in_flight.remove(flight)
         if status == "committed":
-            self._trace.record(
-                "txn_commit",
-                id=flight.txn.txn_id,
-                components="|".join(sorted(block)) or "-",
-            )
+            self._trace.record("txn_commit", id=flight.txn.txn_id, components=block)
             self._on_commit(flight)
         else:
-            self._trace.record(
-                "txn_abort",
-                id=flight.txn.txn_id,
-                reason=reason or "-",
-            )
+            self._trace.record("txn_abort", id=flight.txn.txn_id, reason=reason)
             self._on_abort(flight, reason)
 
     def _drain_queue(self) -> None:
@@ -705,10 +693,6 @@ class ConfigManager:
             if self._clear(flight, self._queue[:i]):
                 del self._queue[i]
                 self._start(flight)
-
-    @property
-    def pending(self) -> int:
-        return len(self._in_flight) + len(self._queue)
 
     def mark_host_down(self, host_id: str) -> None:
         """Record a host failure in the graph: resident components go down."""

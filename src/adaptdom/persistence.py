@@ -28,6 +28,7 @@ from itertools import chain
 from typing import Optional
 
 from .adaptation import (
+    NUMBER_PARAMS,
     POLICY_KEYS,
     AdaptationLogic,
     Policy,
@@ -442,14 +443,15 @@ _NUMBER_KEYS = {"exhaustion_critical", "strategy.critical", "strategy.margin"}
 
 def _key_wants(key: str, value) -> Optional[str]:
     """What key `key` must hold if `value` does not, else None: a scenario
-    key, or a logic section's `strategy.*` or `policy.*` key."""
+    key, or a logic section's `strategy.*`, `policy.*` or `param.*` key."""
     if key in _INT_KEYS or key.startswith("host_object."):
         return None if isinstance(value, int) else "an integer"
     if key == "policy.enabled":
         return None if isinstance(value, int) and value in (0, 1) else "0 or 1"
     if key == "policy.source":
         return None if value in ("human", "parent") else "human or parent"
-    if key in _NUMBER_KEYS or key.startswith("policy."):
+    if (key in _NUMBER_KEYS or key.startswith("policy.")
+            or key.startswith("param.") and key[len("param."):] in NUMBER_PARAMS):
         return None if isinstance(value, (int, float)) and math.isfinite(value) else "a finite number"
     if key == "name":
         return None if TOKEN_RE.fullmatch(str(value)) else "a token"
@@ -463,7 +465,8 @@ def build_system(doc: ConfigDocument) -> System:
         if wanted:
             raise ScenarioParseError(f"scenario key {key}: {value!r} is not {wanted}")
     for section in doc.logics:
-        for prefix, values in (("strategy", section.strategy_params), ("policy", section.policy)):
+        for prefix, values in (("strategy", section.strategy_params), ("policy", section.policy),
+                               ("param", section.params)):
             for key, value in values.items():
                 if prefix == "policy" and key != "source" and key not in POLICY_KEYS:
                     raise ScenarioParseError(
@@ -485,9 +488,15 @@ def build_system(doc: ConfigDocument) -> System:
             raise DanglingReference(f"component {cid} on undeclared host {host!r}")
         components[cid] = Component(kind, host, ComponentState(state))
     connections = set()
+    ports = set()  # the (src, src_port) pairs already connected
     for src, sport, dst, dport in doc.connections:
         if src not in components or dst not in components:
             raise DanglingReference(f"connection references unknown component: {src}->{dst}")
+        port = src, sport
+        if port in ports:
+            raise DanglingReference(
+                f"connection {src} {sport} -> {dst} {dport}: port {src} {sport} is already connected")
+        ports.add(port)
         connections.add(Connection(src, sport, dst, dport))
     system = System(ConfigGraph(components, connections),
                     reconfig_latency=doc.scenario_keys.get("reconfig_latency", 1),

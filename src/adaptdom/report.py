@@ -43,7 +43,7 @@ from typing import Any, Callable, Iterator, Optional
 
 from .confgraph import decode_graph, structural_violations
 from .errors import ParseError, UnknownVersion
-from .trace import LINE, format_scalar, parse_error, read_field
+from .trace import LINE, decode_set, format_scalar, parse_error, read_field
 
 REPORT_HEADER = "adaptdom-report 1"
 _MARKERS = ("begin-", "end-", "checksum sha256=")
@@ -335,8 +335,7 @@ def _scan_trace(numbered: _Numbered, lineno: int):
             last_event_id = eid
         elif kind == "txn_block":
             txn = read_field(fields, "id")
-            block = read_field(fields, "components", "-")
-            block = frozenset() if block == "-" else frozenset(block.split("|"))
+            block = decode_set(read_field(fields, "components", "-"))
             if txn in open_blocks:
                 shut(open_blocks[txn])
             interval = [txn, block, None]

@@ -8,7 +8,8 @@ and every event and agent line is stamped with the clock's time. The two
 actuator kinds are graph transactions and mobile agents. Mobile agents
 walk an itinerary of path names, executing a registered action at each
 stop and reporting per-stop outcomes; an unresolvable stop is skipped,
-not fatal.
+not fatal. An event's payload, a hop's stop and outcome and a report's
+outcomes go to the trace as they are; `trace.encode_value` writes them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .confgraph import ReconfigTxn
 from .errors import EmptyItinerary, UnknownAction, UnknownId
 from .paths import PathName
 from .registry import ObjectId, Registry
-from .trace import TraceLog, format_scalar
+from .trace import TraceLog
 
 
 @dataclass(frozen=True)
@@ -30,12 +31,6 @@ class AdaptationEvent:
     event_type: str
     payload: dict[str, float | int | str]
     timestamp: int
-
-
-def render_pairs(pairs: dict) -> str:
-    """An event's payload as `key:value` pairs, sorted by key and joined
-    by `,`; `-` when there are none."""
-    return ",".join(f"{k}:{format_scalar(v)}" for k, v in sorted(pairs.items())) or "-"
 
 
 # --- actuator actions ---
@@ -52,7 +47,7 @@ class StopOutcome:
     status: str  # ok | skipped | failed
     reason: str = ""
 
-    def render(self) -> str:
+    def __str__(self) -> str:
         return f"failed:{self.reason}" if self.status == "failed" else self.status
 
 
@@ -66,9 +61,6 @@ class AgentReport:
     @property
     def done(self) -> bool:
         return self.finished is not None
-
-    def render_outcomes(self) -> str:
-        return "|".join(o.render() for o in self.outcomes) or "-"
 
 
 @dataclass(frozen=True)
@@ -157,7 +149,7 @@ class ActuationHub:
             src=source,
             type=event_type,
             domains=routed,
-            payload=render_pairs(event.payload),
+            payload=event.payload,
         )
         return routed
 
@@ -206,21 +198,12 @@ class ActuationHub:
             except Exception as exc:  # action failures are reported, not raised
                 outcome = StopOutcome("failed", type(exc).__name__)
         report.outcomes.append(outcome)
-        self._trace.record(
-            "agent_hop",
-            agent=agent.agent_id,
-            stop=stop.render(),
-            outcome=outcome.render(),
-        )
+        self._trace.record("agent_hop", agent=agent.agent_id, stop=stop, outcome=outcome)
 
     def _complete(self, from_domain: ObjectId, agent: MobileAgent, report: AgentReport) -> None:
         report.finished = self._clock.now
-        self._trace.record(
-            "agent_report",
-            agent=agent.agent_id,
-            issuer=from_domain,
-            outcomes=report.render_outcomes(),
-        )
+        self._trace.record("agent_report", agent=agent.agent_id, issuer=from_domain,
+                           outcomes=report.outcomes)
         counts = {"ok": 0, "skipped": 0, "failed": 0}
         for outcome in report.outcomes:
             counts[outcome.status] += 1

@@ -4,44 +4,24 @@ Runs a configured system against a fault script: built-in probes sample
 host liveness, resource levels, and link quality; application traffic
 flows hop through the component graph (refusing blocked components);
 adaptive domains react through their pipelines and actuators. Identical
-(scenario, seed) pairs produce byte-identical reports.
+(scenario, seed) pairs produce byte-identical reports. Between events, a
+run's state is its saved document: `persistence.save_config(system)`.
 """
 
 from __future__ import annotations
 
 import random
 from functools import partial
-from dataclasses import dataclass
 
 from .confgraph import ComponentState
 from .errors import UnknownHost
 from .persistence import ConfigDocument, FaultEntry, build_system
-from .registry import EnumerateMode
 from .report import RunReport
 from .system import System
-from .trace import format_scalar
 
 _ACTIVE = ComponentState.ACTIVE
 _BLOCKED = ComponentState.BLOCKED
 _DOWN = ComponentState.DOWN
-
-
-@dataclass
-class SystemState:
-    """Consistent between-events view used by snapshots and tests."""
-
-    time: int
-    host_lines: tuple[str, ...]
-    graph_lines: tuple[str, ...]
-    tree_lines: tuple[str, ...]
-    pending_txns: int
-
-    def canonical_lines(self) -> list[str]:
-        out = [f"time {self.time}", f"pending_txns {self.pending_txns}"]
-        out.extend(self.host_lines)
-        out.extend(self.graph_lines)
-        out.extend(self.tree_lines)
-        return out
 
 
 class Simulator:
@@ -138,7 +118,7 @@ class Simulator:
             hosts.get(fault.args[0]).set_leak(float(fault.args[1]), now)
         elif fault.kind == "link":
             hosts.set_link_quality(fault.args[0], fault.args[1], float(fault.args[2]))
-        self.trace.record("fault", type=fault.kind, args="|".join(fault.args) or "-")
+        self.trace.record("fault", type=fault.kind, args=fault.args)
 
     # --- probes ---
 
@@ -223,25 +203,3 @@ class Simulator:
         """Advance the clock without finalizing a report (stepwise runs)."""
         self._install()
         self.system.run_until(until)
-
-    def snapshot(self, now: int | None = None) -> SystemState:
-        clock_now = self.clock.now if now is None else now
-        hosts = self.system.hosts
-        host_lines = tuple(
-            f"host {h} level={format_scalar(hosts.get(h).level(clock_now))}"
-            f" status={'up' if hosts.get(h).up else 'down'}"
-            for h in hosts.host_ids()
-        )
-        tree_lines = tuple(
-            f"member {rel} {oid}"
-            for rel, oid in self.system.registry.enumerate(
-                self.system.registry.root, EnumerateMode.INDIRECT
-            )
-        )
-        return SystemState(
-            time=clock_now,
-            host_lines=host_lines,
-            graph_lines=tuple(self.system.graph.canonical_lines()),
-            tree_lines=tree_lines,
-            pending_txns=self.system.config_manager.pending,
-        )

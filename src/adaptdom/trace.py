@@ -9,16 +9,18 @@ one line, encoded once when it is recorded:
 Lines are totally ordered by (time, sequence) so a trace replays
 byte-identically for a fixed seed and scenario. The log is built on the
 run's clock and stamps every line with the clock's time: no caller
-passes a time, so no line goes back in time. `encode_value` is the
-one encoder of values. Kinds and keys are tokens (`paths.TOKEN_RE`),
-checked once per name: `record` appends a line of any shape and checks
-a name the first time it sees it; `recorder` prepares a two-field shape,
-such as an application hop's, and checks its names once for its many
-lines. The log holds its lines only as text: every `_BLOCK` finished
-lines are joined by `\n` into one `str`, so a run keeps one string per
-block, not one per line, plus the few lines not yet joined and a count
-per kind. `blocks` hands the text to a report, which renders it as it
-is; `lines` splits it again on demand.
+passes a time, so no line goes back in time. Callers pass a field's
+value itself: `encode_value` is the one encoder of values, scalars and
+collections alike, and `decode_set` reads a set back. Kinds and keys are
+tokens (`paths.TOKEN_RE`), checked once per name: `record` appends a
+line of any shape and checks a name the first time it sees it;
+`recorder` prepares a two-field shape, such as an application hop's, and
+checks its names once for its many lines. The log holds its lines only
+as text: every `_BLOCK` finished lines are joined by `\n` into one
+`str`, so a run keeps one string per block, not one per line, plus the
+few lines not yet joined and a count per kind. `blocks` hands the text
+to a report, which renders it as it is; `lines` splits it again on
+demand.
 `LINE` is the one grammar that reads lines back, `parse_error` the one
 error for a line outside it, and `read_field` the reader of their fields.
 `TraceEntry` parses one line into an object; replay
@@ -119,11 +121,36 @@ _BLOCK = 2048
 _BREAKS = str.maketrans(dict.fromkeys(" \n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", "_"))
 
 
+def _join(items) -> str:
+    return "|".join(map(format_scalar, items))
+
+
+# The text of each collection a field value may be, by its exact type.
+_JOINS = {
+    tuple: _join, list: _join,
+    frozenset: lambda items: _join(sorted(items)), set: lambda items: _join(sorted(items)),
+    dict: lambda pairs: ",".join(f"{k}:{format_scalar(v)}" for k, v in sorted(pairs.items())),
+}
+
+
 def encode_value(value) -> str:
-    """The one encoder of values: a string's spaces and line breaks become `_`."""
-    if isinstance(value, str):  # line breaks are unprintable, and rare
+    """The one encoder of field values. A tuple's or list's items are
+    joined by `|`, a set's sorted items by `|`, and a dict's `key:value`
+    pairs, sorted by key, by `,`; each item is rendered by `format_scalar`.
+    In that text or a string, spaces and line breaks become `_`, and an
+    empty one is `-`. Any other value is `format_scalar(value)`."""
+    if isinstance(value, str):  # first: traffic hops record component ids
+        if not value:
+            return "-"
+        # Line breaks are unprintable, and rare.
         return value.replace(" ", "_") if value.isprintable() else value.translate(_BREAKS)
-    return format_scalar(value)
+    join = _JOINS.get(type(value))
+    return format_scalar(value) if join is None else encode_value(join(value))
+
+
+def decode_set(text: str) -> frozenset[str]:
+    """The items of a set `encode_value` wrote; `-` is the empty set."""
+    return frozenset() if text == "-" else frozenset(text.split("|"))
 
 
 class TraceLog:

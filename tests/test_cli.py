@@ -187,6 +187,12 @@ class TestValidate:
          "/rejuvenation key strategy.margin: 'hi' is not a finite number"),
         ("optimization", "strategy.period = 50", "strategy.period = 5.5",
          "/optimization key strategy.period: 5.5 is not an integer"),
+        ("healing", "param.count = 1", "param.count = abc",
+         "/healing key param.count: 'abc' is not a finite number"),
+        ("healing", "param.placement_weight = 1.0", "param.placement_weight = heavy",
+         "/healing key param.placement_weight: 'heavy' is not a finite number"),
+        ("optimization", "param.limit = 0.5", "param.limit = 1e400",
+         "/optimization key param.limit: inf is not a finite number"),
     ])
     def test_a_logic_value_the_program_cannot_read_exits_2(self, tmp_path, capsys, scenario,
                                                            line, edited, problem):
@@ -233,6 +239,22 @@ class TestValidate:
             "[domain 1 /]\nghost = 9\nend-config\n"
         )
         assert cli_main(["validate", str(bad)]) == 1
+
+    def test_a_port_conflict_exits_1_naming_the_connection(self, tmp_path, capsys):
+        # A second connection from one source port: every heal of the run
+        # would be rejected with a PortConflict, and replay would fail.
+        with open(SCENARIOS["healing"]) as fh:
+            text = fh.read()
+        line = "connection c08 out -> c12 in\n"
+        assert line in text
+        bad = tmp_path / "port.cfg"
+        bad.write_text(text.replace(line, line + "connection c08 out -> c11 in\n"))
+        for argv in (["validate", str(bad)], ["run", str(bad), "--until", "300"]):
+            capsys.readouterr()
+            assert cli_main(argv) == 1
+            err = capsys.readouterr().err
+            assert "connection c08 out -> c11 in: port c08 out is already connected" in err
+            assert "Traceback" not in err
 
 
 class TestReplay:

@@ -46,13 +46,9 @@ UNREACHED: dict[str, str] = {
     "paths:PathName.__lt__": "orders the paths of a domain with two parents; no shipped domain has two",
     # Library API.
     "sensing:AgentReport.done": "the README's agent example checks it",
-    "simharness:Simulator.snapshot": "a between-events view of a run",
-    "simharness:SystemState.canonical_lines": "the text of a snapshot",
-    "confgraph:ConfigManager.pending": "transactions in flight or queued, read by snapshots",
     "adaptation:AdaptationEngine.unload_logic": "unbinds a domain's logic",
     "registry:Registry.exclude": "dynamic exclusion (acceptance criterion 4)",
     "paths:PathName.parse": "a path from its text, as `Registry.resolve` accepts it",
-    "paths:PathName.__str__": "a path in messages",
     "paths:PathName.is_root": "whether a path names the root",
     "cli:main": "the installed `adaptdom` script; the workload calls `cli_main`",
     # Error paths that tier-1 reaches.
@@ -69,7 +65,7 @@ UNREACHED: dict[str, str] = {
     "confgraph:HostStatusView.host_is_up": "protocol declaration",
     "confgraph:Scheduler.schedule": "protocol declaration",
     # Names that perfbench/ reads; they leave with ROADMAP item 10.
-    "registry:Registry.enumerate": "wrapped by perfbench/layers.py; also audits and snapshots",
+    "registry:Registry.enumerate": "wrapped by perfbench/layers.py; also audits",
     "report:RunReport.trace_lines": "perfbench/child.py reads the trace through it",
     "report:TraceLines.__init__": "perfbench/child.py reads the trace through it",
     "report:TraceLines.__iter__": "perfbench/child.py iterates the trace",

@@ -6,8 +6,9 @@ section reader that the streaming `TraceEntry.parse`, the one-pass
 `verify_report` and the streaming section reader behind `RunReport.parse`
 replaced; `reference_checksum_ok` hashes one encoded copy of the whole
 text; and `reference_record_line` encodes values apart from
-`trace.encode_value`, turning a string's spaces and line breaks into `_`
-one character at a time. The reference verifier shares no reading code
+`trace.encode_value`: it joins a collection's items by `isinstance`,
+turns the spaces and line breaks of a string or a joined text into `_`
+one character at a time, and writes an empty one as `-`. The reference verifier shares no reading code
 with `verify_report`. The properties below require the replacements to
 give the same values, errors, problem lists and lines, order included. `reference_render` is the render that joined
 a list of lines, hashed one encoded copy of the whole body and appended
@@ -38,7 +39,7 @@ from adaptdom.report import (
 )
 from adaptdom.registry import Kind, ObjectId
 from adaptdom.simharness import Simulator
-from adaptdom.trace import TraceEntry, TraceLog, format_scalar
+from adaptdom.trace import TraceEntry, TraceLog, decode_set, encode_value, format_scalar
 
 from conftest import SCENARIOS, of_kind, violations_of
 from test_graph_grammar import reference_parse_graph_lines
@@ -698,12 +699,21 @@ def test_recorded_values_parse_back(time, kind, fields):
 
 
 def reference_encode(value) -> str:
-    """A string's spaces and the characters `splitlines` breaks on become
-    `_`, one character at a time; any other value is `format_scalar`'s."""
-    if not isinstance(value, str):
+    """A tuple's or list's `format_scalar` items joined by `|`, a set's
+    sorted ones joined by `|`, or a dict's `key:value` pairs sorted by key
+    and joined by `,`. In that text or a string, spaces and the characters
+    `splitlines` breaks on become `_`, one character at a time, and an
+    empty one is `-`; any other value is `format_scalar`'s."""
+    if isinstance(value, (tuple, list)):
+        value = "|".join(format_scalar(item) for item in value)
+    elif isinstance(value, (set, frozenset)):
+        value = "|".join(format_scalar(item) for item in sorted(value))
+    elif isinstance(value, dict):
+        value = ",".join(f"{key}:{format_scalar(item)}" for key, item in sorted(value.items()))
+    elif not isinstance(value, str):
         return format_scalar(value)
     return "".join("_" if ch == " " or len(f"a{ch}b".splitlines()) > 1 else ch
-                   for ch in value)
+                   for ch in value) or "-"
 
 
 def reference_record_line(time: int, seq: int, kind: str, /, **fields) -> str:
@@ -746,6 +756,46 @@ def test_record_equals_reference(records):
         reference_record_line(time, seq, kind, **fields)
         for seq, (time, kind, fields) in enumerate(records)
     ]
+
+
+collection_items = st.one_of(st.text(alphabet=" ab|:,\n", max_size=4), st.text(max_size=4),
+                             st.integers(), st.booleans(), st.floats())
+collection_values = st.one_of(
+    st.tuples(collection_items, collection_items), st.lists(collection_items, max_size=4),
+    st.frozensets(st.text(alphabet=" ab\n", max_size=4), max_size=4),
+    st.sets(st.integers(-20, 20), max_size=4),
+    st.dictionaries(st.text(alphabet=" ab\n", max_size=4), collection_items, max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.dictionaries(
+    field_keys, st.one_of(collection_values, record_values), max_size=4)), min_size=1, max_size=4),
+    collection_values, collection_values)
+def test_record_of_collections_equals_reference(records, a, b):
+    clock = HandClock()
+    log = TraceLog(clock)
+    for time, fields in records:
+        stamped(clock, log, time, "k", **fields)
+    log.recorder("pair", "a", "b")(a, b)
+    assert log.lines() == [
+        *(reference_record_line(time, seq, "k", **fields)
+          for seq, (time, fields) in enumerate(records)),
+        reference_record_line(records[-1][0], len(records), "pair", a=a, b=b),
+    ]
+
+
+@given(st.frozensets(st.from_regex(r"[A-Za-z0-9_-]{1,8}", fullmatch=True), max_size=5))
+def test_a_set_of_tokens_decodes_back(items):
+    # `-` is a token, and the set of it alone is written as the empty set is.
+    assert decode_set(encode_value(items)) == (frozenset() if items == {"-"} else items)
+
+
+def test_an_empty_text_or_collection_is_a_dash():
+    log = TraceLog(HandClock())
+    log.record("k", a="", b=(), c=[], d=frozenset(), e=set(), f={})
+    log.recorder("pair", "a", "b")("", ())
+    assert log.lines() == ["t=0 s=0 k a=- b=- c=- d=- e=- f=-", "t=0 s=1 pair a=- b=-"]
 
 
 _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"

@@ -1,9 +1,12 @@
-"""Scenario driver: determinism, faults, aging, traffic, snapshots."""
+"""Scenario driver: determinism, faults, aging, traffic, and the saved
+document as the view of a run between events."""
 
 import pytest
 
 from adaptdom.errors import ScenarioParseError, UnknownHost
-from adaptdom.persistence import FaultEntry, FlowDecl, ProbeDecl, load_config, parse_document
+from adaptdom.persistence import (
+    FaultEntry, FlowDecl, ProbeDecl, capture_system, load_config, parse_document, save_config,
+)
 from adaptdom.registry import Kind
 from adaptdom.report import verify_report
 from adaptdom.sensing import MobileAgent
@@ -86,8 +89,8 @@ class TestFaults:
         sim.inject(FaultEntry(5, "revive", ("h1",)))
         sim.run_until(10)
         assert sim.system.hosts.host_is_up("h1")
-        snapshot = sim.snapshot()
-        assert "host h1 level=100.0 status=up" in snapshot.canonical_lines()
+        saved = save_config(sim.system).decode().splitlines()
+        assert "host h1 capacity=100.0 leak=0.0 level=100.0 status=up" in saved
 
     def test_kill_counts_downtime_until_horizon(self):
         system = load_config(SCENARIOS["healing"])
@@ -298,30 +301,37 @@ class TestDocumentsBuiltInCode:
             build()
 
 
-class TestSnapshot:
-    def test_initial_snapshot_matches_declared_state(self):
-        system = load_config(SCENARIOS["healing"])
-        doc = parse_document(open(SCENARIOS["healing"]).read())
-        sim = Simulator(system, seed=0)
-        snap = sim.snapshot(0)
-        for cid, kind, host, state in doc.components:
-            assert f"component {cid} kind={kind} host={host} state={state}" in snap.graph_lines
-        for host_id, capacity, level, leak, status in doc.hosts:
-            assert f"host {host_id} level={level!r} status={status}" in snap.host_lines
+class TestSavedView:
+    """Between events, a run's state is its saved document: hosts with
+    their level at the clock's time and their status, the graph with its
+    states, and the domains' members."""
 
-    def test_snapshots_without_events_are_identical(self):
+    def test_initial_save_matches_declared_state(self):
+        doc = parse_document(open(SCENARIOS["healing"]).read())
+        saved = capture_system(Simulator(load_config(SCENARIOS["healing"]), seed=0).system)
+        assert sorted(saved.components) == sorted(doc.components)
+        assert sorted(saved.hosts) == sorted(doc.hosts)
+        # A save numbers objects canonically, so members compare by name.
+        def names(domains):
+            return {section.path: sorted(name for name, _ in section.members) for section in domains}
+        assert names(saved.domains) == names(doc.domains)
+
+    def test_saves_without_events_are_identical(self):
         sim = Simulator(load_config(SCENARIOS["healing"]), seed=0)
         sim.run_until(55)
-        assert sim.snapshot().canonical_lines() == sim.snapshot().canonical_lines()
+        host = sim.system.hosts.get("hostA")
+        host.set_leak(2.0, 55)
+        sim.run_until(60)
+        first = save_config(sim.system)
+        assert save_config(sim.system) == first
+        assert "host hostA capacity=1000.0 leak=2.0 level=990.0 status=up" in first.decode()
 
-    def test_snapshot_after_heal_shows_all_active(self):
+    def test_save_after_heal_shows_all_active(self):
         sim = Simulator(load_config(SCENARIOS["healing"]), seed=0)
         sim.run_until(150)
-        snap = sim.snapshot()
-        assert all(
-            "state=active" in line
-            for line in snap.graph_lines if line.startswith("component")
-        )
+        saved = capture_system(sim.system)
+        assert saved.components and all(row[3] == "active" for row in saved.components)
+        assert ("hostA", 1000.0, 1000.0, 0.0, "down") in saved.hosts
 
 
 class TestHostObjects:
@@ -377,7 +387,7 @@ class TestAgentOnADeadHost:
         assert level == 900.0
         report = launch_reset_agent(system, "hostA")
         system.run_until(60)
-        assert [outcome.render() for outcome in report.outcomes] == ["failed:HostDown"]
+        assert [str(outcome) for outcome in report.outcomes] == ["failed:HostDown"]
         assert of_kind(system.trace, "host_reset") == []
         assert host.level(60) == level
 
@@ -392,7 +402,7 @@ class TestBuiltWhole:
         system.run_until(50)
         report = launch_reset_agent(system, "hostA")
         system.run_until(60)
-        assert [outcome.render() for outcome in report.outcomes] == ["ok"]
+        assert [str(outcome) for outcome in report.outcomes] == ["ok"]
         [reset] = of_kind(system.trace, "host_reset")
         assert reset.get("host") == "hostA"
         assert host.level(reset.time) == host.capacity
