@@ -33,18 +33,23 @@ This module owns the graph-line grammar that documents and reports share:
 decoder accepts exactly the encoder's shape: single spaces, token names
 (see `paths.TOKEN_RE`), the attributes in that order, a known state, and
 each component id and each connection once. It rejects anything else
-with a `ParseError` naming the line.
+with a `ParseError` naming the line. The rows it returns are private
+types that `persistence.build_system` trusts: a connection row is a
+`Connection` and becomes a graph's edge as it is.
+
+`Component` and `Connection` are named tuples, so building, hashing and
+comparing one runs in C; a changed copy is `_replace`.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from enum import Enum
-from typing import Callable, Container, Iterable, NoReturn, Optional, Protocol
+from typing import Callable, Container, Iterable, NamedTuple, NoReturn, Optional, Protocol
 
 from .errors import InvalidTxn, ParseError
 from .paths import TOKEN_RE, check_tokens
@@ -57,15 +62,19 @@ class ComponentState(Enum):
     DOWN = "down"
 
 
-@dataclass(frozen=True)
-class Component:
+# A component or connection hashes as the tuple of its fields, as the
+# frozen dataclasses they were did, so set and dict orders are unchanged.
+class Component(NamedTuple):
     kind: str
     host: str
     state: ComponentState = ComponentState.ACTIVE
 
 
-@dataclass(frozen=True)
-class Connection:
+# A state's value to the state, for rows the grammar has checked.
+STATES = {state.value: state for state in ComponentState}
+
+
+class Connection(NamedTuple):
     src: str
     src_port: str
     dst: str
@@ -123,7 +132,7 @@ class ConfigGraph:
         return _Indexes(self.components, self.connections)
 
     def set_state(self, cid: str, state: ComponentState) -> None:
-        self.components[cid] = replace(self.components[cid], state=state)
+        self.components[cid] = self.components[cid]._replace(state=state)
 
     def in_neighbors(self, cid: str) -> set[str]:
         return {c.src for c in self._ix.ins.get(cid, ())}
@@ -170,19 +179,37 @@ def encode_graph(components: Iterable[tuple[str, ...]],
     return lines
 
 
+class _ComponentRow(tuple):
+    """A `(cid, kind, host, state)` row `decode_graph` read: its names are
+    tokens and its state is a `ComponentState` value."""
+
+    __slots__ = ()
+
+
+class _ConnectionRow(Connection):
+    """A connection `decode_graph` read: its names are tokens, so it is a
+    graph's edge as it is."""
+
+    __slots__ = ()
+
+
 def decode_graph(lines: Iterable[tuple[int, str]], rows: bool = True):
     """The component and connection rows of numbered graph lines, given
     as `(line number, text)` pairs, in line order. Raises `ParseError`
     naming the first line outside the grammar or repeating a component id
-    or a connection. With `rows` false it keeps only what
+    or a connection. A component row is a `(cid, kind, host, state)`
+    tuple and a connection row a `Connection`; both are private types
+    that `persistence.build_system` trusts without checking again. With
+    `rows` false it builds no rows and keeps only what
     `structural_violations` needs: the set of component ids and the set of
     connection lines, which for this grammar are equal exactly when their
     rows are."""
     components: list[tuple[str, ...]] = []
-    connections: list[tuple[str, ...]] = []
+    connections: list[Connection] = []
     ids: set[str] = set()
     edges: set[str] = set()
     match = _GRAPH_LINE.fullmatch
+    new = tuple.__new__
     for lineno, line in lines:
         found = match(line)
         if found is None:
@@ -193,14 +220,14 @@ def decode_graph(lines: Iterable[tuple[int, str]], rows: bool = True):
                                  line=lineno)
             edges.add(line)
             if rows:
-                connections.append(found.group(5, 6, 7, 8))
+                connections.append(new(_ConnectionRow, found.group(5, 6, 7, 8)))
             continue
         cid = found[1]
         if cid in ids:
             raise ParseError(f"duplicate component {cid!r}", line=lineno)
         ids.add(cid)
         if rows:
-            components.append((cid, found[2], found[3], found[4]))
+            components.append(new(_ComponentRow, found.group(1, 2, 3, 4)))
     return (components, connections) if rows else (ids, edges)
 
 
@@ -276,7 +303,7 @@ def render_edit(edit: Edit) -> str:
 def _edit_names(edit: Edit):
     """The names an edit carries: each of its fields, or of its connection's."""
     if isinstance(edit, (AddConnection, RemoveConnection)):
-        edit = edit.connection
+        return edit.connection
     return vars(edit).values()
 
 
@@ -427,7 +454,7 @@ def prepare(
             else:  # a move or a replace: a restart
                 change = ({"host": edit.new_host} if isinstance(edit, MoveComponent)
                           else {"kind": edit.new_kind})
-                comps[edit.cid] = replace(current, state=ComponentState.ACTIVE, **change)
+                comps[edit.cid] = current._replace(state=ComponentState.ACTIVE, **change)
                 restarted.add(edit.cid)
 
     survivors = {cid for cid, c in comps.items() if c is not None and cid in base_comps}

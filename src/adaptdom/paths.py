@@ -72,9 +72,6 @@ class PathName:
     def render(self) -> str:
         return "/" + "/".join(self.segments)
 
-    def child(self, token: str) -> "PathName":
-        return PathName(self.segments + (check_token(token),))
-
     @property
     def is_root(self) -> bool:
         return not self.segments

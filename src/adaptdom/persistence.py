@@ -9,10 +9,12 @@ order, stable ids) so save - load - save is byte-identical, and every
 document ends with an explicit terminator so truncation is detectable.
 
 The `[graph]` section is written with `confgraph.encode_graph` and read
-back with `confgraph.decode_graph` once the rest of the document is
-parsed. So a graph line with a bad shape, a name that is not a token, an
-unknown state, a repeated component id or a repeated connection fails
-the parse, naming its line.
+back with `confgraph.decode_graph`, from the lines the parser's one pass
+over the text collects. So a graph line with a bad shape, a name that is
+not a token, an unknown state, a repeated component id or a repeated
+connection fails the parse, naming its line. `build_system` trusts the
+rows the decoder returns, and checks rows built in code the same way:
+their shape, their names and a component's state.
 
 A fault, probe or traffic entry checks itself when it is constructed;
 the parser adds the line to the error. `build_system` checks references
@@ -24,7 +26,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import asdict, dataclass, field
-from itertools import chain
 from typing import Optional
 
 from .adaptation import (
@@ -40,10 +41,12 @@ from .adaptation import (
     strategy_name,
 )
 from .confgraph import (
+    STATES,
     Component,
-    ComponentState,
     ConfigGraph,
     Connection,
+    _ComponentRow,
+    _ConnectionRow,
     decode_graph,
     encode_graph,
 )
@@ -252,9 +255,11 @@ _STAGE_KEYS = {"monitor", "audit", "analyze", "regulate", "execute"}
 
 
 def parse_document(text: str) -> ConfigDocument:
-    """Parse a document. Every host, link end and traffic hop it names
-    must be a token, checked as its line is parsed; the graph section is
-    decoded after the other lines."""
+    """Parse a document in one pass over its lines. Every host, link end
+    and traffic hop it names must be a token, checked as its line is
+    parsed. The graph section's lines are collected as the pass reaches
+    them and decoded by `decode_graph` at its end, so an error on any
+    other line is raised first."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != FORMAT_HEADER:
         head = lines[0].strip() if lines else ""
@@ -265,19 +270,17 @@ def parse_document(text: str) -> ConfigDocument:
     section: Optional[str] = None
     current_domain: Optional[DomainSection] = None
     current_logic: Optional[LogicSection] = None
-    graph: list[int] = []  # line numbers, so the lines are not held twice
+    # The graph section's (line number, content) pairs. A line without a
+    # comment or trailing blanks is its own content, not a copy.
+    graph: list[tuple[int, str]] = []
     terminated = False
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = _content(raw)
-        if not line.strip():
+    numbered = enumerate(lines[1:], start=2)
+    for lineno, raw in numbered:
+        # The line without its comment and trailing blanks; most have no comment.
+        line = (raw.partition("#")[0] if "#" in raw else raw).rstrip()
+        if not line:
             continue
-        if terminated:
-            raise ScenarioParseError("content after end marker", line=lineno)
-        if line == END_MARKER:
-            terminated = True
-            continue
-        match = _SECTION_RE.match(line)
-        if match:
+        if line[0] == "[" and (match := _SECTION_RE.match(line)):
             section = match.group(1)
             arg = (match.group(2) or "").strip()
             current_domain = current_logic = None
@@ -296,11 +299,14 @@ def parse_document(text: str) -> ConfigDocument:
             elif section not in ("system", "objects", "sensors", "hosts", "graph", "scenario"):
                 raise ScenarioParseError(f"unknown section {section!r}", line=lineno)
             continue
+        if line == END_MARKER:
+            terminated = True
+            break
+        if section == "graph":
+            graph.append((lineno, line))
+            continue
         if section is None:
             raise ScenarioParseError(f"content outside any section: {line!r}", line=lineno)
-        if section == "graph":
-            graph.append(lineno)
-            continue
         try:
             _parse_body_line(doc, section, current_domain, current_logic, line, lineno)
         except ParseError as exc:
@@ -309,16 +315,13 @@ def parse_document(text: str) -> ConfigDocument:
             raise type(exc)(str(exc), line=lineno) from None
         except Exception as exc:
             raise ScenarioParseError(f"{type(exc).__name__}: {exc}", line=lineno)
-    doc.components, doc.connections = decode_graph(
-        (lineno, _content(lines[lineno - 1])) for lineno in graph)
+    for lineno, raw in numbered:  # the lines after the end marker
+        if raw.partition("#")[0].strip():
+            raise ScenarioParseError("content after end marker", line=lineno)
+    doc.components, doc.connections = decode_graph(graph)
     if not terminated:
         raise ScenarioParseError("missing end marker (truncated file?)", line=len(lines))
     return doc
-
-
-def _content(raw: str) -> str:
-    """A line without its comment and trailing whitespace."""
-    return raw.split("#", 1)[0].rstrip()
 
 
 def _parse_kv(line: str, lineno: int) -> tuple[str, str]:
@@ -475,21 +478,42 @@ def build_system(doc: ConfigDocument) -> System:
                 if wanted:
                     raise ScenarioParseError(
                         f"logic {section.path} key {prefix}.{key}: {value!r} is not {wanted}")
-    # The graph lines' token check, for a document built in code: each
-    # distinct name once, in row order.
-    try:
-        check_tokens([*dict.fromkeys(chain.from_iterable(chain(doc.components, doc.connections)))])
-    except BadToken as exc:
-        raise ScenarioParseError(f"BadToken: {exc}")
+    # Rows `decode_graph` returned are trusted. A row built in code gets
+    # the decoder's checks as its loop reaches it: its shape, its names,
+    # and a component's state.
     host_ids = {row[0] for row in doc.hosts}
-    components = {}
-    for cid, kind, host, state in sorted(doc.components):
+    new = tuple.__new__  # a row built in C, not by the named tuple's Python `__new__`
+    components: dict[str, Component] = {}
+    for row in sorted(doc.components):
+        if type(row) is not _ComponentRow:
+            if len(row) != 4:
+                raise ScenarioParseError(f"component row {row!r}: expected (id, kind, host, state)")
+            try:
+                check_tokens(row)
+            except BadToken as exc:
+                raise ScenarioParseError(f"component row {row!r}: BadToken: {exc}") from None
+            if row[3] not in STATES:
+                raise ScenarioParseError(
+                    f"component row {row!r}: state {row[3]!r} is not active, blocked or down")
+        cid, kind, host, state = row
+        if cid in components:
+            raise ScenarioParseError(f"duplicate component {cid!r}")
         if host not in host_ids:
             raise DanglingReference(f"component {cid} on undeclared host {host!r}")
-        components[cid] = Component(kind, host, ComponentState(state))
-    connections = set()
+        components[cid] = new(Component, (kind, host, STATES[state]))
+    connections: set[Connection] = set()
     ports = set()  # the (src, src_port) pairs already connected
-    for src, sport, dst, dport in doc.connections:
+    for conn in doc.connections:
+        if type(conn) is not _ConnectionRow:
+            if len(conn) != 4:
+                raise ScenarioParseError(
+                    f"connection row {conn!r}: expected (src, src_port, dst, dst_port)")
+            try:
+                check_tokens(conn)
+            except BadToken as exc:
+                raise ScenarioParseError(f"connection row {conn!r}: BadToken: {exc}") from None
+            conn = Connection(*conn)
+        src, sport, dst, dport = conn
         if src not in components or dst not in components:
             raise DanglingReference(f"connection references unknown component: {src}->{dst}")
         port = src, sport
@@ -497,7 +521,7 @@ def build_system(doc: ConfigDocument) -> System:
             raise DanglingReference(
                 f"connection {src} {sport} -> {dst} {dport}: port {src} {sport} is already connected")
         ports.add(port)
-        connections.add(Connection(src, sport, dst, dport))
+        connections.add(conn)
     system = System(ConfigGraph(components, connections),
                     reconfig_latency=doc.scenario_keys.get("reconfig_latency", 1),
                     agent_hop_latency=doc.scenario_keys.get("agent_hop_latency", 1))

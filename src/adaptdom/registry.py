@@ -112,9 +112,9 @@ class Registry:
 
     # --- membership ---
 
-    def include(self, domain: ObjectId, member: ObjectId, local_name: str) -> PathName | None:
-        """Bind `member` under `local_name`; returns one resulting path,
-        or None when the target domain is itself root-unreachable."""
+    def include(self, domain: ObjectId, member: ObjectId, local_name: str) -> None:
+        """Bind `member` under `local_name`; `paths_of` gives the paths
+        that result."""
         rec = self._domain_record(domain)
         self._require(member)
         check_token(local_name)
@@ -129,8 +129,6 @@ class Registry:
         rec.members[local_name] = member
         self._parents[member].add((domain, local_name))
         self._containing.clear()
-        base = self._some_path(domain)
-        return base.child(local_name) if base is not None else None
 
     def exclude(self, domain: ObjectId, local_name: str) -> None:
         rec = self._domain_record(domain)
@@ -181,10 +179,6 @@ class Registry:
                 )
             current = rec.members[segment]
         return current
-
-    def _some_path(self, oid: ObjectId) -> PathName | None:
-        paths = self.paths_of(oid)
-        return min(paths) if paths else None
 
     def paths_of(self, oid: ObjectId) -> set[PathName]:
         self._require(oid)

@@ -91,6 +91,7 @@ class TestValidate:
         ("connection c out c in", "bad connection line"),
         ("component c kind=db host=h1 state=active", "duplicate component 'c'"),
         ("connection c out -> c in", "duplicate connection 'c out -> c in'"),
+        ("[component d kind=svc host=h1 state=active", "bad graph line"),
     ])
     def test_bad_graph_line_exits_2(self, tmp_path, capsys, line, problem):
         # The last line of the graph section is the bad one.

@@ -13,7 +13,16 @@ import os
 import sys
 
 import adaptdom
-from adaptdom.persistence import FlowDecl, parse_document
+from adaptdom.persistence import (
+    ConfigDocument,
+    DomainSection,
+    FlowDecl,
+    LogicSection,
+    ProbeDecl,
+    load_config,
+    parse_document,
+    render_document,
+)
 from adaptdom.simharness import Simulator
 
 _SOURCE = os.path.dirname(adaptdom.__file__) + os.sep
@@ -62,3 +71,43 @@ def test_one_traffic_hop_costs_one_step():
     many_lines, many_hops = _traffic_run(5)
     assert many_hops - few_hops > 400
     assert (many_lines - few_lines) / (many_hops - few_hops) < 36
+
+
+def _healing_fleet(hosts: int, per_host: int = 40) -> tuple[str, int]:
+    """The text of a reactive healing fleet, each host with a liveness
+    sensor and a chain of `per_host` components, and its graph rows."""
+    doc = ConfigDocument(objects=[(1, "domain"), (2, "domain")])
+    healing = DomainSection(2, "/healing")
+    doc.domains = [DomainSection(1, "/", [("healing", 2)]), healing]
+    doc.logics = [LogicSection(
+        2, "/healing", name="healing", stages={"analyze": "failure_count"},
+        params={"count": 1}, policy={"cooldown": 50.0, "enabled": 1, "source": "human"},
+    )]
+    for h in range(hosts):
+        host, oid = f"h{h:03d}", 3 + 2 * h
+        doc.objects += [(oid, "plain"), (oid + 1, "sensor")]
+        healing.members += [(host, oid), (f"live_{host}", oid + 1)]
+        doc.scenario_keys[f"host_object.{host}"] = oid
+        doc.sensors.append((oid + 1, 30.0))
+        doc.probes.append(ProbeDecl(oid + 1, "liveness", (host,)))
+        doc.hosts.append((host, 100.0, 100.0, 0.0, "up"))
+        for j in range(per_host):
+            cid = f"c{h * per_host + j:05d}"
+            doc.components.append((cid, ("web", "app", "db")[j % 3], host, "active"))
+            if j + 1 < per_host:
+                doc.connections.append((cid, "out", f"c{h * per_host + j + 1:05d}", "in"))
+    doc.scenario_keys["liveness_period"] = 10
+    return render_document(doc), len(doc.components) + len(doc.connections)
+
+
+def test_loading_a_graph_row_costs_about_28_lines():
+    # About 28 lines a row, the hosts' other lines included: eight in the
+    # parser's loop, nine in `decode_graph` and six to eight in
+    # `build_system`, which trusts decoded rows. A parser that tried each
+    # graph line as a section header and fetched it again by line number
+    # after its loop took 34.5.
+    few_text, few_rows = _healing_fleet(10)
+    many_text, many_rows = _healing_fleet(40)
+    few_lines = executed_lines(lambda: load_config(few_text))
+    many_lines = executed_lines(lambda: load_config(many_text))
+    assert (many_lines - few_lines) / (many_rows - few_rows) < 30.5

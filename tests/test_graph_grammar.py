@@ -25,6 +25,9 @@ from adaptdom.confgraph import (
 )
 from adaptdom.errors import ParseError
 from adaptdom.paths import TOKEN_RE
+from adaptdom.persistence import build_system, parse_document
+
+from conftest import SCENARIOS
 
 
 def reference_canonical_lines(self: ConfigGraph) -> list[str]:
@@ -194,3 +197,30 @@ def test_rejected_lines_name_their_fault(line, message):
         decode_graph(enumerate(lines, 5))
     assert raised.value.line == 6
     assert str(raised.value).startswith(f"line 6: {message}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(names, names, states, names, names)
+def test_rows_hash_and_compare_as_the_tuples_of_their_fields(a, b, state, c, d):
+    # A set or dict of rows iterates as it did when rows were frozen
+    # dataclasses, whose hash was the hash of this tuple.
+    fields = (a, b, ComponentState(state))
+    assert Component(*fields) == fields and hash(Component(*fields)) == hash(fields)
+    assert Connection(a, b, c, d) == (a, b, c, d)
+    assert hash(Connection(a, b, c, d)) == hash((a, b, c, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_rows())
+def test_decoded_rows_are_the_tuples_of_their_fields(rows):
+    components, connections = decode_graph(enumerate(encode_graph(*rows), 1))
+    for row in components + connections:
+        assert row == tuple(row) and hash(row) == hash(tuple(row))
+    assert all(isinstance(row, Connection) for row in connections)
+
+
+def test_a_decoded_connection_is_the_graph_edge_itself():
+    with open(SCENARIOS["healing"], encoding="utf-8") as fh:
+        doc = parse_document(fh.read())
+    edges = build_system(doc).graph.connections
+    assert {id(conn) for conn in edges} == {id(row) for row in doc.connections}

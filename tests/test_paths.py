@@ -68,8 +68,8 @@ def test_check_tokens_rejects_exactly_the_first_bad_token(names, at, after):
         check_tokens(tokens)
 
 
-def test_child_and_ordering():
-    p = PathName.root().child("a").child("b")
+def test_render_and_ordering():
+    p = PathName(("a", "b"))
     assert p.render() == "/a/b"
     assert PathName(("a",)) < PathName(("a", "b")) < PathName(("b",))
 

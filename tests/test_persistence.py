@@ -1,6 +1,8 @@
 """Canonical save/load round-trips."""
 
+import hashlib
 import random
+import re
 
 import pytest
 
@@ -18,6 +20,15 @@ from adaptdom.registry import EnumerateMode, Kind
 from adaptdom.system import Host, System
 
 from conftest import SCENARIOS
+
+
+# The sha256 of each shipped scenario's load -> save, recorded when graph
+# rows were frozen dataclasses: named-tuple rows hash and order as they did.
+SAVED_DIGESTS = {
+    "healing": "e5baa3f07993cd77b36d608599c2e020ad4627b0e06384585bc0622195ff5cd3",
+    "optimization": "094d083cedf4d2ee4fbe7558d04c4d3392d917e419e0b26d48d7e17c191a44af",
+    "rejuvenation": "b7f3d722d1e65e25f960d957c0039982ff7b5d62665cb9323993f9eab53f31eb",
+}
 
 
 def fresh_system():
@@ -134,6 +145,7 @@ class TestCanonicalForm:
         first = save_config(load_config(SCENARIOS[name]))
         second = save_config(load_config(first))
         assert first == second
+        assert hashlib.sha256(first).hexdigest() == SAVED_DIGESTS[name]
 
 
 class TestIsomorphism:
@@ -190,6 +202,29 @@ class TestErrors:
         with pytest.raises(ScenarioParseError, match="BadToken: invalid token: 'out port'"):
             build_system(doc)
 
+    @pytest.mark.parametrize("rows, row, message", [
+        ("components", ("c13", "web", "hostA", "bogus"),
+         "component row ('c13', 'web', 'hostA', 'bogus'): state 'bogus' is not active, blocked or down"),
+        ("components", ("c13", "web", "hostA"),
+         "component row ('c13', 'web', 'hostA'): expected (id, kind, host, state)"),
+        ("components", ("c13", "web", "host A", "active"),
+         "component row ('c13', 'web', 'host A', 'active'): BadToken: invalid token: 'host A'"),
+        ("components", ("c01", "db", "hostB", "active"), "duplicate component 'c01'"),
+        ("connections", ("c01", "out", "c02"),
+         "connection row ('c01', 'out', 'c02'): expected (src, src_port, dst, dst_port)"),
+        ("connections", ("c01", "out", "c02", "in", "x"),
+         "connection row ('c01', 'out', 'c02', 'in', 'x'): expected (src, src_port, dst, dst_port)"),
+    ], ids=["state", "short-component", "token", "duplicate", "short-connection",
+            "long-connection"])
+    def test_a_malformed_graph_row_built_in_code_is_refused(self, rows, row, message):
+        # The parser refuses each of these as a line; a row appended in
+        # code is refused by name when its system is built.
+        with open(SCENARIOS["healing"]) as fh:
+            doc = parse_document(fh.read())
+        getattr(doc, rows).append(row)
+        with pytest.raises(ScenarioParseError, match=re.escape(message)):
+            build_system(doc)
+
     def test_a_host_built_in_code_must_be_up_or_down(self):
         with open(SCENARIOS["healing"]) as fh:
             doc = parse_document(fh.read())
@@ -236,7 +271,19 @@ class TestErrors:
     def test_comments_and_blank_lines_ignored(self):
         text = (
             "adaptdom-config 1\n# a comment\n\n[system]\nroot = 1\n"
-            "[objects]\nobject 1 domain  # trailing\n[domain 1 /]\nend-config\n"
+            "[objects]\nobject 1 domain  # trailing\n[domain 1 /]\n"
+            "[hosts]\nhost h1 capacity=1.0 leak=0.0 level=1.0 status=up\n[graph]\n"
+            "# a comment\n\ncomponent c1 kind=web host=h1 state=active  # trailing\n"
+            "end-config  # trailing\n\n# a comment\n"
         )
         system = load_config(text)
         assert system.registry.root is not None
+        assert system.graph.components == {"c1": Component("web", "h1")}
+
+    def test_content_after_the_end_marker_names_its_line(self):
+        text = ("adaptdom-config 1\n[system]\nroot = 1\n[graph]\n"
+                "component c1 kind=web host=h1 state=active\nend-config\n# a comment\n\n"
+                "component c2 kind=web host=h1 state=active\n")
+        with pytest.raises(ParseError, match="content after end marker") as err:
+            parse_document(text)
+        assert err.value.line == 9

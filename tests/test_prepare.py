@@ -8,7 +8,6 @@ graphs that already hold dangling connections or port conflicts.
 """
 
 from collections import Counter
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,16 +70,16 @@ def ref_apply_edits(graph, txn):
             if edit.cid not in comps:
                 violations.append(Violation("UnknownComponent", edit.cid))
             else:
-                comps[edit.cid] = replace(
-                    comps[edit.cid], host=edit.new_host, state=ComponentState.ACTIVE
+                comps[edit.cid] = comps[edit.cid]._replace(
+                    host=edit.new_host, state=ComponentState.ACTIVE
                 )
                 restarted.add(edit.cid)
         elif isinstance(edit, ReplaceComponent):
             if edit.cid not in comps:
                 violations.append(Violation("UnknownComponent", edit.cid))
             else:
-                comps[edit.cid] = replace(
-                    comps[edit.cid], kind=edit.new_kind, state=ComponentState.ACTIVE
+                comps[edit.cid] = comps[edit.cid]._replace(
+                    kind=edit.new_kind, state=ComponentState.ACTIVE
                 )
                 restarted.add(edit.cid)
     return comps, conns, violations, restarted

@@ -35,8 +35,8 @@ class TestRoot:
 class TestInclude:
     def test_include_resolve_round_trip(self, registry):
         x = registry.register(Kind.PLAIN)
-        path = registry.include(registry.root, x, "a")
-        assert path.render() == "/a"
+        assert registry.include(registry.root, x, "a") is None
+        assert {p.render() for p in registry.paths_of(x)} == {"/a"}
         assert registry.resolve("/a") == x
 
     def test_duplicate_local_name(self, registry):
