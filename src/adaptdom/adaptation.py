@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import mul
@@ -154,19 +155,22 @@ class AuditFinding:
 
 # --- resource exhaustion forecasting ---
 
-def _least_squares(times: Sequence[float], levels: Sequence[float]) -> tuple[float, float]:
-    """Least-squares slope and intercept. Summing with builtin `sum` in arrival
-    order is part of the report contract: a loop (3.12 compensates float `sum`)
-    or running window sums would change the float bits, and so the reports."""
-    n = float(len(times))
-    sx = sum(times)
-    sy = sum(levels)
-    sxx = sum(map(mul, times, times))
-    sxy = sum(map(mul, times, levels))
+def _fit(n: int, sx, sy, sxx, sxy) -> tuple[float, float]:
+    """Slope and intercept from the sums of time, level, time² and time·level."""
+    n = float(n)
     denom = n * sxx - sx * sx
     slope = (n * sxy - sx * sy) / denom
-    intercept = (sy - slope * sx) / n
-    return slope, intercept
+    return slope, (sy - slope * sx) / n
+
+
+def _least_squares(times: Sequence[float], levels: Sequence[float]) -> tuple[float, float]:
+    """Least-squares slope and intercept. The contract is builtin `sum` over
+    the same values in arrival order: a loop (3.12 compensates float `sum`)
+    or running window sums would change the float bits, and so the reports.
+    The proactive analyzer keeps each sample's `t*t` and `t*level`, the very
+    floats summed here, and sums those columns in the same order."""
+    return _fit(len(times), sum(times), sum(levels),
+                sum(map(mul, times, times)), sum(map(mul, times, levels)))
 
 
 def forecast_exhaustion(
@@ -234,7 +238,10 @@ NUMBER_PARAMS = {"count", "window", "cooldown", "step_spacing", "limit", "placem
 
 class StageContext:
     """What a stage behavior may see and touch while running, at the
-    clock's time `now`."""
+    clock's time `now`. `load_logic` builds one per binding, and each run
+    sets its `now`."""
+
+    __slots__ = ("engine", "domain", "binding", "now", "params", "policy", "strategy", "state")
 
     def __init__(self, engine: "AdaptationEngine", domain: ObjectId, binding: "_Binding"):
         self.engine = engine
@@ -390,33 +397,54 @@ def _analyze_linear_forecast(ctx, events):
     strategy = ctx.strategy
     if not isinstance(strategy, Proactive):
         return None
-    event_type = str(ctx.params.get("event_type", "resource_sample"))
-    fname = str(ctx.params.get("field", "level"))
-    host_field = str(ctx.params.get("host_field", "host"))
+    state, params = ctx.state, ctx.params
+    kept = state.get("kept")
+    if kept is None:  # parsed once per loaded logic
+        state["series"] = {}
+        kept = state["kept"] = (str(params.get("event_type", "resource_sample")),
+                                str(params.get("field", "level")),
+                                str(params.get("host_field", "host")), {}, set())
+    # `products` holds each host's `t*t` and `t*level` columns beside its
+    # series; `unordered` the hosts whose series ever received an older time.
+    event_type, fname, host_field, products, unordered = kept
+    series = state["series"]
     margin = float(ctx.policy.directives.get("forecast_margin", strategy.margin))
-    series = ctx.state.setdefault("series", {})
     cutoff = ctx.now - strategy.window
     touched = []
     for event in events:
         if event.event_type != event_type:
             continue
-        if fname not in event.payload or host_field not in event.payload:
+        payload = event.payload
+        if fname not in payload or host_field not in payload:
             continue
-        host = str(event.payload[host_field])
+        host = str(payload[host_field])
         # Time, level and event-id columns in arrival order; a fit reads them in place.
-        times, levels, ids = series.get(host) or series.setdefault(host, ([], [], []))
-        levels.append(float(event.payload[fname]))
-        times.append(event.timestamp)
+        if host not in series:
+            series[host], products[host] = ([], [], []), ([], [])
+        times, levels, ids = series[host]
+        tts, tls = products[host]
+        t, level = event.timestamp, float(payload[fname])
+        if times and t < times[-1]:
+            unordered.add(host)
+        times.append(t)
+        levels.append(level)
         ids.append(event.event_id)
-        while times and (oldest := min(times)) <= cutoff:
-            at = times.index(oldest)
-            del times[at], levels[at], ids[at]
+        tts.append(t * t)
+        tls.append(t * level)
+        if host in unordered:
+            while times and (oldest := min(times)) <= cutoff:
+                at = times.index(oldest)
+                del times[at], levels[at], ids[at], tts[at], tls[at]
+        else:
+            stale = bisect_right(times, cutoff)
+            del times[:stale], levels[:stale], ids[:stale], tts[:stale], tls[:stale]
         touched.append(host)
     for host in touched:
         times, levels, ids = series[host]
-        if not times or times.count(times[0]) == len(times):  # < 2 distinct times
+        if not times or (times.count(times[0]) == len(times) if host in unordered
+                         else times[0] == times[-1]):  # < 2 distinct times
             continue
-        slope, intercept = _least_squares(times, levels)
+        slope, intercept = _fit(len(times), sum(times), sum(levels), *map(sum, products[host]))
         if slope == 0.0:
             continue
         descending = slope < 0
@@ -445,7 +473,8 @@ def _analyze_linear_forecast(ctx, events):
         reset_action = str(ctx.params.get("reset_action", "reset_host_resource"))
         agent_oid = ctx.engine.agent_for(ctx.domain)
         actions.append(AgentLaunchAction(MobileAgent(agent_oid, (stop,), reset_action)))
-        series[host] = ([], [], [])
+        series[host], products[host] = ([], [], []), ([], [])
+        unordered.discard(host)
         return Decision(
             ctx.domain,
             cause=tuple(ids),
@@ -501,11 +530,14 @@ PIPELINE_POLICY_SUPPRESSED = "policy_suppressed"
 PIPELINE_COOLDOWN_SUPPRESSED = "cooldown_suppressed"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineOutcome:
     status: str
     decision: Optional[Decision] = None
     scenario: Optional[Scenario] = None
+
+
+_NO_DECISION = PipelineOutcome(PIPELINE_NO_DECISION)
 
 
 @dataclass
@@ -518,6 +550,9 @@ class _Binding:
     last_executed: dict[str, int] = field(default_factory=dict)
     executions: list[int] = field(default_factory=list)
     generation: int = 0
+    # Set by `load_logic`: the five stage behaviors and the stages' context.
+    stages: tuple[Callable, ...] = ()
+    ctx: Optional[StageContext] = None
 
 
 class AdaptationEngine:
@@ -541,6 +576,10 @@ class AdaptationEngine:
         self._bindings: dict[ObjectId, _Binding] = {}
         self._txn_counter = 0
         self._agents: dict[ObjectId, ObjectId] = {}
+        # Per source: its containing domains as the registry last gave them,
+        # a result with no decisions, and each domain with logic loaded: its
+        # place in the result, binding and whether that logic batches events.
+        self._routes: dict[ObjectId, tuple[tuple[ObjectId, ...], list, list]] = {}
 
     def _next_txn_id(self, prefix: str) -> str:
         self._txn_counter += 1
@@ -585,6 +624,10 @@ class AdaptationEngine:
         binding.last_executed = {}
         binding.executions = []
         binding.generation += 1
+        binding.stages = (MONITORS[logic.monitor], AUDITORS[logic.audit], ANALYZERS[logic.analyze],
+                          REGULATORS[logic.regulate], EXECUTORS[logic.execute])
+        binding.ctx = StageContext(self, domain, binding)
+        self._routes.clear()
         if isinstance(logic.strategy, Retroactive):
             self._schedule_retro(domain, binding.generation)
 
@@ -594,6 +637,7 @@ class AdaptationEngine:
             raise NoLogicLoaded(f"{domain} has no adaptation logic loaded")
         binding.logic = None
         binding.generation += 1
+        self._routes.clear()
 
     def logic_of(self, domain: ObjectId) -> Optional[AdaptationLogic]:
         binding = self._bindings.get(domain)
@@ -621,24 +665,29 @@ class AdaptationEngine:
 
     def dispatch_event(self, event: AdaptationEvent) -> list[tuple[ObjectId, Optional[Decision]]]:
         """Deliver `event` by its source: a domain's own event to that
-        domain, a registered sensor's to every domain containing it."""
+        domain, a registered sensor's to every domain containing it. Each
+        domain reached comes back, in order, with its decision: None where
+        no logic is loaded, or where retroactive logic batches the event."""
         source = event.source
         if source.kind is Kind.DOMAIN:
-            domains = [source]
+            domains = (source,)
         elif self.hub.is_sensor(source):
             domains = self.registry.domains_containing(source)
         else:
             raise UnknownSensor(f"{source} is not a registered sensor")
-        return [(domain, self._deliver(domain, event)) for domain in domains]
-
-    def _deliver(self, domain: ObjectId, event: AdaptationEvent) -> Optional[Decision]:
-        binding = self._bindings.get(domain)
-        if binding is None or binding.logic is None:
-            return None
-        if isinstance(binding.logic.strategy, Retroactive):
-            binding.accumulated.append(event)
-            return None
-        return self._pipeline(domain, binding, [event]).decision
+        route = self._routes.get(source)
+        if route is None or route[0] is not domains:
+            route = self._routes[source] = (domains, [(domain, None) for domain in domains], [
+                (at, domain, binding, isinstance(binding.logic.strategy, Retroactive))
+                for at, domain in enumerate(domains)
+                if (binding := self._bindings.get(domain)) is not None and binding.logic])
+        decided = route[1].copy()
+        for at, domain, binding, batches in route[2]:
+            if batches:
+                binding.accumulated.append(event)
+            else:
+                decided[at] = (domain, self._pipeline(domain, binding, [event]).decision)
+        return decided
 
     # --- pipeline ---
 
@@ -659,14 +708,14 @@ class AdaptationEngine:
         binding: _Binding,
         inputs: list[AdaptationEvent],
     ) -> PipelineOutcome:
-        logic = binding.logic
-        ctx = StageContext(self, domain, binding)
-        now = ctx.now
-        events = MONITORS[logic.monitor](ctx, list(inputs))
-        events = AUDITORS[logic.audit](ctx, events)
-        decision = ANALYZERS[logic.analyze](ctx, events)
+        ctx = binding.ctx
+        ctx.now = now = self.clock.now
+        monitor, audit, analyze, regulate, execute = binding.stages
+        # The monitor may keep `inputs`: every caller hands over a fresh list.
+        decision = analyze(ctx, audit(ctx, monitor(ctx, inputs)))
         if decision is None:
-            return PipelineOutcome(PIPELINE_NO_DECISION)
+            return _NO_DECISION
+        logic = binding.logic
         ok, why = self._check_consistency(domain, decision)
         decision.consistency_ok = ok
         if not ok:
@@ -685,7 +734,7 @@ class AdaptationEngine:
             if len(recent) >= limit:
                 self._trace_decision(domain, logic, decision, PIPELINE_POLICY_SUPPRESSED)
                 return PipelineOutcome(PIPELINE_POLICY_SUPPRESSED, decision)
-        scenario = REGULATORS[logic.regulate](ctx, decision)
+        scenario = regulate(ctx, decision)
         signature = scenario.signature()
         last = binding.last_executed.get(signature)
         if last is not None and scenario.cooldown > 0 and now - last < scenario.cooldown:
@@ -699,7 +748,7 @@ class AdaptationEngine:
             cooldown=scenario.cooldown,
             sig=signature,
         )
-        EXECUTORS[logic.execute](ctx, scenario, decision)
+        execute(ctx, scenario, decision)
         binding.last_executed[signature] = now
         binding.executions.append(now)
         return PipelineOutcome(PIPELINE_EXECUTED, decision, scenario)

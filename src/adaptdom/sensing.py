@@ -3,19 +3,21 @@
 Any managed object registered here may emit events; routing delivers an
 event to every domain the source belongs to, directly or indirectly. A
 domain's own events (a transaction's abort notice) go to that domain.
-`ActuationHub.emit` is the one place that numbers and makes an event,
-and every event and agent line is stamped with the clock's time. The two
-actuator kinds are graph transactions and mobile agents. Mobile agents
-walk an itinerary of path names, executing a registered action at each
-stop and reporting per-stop outcomes; an unresolvable stop is skipped,
-not fatal. An event's payload, a hop's stop and outcome and a report's
-outcomes go to the trace as they are; `trace.encode_value` writes them.
+`ActuationHub.emit` is the one place that numbers and makes an event, an
+immutable record, and it writes the event's line through a recorder the
+hub prepares once; every event and agent line is stamped with the clock's
+time. The two actuator kinds are graph transactions and mobile agents.
+Mobile agents walk an itinerary of path names, executing a registered
+action at each stop and reporting per-stop outcomes; an unresolvable stop
+is skipped, not fatal. An event's payload, a hop's stop and outcome and a
+report's outcomes go to the trace as they are; `trace.encode_value`
+writes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .confgraph import ReconfigTxn
 from .errors import EmptyItinerary, UnknownAction, UnknownId
@@ -24,8 +26,7 @@ from .registry import ObjectId, Registry
 from .trace import TraceLog
 
 
-@dataclass(frozen=True)
-class AdaptationEvent:
+class AdaptationEvent(NamedTuple):
     event_id: int
     source: ObjectId
     event_type: str
@@ -105,7 +106,9 @@ class ActuationHub:
         self._registry = registry
         self._trace = trace
         self._clock = clock
-        self._engine = engine
+        self._dispatch = engine.dispatch_event
+        # The event line, prepared once: its names are checked here.
+        self._record_event = trace.recorder("event", "id", "src", "type", "domains", "payload")
         self._sensors: dict[ObjectId, _SensorInfo] = {}
         self._actions: dict[str, Callable] = {"noop": lambda stop, target: None}
         self._next_event_id = 1
@@ -140,17 +143,11 @@ class ActuationHub:
         info = self._sensors.get(source)
         if info is not None:
             info.last_emit = now
-        event = AdaptationEvent(self._next_event_id, source, event_type, dict(payload), now)
-        self._next_event_id += 1
-        routed = len(self._engine.dispatch_event(event))
-        self._trace.record(
-            "event",
-            id=event.event_id,
-            src=source,
-            type=event_type,
-            domains=routed,
-            payload=event.payload,
-        )
+        event_id = self._next_event_id
+        self._next_event_id = event_id + 1
+        payload = dict(payload)
+        routed = len(self._dispatch(AdaptationEvent(event_id, source, event_type, payload, now)))
+        self._record_event(event_id, source, event_type, routed, payload)
         return routed
 
     # --- agents ---

@@ -39,14 +39,16 @@ class Simulator:
         self.audit_period = int(params.get("audit_period", 0))
         self.jitter = int(params.get("jitter", 0))
         self.exhaustion_critical = float(params.get("exhaustion_critical", 0.0))
-        # Bound once for the traffic path. The manager's graph is built
-        # before the simulator and every commit edits its components dict
-        # in place, so traffic always sees the current components here.
+        # Bound once for the traffic and probe paths. The manager's graph is
+        # built before the simulator and every commit edits its components
+        # dict in place, so traffic always sees the current components here.
         self.clock = self.system.clock
         self.trace = self.system.trace
         self._occupancy = self.system.occupancy
         self._components = self.system.graph.components
         self._schedule = self.clock.schedule
+        self._hosts = self.system.hosts
+        self._emit = self.system.hub.emit
         self._record_hop = self.trace.recorder("app_hop", "flow", "comp")
         self._record_drop = self.trace.recorder("app_drop", "flow", "comp")
         self._down_since: dict[str, int] = {}
@@ -84,13 +86,13 @@ class Simulator:
             self._every(self.audit_period, self.audit_period, self.system.run_audits)
 
     def _every(self, start: int, period: int, fn) -> None:
-        clock = self.clock
+        clock, schedule = self.clock, self._schedule
 
         def tick():
             fn()
-            clock.schedule(clock.now + period, tick)
+            schedule(clock.now + period, tick)
 
-        clock.schedule(start, tick)
+        schedule(start, tick)
 
     # --- faults ---
 
@@ -123,11 +125,11 @@ class Simulator:
     # --- probes ---
 
     def _probe_liveness(self, sensor, host_id: str) -> None:
-        if not self.system.hosts.host_is_up(host_id):
-            self.system.hub.emit(sensor, "host_failed", {"host": host_id})
+        if not self._hosts.host_is_up(host_id):
+            self._emit(sensor, "host_failed", {"host": host_id})
 
     def _probe_resource(self, sensor, host_id: str) -> None:
-        host = self.system.hosts.get(host_id)
+        host = self._hosts.get(host_id)
         if not host.up:
             return
         level = host.level(self.clock.now)
@@ -137,12 +139,12 @@ class Simulator:
                 self._exhaustions += 1
         else:
             self._exhausted.discard(host_id)
-        self.system.hub.emit(sensor, "resource_sample", {"host": host_id, "level": level})
+        self._emit(sensor, "resource_sample", {"host": host_id, "level": level})
 
     def _probe_link(self, sensor, a: str, b: str) -> None:
-        hosts = self.system.hosts
+        hosts = self._hosts
         if hosts.host_is_up(a) and hosts.host_is_up(b):
-            self.system.hub.emit(
+            self._emit(
                 sensor, "link_quality",
                 {"src": a, "dst": b, "quality": hosts.link_quality(a, b)},
             )

@@ -14,8 +14,9 @@ value itself: `encode_value` is the one encoder of values, scalars and
 collections alike, and `decode_set` reads a set back. Kinds and keys are
 tokens (`paths.TOKEN_RE`), checked once per name: `record` appends a
 line of any shape and checks a name the first time it sees it;
-`recorder` prepares a two-field shape, such as an application hop's, and
-checks its names once for its many lines. The log holds its lines only
+`recorder` prepares a shape of any number of fields, such as an
+application hop's or an event's, checks its names once for its many
+lines and takes the values positionally. The log holds its lines only
 as text: every `_BLOCK` finished lines are joined by `\n` into one
 `str`, so a run keeps one string per block, not one per line, plus the
 few lines not yet joined and a count per kind. `blocks` hands the text
@@ -47,10 +48,13 @@ LINE = re.compile(r"t=([^ ]*) s=([^ ]*) ([^ ]*)((?: [^ =]*=[^ ]*)*)")
 
 def format_scalar(value) -> str:
     """Canonical scalar rendering shared by traces and documents."""
-    if isinstance(value, bool):
-        return "1" if value else "0"
+    cls = type(value)  # the exact types first; a subclass keeps its text below
+    if cls is str or cls is int:
+        return str(value)
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, bool):
+        return "1" if value else "0"
     return str(value)
 
 
@@ -183,18 +187,25 @@ class TraceLog:
             text += f" {key}={value}"
         self._append(kind, text)
 
-    def recorder(self, kind: str, key_a: str, key_b: str) -> Callable[..., None]:
-        """A prepared `record` of a two-field line: `rec(a, b)` appends the
-        line `record(kind, **{key_a: a, key_b: b})` would."""
-        self._check(kind, key_a, key_b)
+    def recorder(self, kind: str, *keys: str) -> Callable[..., None]:
+        """A prepared `record` of one line shape: `rec(*values)` appends the
+        line `record(kind, **dict(zip(keys, values)))` would. As in `record`,
+        an exact int formats as itself."""
+        self._check(kind, *keys)
         append = self._append
-        head_a, head_b = f" {key_a}=", f" {key_b}="
+        if len(keys) == 2:  # an application hop's, once per traffic step: no loop
+            head_a, head_b = (f" {key}=" for key in keys)
 
-        def rec(a, b):
-            # As in `record`, an exact int formats as itself.
-            a = a if type(a) is int else encode_value(a)
-            b = b if type(b) is int else encode_value(b)
-            append(kind, f"{head_a}{a}{head_b}{b}")
+            def rec(a, b):
+                a = a if type(a) is int else encode_value(a)
+                b = b if type(b) is int else encode_value(b)
+                append(kind, f"{head_a}{a}{head_b}{b}")
+            return rec
+        template = "".join(f" {key}=%s" for key in keys)
+
+        def rec(*values):
+            append(kind, template % tuple(
+                [value if type(value) is int else encode_value(value) for value in values]))
         return rec
 
     def _append(self, kind: str, fields: str) -> None:

@@ -1,5 +1,6 @@
 """Pipelines, strategies, policies, audits, and routing to parent domains."""
 
+import dataclasses
 import math
 import random
 
@@ -215,6 +216,42 @@ class TestDispatch:
         assert graph.components["w1"].host == "hostB"
         assert graph.components["w2"].host == "hostB"
         assert all(c.state.value == "active" for c in graph.components.values())
+
+
+class TestRecords:
+    """The shapes the event path hands around once it is prepared."""
+
+    def test_dispatch_returns_every_containing_domain_in_order(self, system, marker_analyzer):
+        # / holds a, a holds b, and / holds c; the sensor is in b and c.
+        root = system.registry.root
+        a, b, c = (system.registry.register(Kind.DOMAIN) for _ in range(3))
+        system.registry.include(root, a, "a")
+        system.registry.include(a, b, "b")
+        system.registry.include(root, c, "c")
+        s = system.registry.register(Kind.SENSOR)
+        system.registry.include(b, s, "s")
+        system.registry.include(c, s, "s")
+        system.hub.register_sensor(s, 0)
+        system.engine.load_logic(a, AdaptationLogic("m", Reactive(), analyze=marker_analyzer))
+        system.engine.load_logic(c, AdaptationLogic("m", Retroactive(period=10),
+                                                    analyze=marker_analyzer))
+        for n in range(2):  # the second dispatch takes the cached route
+            results = system.engine.dispatch_event(AdaptationEvent(n, s, "x", {}, 0))
+            assert [domain for domain, _ in results] == sorted((root, a, b, c))
+            assert [domain for domain, decision in results if decision is not None] == [a]
+            assert dict(results)[a].cause == (n,)
+        assert len(system.engine._bindings[c].accumulated) == 2
+
+    def test_no_decision_is_one_frozen_outcome(self, system, marker_analyzer):
+        d = system.registry.register(Kind.DOMAIN)
+        system.registry.include(system.registry.root, d, "d")
+        system.engine.load_logic(d, AdaptationLogic("m", Reactive(), analyze=marker_analyzer))
+        binding = system.engine._bindings[d]
+        first = system.engine._pipeline(d, binding, [])
+        assert first.status == "no_decision" and first.decision is None
+        assert system.engine._pipeline(d, binding, []) is first
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.status = "executed"
 
 
 class TestRunPipeline:

@@ -20,6 +20,7 @@ from adaptdom.adaptation import (
     Decision,
     Policy,
     Proactive,
+    _fit,
     _least_squares,
     forecast_exhaustion,
 )
@@ -312,3 +313,23 @@ def test_linear_forecast_equals_reference(reference_analyzer, batches, window, m
     assert lines == want_lines
     assert [(host, list(zip(*columns))) for host, columns in series.items()] == list(
         want_series.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches=sample_batches(), window=st.integers(1, 40), margin=st.floats(0.0, 900.0))
+def test_the_kept_column_fit_is_bit_equal_to_least_squares(batches, window, margin):
+    # Ascending, tied and out-of-order times, each batch appending samples
+    # and trimming the window: a fit over the kept `t*t` and `t*level`
+    # columns gives the bits `_least_squares` gives over times and levels.
+    system, rejuv, sensor = forecast_system("linear_forecast", window, margin, 0)
+    state = system.engine._bindings[rejuv].stage_state
+    for batch in batches:
+        _run_batch(system.engine, rejuv, [AdaptationEvent(eid, sensor, kind, dict(payload), t)
+                                          for eid, kind, payload, t in batch])
+        products = state["kept"][3]
+        for host, (times, levels, _) in state["series"].items():
+            if len(set(times)) < 2:
+                continue
+            kept = _fit(len(times), sum(times), sum(levels), *map(sum, products[host]))
+            want = _least_squares(times, levels)
+            assert [x.hex() for x in kept] == [x.hex() for x in want]

@@ -863,6 +863,22 @@ def test_recorder_equals_record(shapes, block, data):
             assert prepared.count(kind) == plain.count(kind)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(recorded_values, collection_values), min_size=5, max_size=5),
+       st.integers(0, 10**6))
+def test_a_five_key_recorder_writes_the_line_record_writes(values, time):
+    # An event's shape. Values include bools, `IntEnum` members and `str`
+    # subclasses, which an exact-type test must not take for ints or text.
+    clock = HandClock()
+    clock.now = time
+    prepared, plain = TraceLog(clock), TraceLog(clock)
+    keys = ("id", "src", "type", "domains", "payload")
+    prepared.recorder("event", *keys)(*values)
+    plain.record("event", **dict(zip(keys, values)))
+    assert prepared.lines() == plain.lines() == [
+        reference_record_line(time, 0, "event", **dict(zip(keys, values)))]
+
+
 def reference_render(report: RunReport, trace_lines: list[str]) -> str:
     lines = [
         REPORT_HEADER,

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adaptdom.adaptation import ANALYZERS, AdaptationLogic, Decision, Reactive
+from adaptdom.adaptation import ANALYZERS, AdaptationLogic, Decision, Reactive, Retroactive
 from adaptdom.confgraph import ReconfigTxn, ReplaceComponent
 from adaptdom.errors import (
+    AdaptdomError,
     EmptyItinerary,
     InvalidTxn,
     UnknownAction,
@@ -99,6 +100,85 @@ class TestSensors:
             system.hub.emit(rng.choice(sensors), "tick", {})
         ids = [int(e.get("id")) for e in of_kind(system.trace, "event")]
         assert ids == sorted(ids) and len(set(ids)) == len(ids)
+
+
+    def test_an_event_is_immutable(self):
+        event = AdaptationEvent(1, None, "x", {}, 0)
+        for name in ("event_id", "source", "event_type", "payload", "timestamp"):
+            with pytest.raises(AttributeError):
+                setattr(event, name, None)
+        assert event == AdaptationEvent(event_id=1, source=None, event_type="x",
+                                        payload={}, timestamp=0)
+
+
+def _spy_runs(ctx, events):
+    """An analyzer that notes the domain whose pipeline ran and decides nothing."""
+    _SPIED.append(ctx.domain)
+    return None
+
+
+_SPIED: list = []
+
+route_actions = st.lists(st.tuples(
+    st.sampled_from(("emit", "emit", "emit", "include", "exclude", "load", "load_retro",
+                     "unload", "unload")),
+    st.integers(0, 10**6), st.integers(0, 10**6)), min_size=8, max_size=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), route_actions)
+def test_routes_follow_membership_and_logic(seed, actions):
+    # Emits interleaved with membership changes and logic loads and
+    # unloads: every emit reaches each containing domain, and runs the
+    # pipeline of, or batches the event for, exactly those with logic.
+    rng = random.Random(seed)
+    system = System()
+    registry, engine = system.registry, system.engine
+    registry.create_root()
+    objects = random_hierarchy(rng, registry, max_objects=10)
+    sensor = registry.register(Kind.SENSOR)
+    registry.include(rng.choice([o for o in objects if o.kind is Kind.DOMAIN]), sensor, "spy")
+    objects.append(sensor)
+    domains = [o for o in objects if o.kind is Kind.DOMAIN]
+    # At most two sensors emit, so that most actions change a cached route.
+    sensors = [o for o in objects if o.kind is Kind.SENSOR][-2:]
+    for s in sensors:
+        system.hub.register_sensor(s, 0)
+    ANALYZERS["spy_runs"] = _spy_runs
+    try:
+        for n, (op, a, b) in enumerate(actions):
+            # Most actions touch the domains above one sensor, whose route
+            # a later emit from it reads.
+            source = sensors[b % len(sensors)]
+            containing = registry.domains_containing(source)
+            domain = (containing or domains)[a % len(containing or domains)]
+            if op == "emit":
+                batched = {d: len(engine._bindings[d].accumulated) for d in engine.bound_domains()}
+                _SPIED.clear()
+                assert system.hub.emit(source, "x", {}) == len(containing)
+                grew = [d for d, size in batched.items()
+                        if len(engine._bindings[d].accumulated) > size]
+                assert sorted(_SPIED + grew) == [
+                    d for d in containing if engine.logic_of(d) is not None]
+            elif op == "include":
+                try:
+                    registry.include(domains[a % len(domains)],
+                                     (source, objects[a % len(objects)])[b % 2], f"i{n}")
+                except AdaptdomError:
+                    pass  # a cycle, a name taken, or the root
+            elif op == "exclude":
+                names = sorted(registry.member_names(domain))
+                if names:
+                    registry.exclude(domain, names[b % len(names)])
+            elif op in ("load", "load_retro"):
+                strategy = Reactive() if op == "load" else Retroactive(period=10)
+                engine.load_logic(domain, AdaptationLogic("spy", strategy, analyze="spy_runs"))
+            else:
+                loaded = [d for d in containing if engine.logic_of(d) is not None]
+                if loaded:
+                    engine.unload_logic(loaded[a % len(loaded)])
+    finally:
+        del ANALYZERS["spy_runs"]
 
 
 class TestCommands:
