@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import mul
@@ -403,10 +402,9 @@ def _analyze_linear_forecast(ctx, events):
         state["series"] = {}
         kept = state["kept"] = (str(params.get("event_type", "resource_sample")),
                                 str(params.get("field", "level")),
-                                str(params.get("host_field", "host")), {}, set())
-    # `products` holds each host's `t*t` and `t*level` columns beside its
-    # series; `unordered` the hosts whose series ever received an older time.
-    event_type, fname, host_field, products, unordered = kept
+                                str(params.get("host_field", "host")), {})
+    # `products` holds each host's `t*t` and `t*level` columns beside its series.
+    event_type, fname, host_field, products = kept
     series = state["series"]
     margin = float(ctx.policy.directives.get("forecast_margin", strategy.margin))
     cutoff = ctx.now - strategy.window
@@ -424,25 +422,18 @@ def _analyze_linear_forecast(ctx, events):
         times, levels, ids = series[host]
         tts, tls = products[host]
         t, level = event.timestamp, float(payload[fname])
-        if times and t < times[-1]:
-            unordered.add(host)
         times.append(t)
         levels.append(level)
         ids.append(event.event_id)
         tts.append(t * t)
         tls.append(t * level)
-        if host in unordered:
-            while times and (oldest := min(times)) <= cutoff:
-                at = times.index(oldest)
-                del times[at], levels[at], ids[at], tts[at], tls[at]
-        else:
-            stale = bisect_right(times, cutoff)
-            del times[:stale], levels[:stale], ids[:stale], tts[:stale], tls[:stale]
+        while times and (oldest := min(times)) <= cutoff:
+            at = times.index(oldest)
+            del times[at], levels[at], ids[at], tts[at], tls[at]
         touched.append(host)
     for host in touched:
         times, levels, ids = series[host]
-        if not times or (times.count(times[0]) == len(times) if host in unordered
-                         else times[0] == times[-1]):  # < 2 distinct times
+        if not times or times.count(times[0]) == len(times):  # < 2 distinct times
             continue
         slope, intercept = _fit(len(times), sum(times), sum(levels), *map(sum, products[host]))
         if slope == 0.0:
@@ -474,7 +465,6 @@ def _analyze_linear_forecast(ctx, events):
         agent_oid = ctx.engine.agent_for(ctx.domain)
         actions.append(AgentLaunchAction(MobileAgent(agent_oid, (stop,), reset_action)))
         series[host], products[host] = ([], [], []), ([], [])
-        unordered.discard(host)
         return Decision(
             ctx.domain,
             cause=tuple(ids),
@@ -669,13 +659,13 @@ class AdaptationEngine:
         domain reached comes back, in order, with its decision: None where
         no logic is loaded, or where retroactive logic batches the event."""
         source = event.source
-        if source.kind is Kind.DOMAIN:
-            domains = (source,)
+        route = self._routes.get(source)
+        if source.kind is Kind.DOMAIN:  # its own route never changes
+            domains = (source,) if route is None else route[0]
         elif self.hub.is_sensor(source):
             domains = self.registry.domains_containing(source)
         else:
             raise UnknownSensor(f"{source} is not a registered sensor")
-        route = self._routes.get(source)
         if route is None or route[0] is not domains:
             route = self._routes[source] = (domains, [(domain, None) for domain in domains], [
                 (at, domain, binding, isinstance(binding.logic.strategy, Retroactive))

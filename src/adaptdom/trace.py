@@ -193,7 +193,9 @@ class TraceLog:
         an exact int formats as itself."""
         self._check(kind, *keys)
         append = self._append
-        if len(keys) == 2:  # an application hop's, once per traffic step: no loop
+        # An application hop's shape, once per traffic step, without a loop:
+        # the `%` template below costs a hop more lines (tests/test_cost.py) and time.
+        if len(keys) == 2:
             head_a, head_b = (f" {key}=" for key in keys)
 
             def rec(a, b):

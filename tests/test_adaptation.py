@@ -235,12 +235,18 @@ class TestRecords:
         system.engine.load_logic(a, AdaptationLogic("m", Reactive(), analyze=marker_analyzer))
         system.engine.load_logic(c, AdaptationLogic("m", Retroactive(period=10),
                                                     analyze=marker_analyzer))
+        routes = []
         for n in range(2):  # the second dispatch takes the cached route
             results = system.engine.dispatch_event(AdaptationEvent(n, s, "x", {}, 0))
             assert [domain for domain, _ in results] == sorted((root, a, b, c))
             assert [domain for domain, decision in results if decision is not None] == [a]
             assert dict(results)[a].cause == (n,)
+            # A domain's own event reaches that domain alone, by a route kept as well.
+            [(domain, decision)] = system.engine.dispatch_event(AdaptationEvent(n, a, "x", {}, 0))
+            assert domain == a and decision.cause == (n,)
+            routes.append(system.engine._routes[a])
         assert len(system.engine._bindings[c].accumulated) == 2
+        assert routes[0] is routes[1]
 
     def test_no_decision_is_one_frozen_outcome(self, system, marker_analyzer):
         d = system.registry.register(Kind.DOMAIN)

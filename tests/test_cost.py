@@ -157,7 +157,7 @@ def _lines_per_sample(hosts: int) -> float:
 
 
 def test_one_rejuvenation_sample_costs_what_it_touches():
-    # About 149 lines a sample at 10 hosts and 144 at 40: the probe, the
+    # About 148 lines a sample at 10 hosts and 143 at 40: the probe, the
     # emit with its prepared event line, the cached route, the prepared
     # pipeline and a fit over kept columns. Building a stage context,
     # looking up the stage functions and keys, walking two logic-less

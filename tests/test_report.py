@@ -833,15 +833,19 @@ def test_a_kind_or_key_outside_the_token_grammar_is_refused(kind, key):
 
 
 kinds = st.from_regex(r"[a-z_]{1,10}", fullmatch=True)
-line_shapes = st.tuples(kinds, st.lists(field_keys, min_size=2, max_size=2, unique=True))
-recorded_values = st.one_of(record_values, st.text(alphabet=" ab\t" + _BREAKS, max_size=6))
+line_shapes = st.tuples(kinds, st.lists(field_keys, min_size=1, max_size=5, unique=True))
+recorded_values = st.one_of(record_values, st.text(alphabet=" ab\t" + _BREAKS, max_size=6),
+                            collection_values)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(line_shapes, min_size=1, max_size=3), st.integers(1, 5), st.data())
 def test_recorder_equals_record(shapes, block, data):
-    # Prepared lines interleaved with `record` calls, across blocks of 1
-    # to 5 lines, give the lines, blocks and counts that `record` alone does.
+    # Prepared lines of 1 to 5 fields (an application hop has two, an event
+    # five) interleaved with `record` calls, across blocks of 1 to 5 lines,
+    # give the lines, blocks and counts that `record` alone does. Values
+    # include bools, `IntEnum` members and `str` subclasses, which an
+    # exact-type test must not take for ints or text.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trace_module, "_BLOCK", block)
         clock = HandClock()
@@ -861,22 +865,6 @@ def test_recorder_equals_record(shapes, block, data):
         assert prepared.blocks() == plain.blocks()
         for kind, _ in shapes:
             assert prepared.count(kind) == plain.count(kind)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(recorded_values, collection_values), min_size=5, max_size=5),
-       st.integers(0, 10**6))
-def test_a_five_key_recorder_writes_the_line_record_writes(values, time):
-    # An event's shape. Values include bools, `IntEnum` members and `str`
-    # subclasses, which an exact-type test must not take for ints or text.
-    clock = HandClock()
-    clock.now = time
-    prepared, plain = TraceLog(clock), TraceLog(clock)
-    keys = ("id", "src", "type", "domains", "payload")
-    prepared.recorder("event", *keys)(*values)
-    plain.record("event", **dict(zip(keys, values)))
-    assert prepared.lines() == plain.lines() == [
-        reference_record_line(time, 0, "event", **dict(zip(keys, values)))]
 
 
 def reference_render(report: RunReport, trace_lines: list[str]) -> str:
