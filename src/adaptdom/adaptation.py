@@ -15,8 +15,8 @@ import hashlib
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import mul
-from typing import Callable, Optional, Sequence
+from operator import ge, gt, le, lt, mul
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .confgraph import (
     ConfigGraph,
@@ -30,13 +30,13 @@ from .confgraph import (
 from .errors import (
     AdaptdomError,
     InsufficientSamples,
-    InvalidPolicy,
     NoLogicLoaded,
     NotADomain,
     UnknownId,
     UnknownSensor,
     UnknownStage,
 )
+from .keys import FLAG, NAMES, NUMBER, TEXT, WHOLE, Key, Type, keys_of, read_keys
 from .paths import PathName, check_token
 from .registry import EnumerateMode, Kind, ObjectId, Registry
 from .sensing import (
@@ -53,31 +53,37 @@ from .trace import TraceLog
 
 # --- strategies, policies, decisions ---
 
+class _Fields:
+    """A strategy's fields declare its `strategy.*` keys; each holds what its type reads."""
+
+    def __post_init__(self):
+        for name, value in read_keys(keys_of(type(self)), vars(self), "", "strategy.").items():
+            object.__setattr__(self, name, value)
+
+
 @dataclass(frozen=True)
-class Reactive:
+class Reactive(_Fields):
     pass
 
 
 @dataclass(frozen=True)
-class Proactive:
-    window: int
-    critical: float
-    margin: float
+class Proactive(_Fields):
+    window: int = 100
+    critical: float = 0.0
+    margin: float = 0.0
 
 
 @dataclass(frozen=True)
-class Retroactive:
-    period: int
+class Retroactive(_Fields):
+    period: int = 100
 
 
 Strategy = Reactive | Proactive | Retroactive
+STRATEGIES = {"reactive": Reactive, "proactive": Proactive, "retroactive": Retroactive}
 
 
 def strategy_name(strategy: Strategy) -> str:
     return type(strategy).__name__.lower()
-
-
-POLICY_KEYS = {"max_actions_per_window", "window", "cooldown", "forecast_margin", "enabled"}
 
 
 class PolicySource(Enum):
@@ -85,31 +91,67 @@ class PolicySource(Enum):
     PARENT_DOMAIN = "parent"
 
 
+# The `policy.*` keys: the policy's `enabled` and `source`, and its directives.
+# An unset `cooldown` or `forecast_margin` (None) leaves the `cooldown` stage's
+# `param.cooldown` or the proactive strategy's `margin`.
+POLICY_KEYS = (
+    Key("cooldown", WHOLE, None), Key("enabled", FLAG, True), Key("forecast_margin", NUMBER, None),
+    Key("max_actions_per_window", WHOLE, 0), Key("window", WHOLE, 0),
+    Key("source", Type("human or parent", PolicySource), PolicySource.HUMAN_MANAGER))
+
+
 @dataclass
 class Policy:
+    """A domain's policy. `directives` keeps each one set, as the float a
+    save writes; `settings` holds every directive as its reader takes it."""
+
     source: PolicySource = PolicySource.HUMAN_MANAGER
     directives: dict[str, float] = field(default_factory=dict)
     enabled: bool = True
 
     def __post_init__(self):
-        unknown = set(self.directives) - POLICY_KEYS
-        if unknown:
-            raise InvalidPolicy(f"unknown policy keys: {sorted(unknown)}")
+        settings = read_keys(POLICY_KEYS, {**self.directives, "enabled": self.enabled,
+                                           "source": self.source}, "not a policy key", "policy.")
+        self.source, self.enabled = settings.pop("source"), settings.pop("enabled")
+        self.directives = {key: float(value) for key, value in self.directives.items()}
+        self.settings = settings
+
+
+_STAGES = ("analyze", "monitor", "audit", "regulate", "execute")
 
 
 @dataclass(frozen=True)
 class AdaptationLogic:
+    """A logic binding: a firing strategy and five registered stages.
+    `params` keeps the `param.*` values as given, which a save writes, and
+    each must be a key its stages declare; `settings` holds every declared
+    key as the stages read it."""
+
     name: str
     strategy: Strategy
-    analyze: str
+    analyze: str = "threshold"
     monitor: str = "pass_through"
     audit: str = "pass_through"
     regulate: str = "cooldown"
     execute: str = "actuate"
     params: dict[str, float | int | str] = field(default_factory=dict)
+    settings: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_token(self.name)
+        declared: dict[str, Key] = {}
+        readers: dict[str, None] = {}  # the bound stages that declare keys, in order
+        for stage in _STAGES:
+            token = getattr(self, stage)
+            if token not in _REGISTRIES[stage]:
+                raise UnknownStage(f"key {stage}: {token!r} is not a registered {stage} stage")
+            for key in _REGISTRIES[stage][token].params:
+                declared.setdefault(key.name, key)
+                readers[token] = None
+        *others, last = readers or ["no stage"]
+        named = f"{', '.join(others)} or {last}" if others else last
+        object.__setattr__(self, "settings", read_keys(
+            declared.values(), self.params, f"not read by {named}", "param."))
 
 
 @dataclass
@@ -230,11 +272,6 @@ def plan_placement_moves(
 
 # --- pipeline stage registries ---
 
-# The `param.*` keys that stages read as numbers; `build_system` checks
-# that each one a document sets is a finite number.
-NUMBER_PARAMS = {"count", "window", "cooldown", "step_spacing", "limit", "placement_weight"}
-
-
 class StageContext:
     """What a stage behavior may see and touch while running, at the
     clock's time `now`. `load_logic` builds one per binding, and each run
@@ -247,7 +284,7 @@ class StageContext:
         self.domain = domain
         self.binding = binding
         self.now = engine.clock.now
-        self.params = binding.logic.params
+        self.params = binding.logic.settings
         self.policy = binding.policy
         self.strategy = binding.logic.strategy
         self.state = binding.stage_state
@@ -281,9 +318,7 @@ def _monitor_pass_through(ctx, events):
 
 
 def _monitor_event_type_filter(ctx, events):
-    wanted = ctx.state.get("event_types")
-    if wanted is None:  # parsed once per loaded logic
-        wanted = ctx.state["event_types"] = set(str(ctx.params.get("event_types", "")).split(","))
+    wanted = ctx.params["event_types"]
     return [e for e in events if e.event_type in wanted]
 
 
@@ -303,40 +338,31 @@ def _evacuation(ctx, host: str, prefix: str) -> Optional[tuple[str, ReconfigTxn]
     if rel is None:
         return None
     ctx.note_reference(rel)
-    weight = float(ctx.params.get("placement_weight", 1.0))
-    moves = plan_placement_moves(ctx.graph(), ctx.hosts(), host, weight)
+    moves = plan_placement_moves(ctx.graph(), ctx.hosts(), host, ctx.params["placement_weight"])
     if not moves:
         return None
     return rel, ReconfigTxn(ctx.next_txn_id(prefix), tuple(moves))
 
 
+_COMPARE = {"lt": lt, "le": le, "gt": gt, "ge": ge}
+
+
 def _analyze_threshold(ctx, events):
     """Fire when a payload field crosses a limit; optionally evacuate a host."""
-    event_type = str(ctx.params.get("event_type", ""))
-    fname = str(ctx.params.get("field", "value"))
-    op = str(ctx.params.get("op", "lt"))
-    limit = float(ctx.params.get("limit", 0.0))
-    ops = {
-        "lt": lambda v: v < limit,
-        "le": lambda v: v <= limit,
-        "gt": lambda v: v > limit,
-        "ge": lambda v: v >= limit,
-    }
-    if op not in ops:
+    params = ctx.params
+    event_type, fname, op, limit = params["event_type"], params["field"], params["op"], params["limit"]
+    compare = _COMPARE.get(op)
+    if compare is None:
         return None
-    hits = [
-        e for e in events
-        if e.event_type == event_type and fname in e.payload
-        and ops[op](float(e.payload[fname]))
-    ]
+    hits = [e for e in events if e.event_type == event_type and fname in e.payload
+            and compare(float(e.payload[fname]), limit)]
     if not hits:
         return None
     latest = hits[-1]
-    plan = str(ctx.params.get("plan", "none"))
     actions: tuple[ActuatorAction, ...] = ()
     targets: tuple[str, ...] = ()
-    if plan == "evacuate_host":
-        host = str(latest.payload.get(str(ctx.params.get("host_field", "host")), ""))
+    if params["plan"] == "evacuate_host":
+        host = str(latest.payload.get(params["host_field"], ""))
         planned = _evacuation(ctx, host, "evac")
         if planned is None:
             return None
@@ -356,10 +382,9 @@ def _analyze_failure_count(ctx, events):
     """React to repeated failure events by restarting the failed host's
     components on the healthiest surviving hosts. With `window` set, only
     failures inside the trailing window count towards `count`."""
-    event_type = str(ctx.params.get("event_type", "host_failed"))
-    need = int(ctx.params.get("count", 1))
-    window = int(ctx.params.get("window", 0))
-    host_field = str(ctx.params.get("host_field", "host"))
+    params = ctx.params
+    event_type, need, window, host_field = (params["event_type"], params["count"],
+                                            params["window"], params["host_field"])
     times = ctx.state.setdefault("failure_times", {})
     fired = None
     for event in events:
@@ -396,17 +421,13 @@ def _analyze_linear_forecast(ctx, events):
     strategy = ctx.strategy
     if not isinstance(strategy, Proactive):
         return None
-    state, params = ctx.state, ctx.params
-    kept = state.get("kept")
-    if kept is None:  # parsed once per loaded logic
-        state["series"] = {}
-        kept = state["kept"] = (str(params.get("event_type", "resource_sample")),
-                                str(params.get("field", "level")),
-                                str(params.get("host_field", "host")), {})
+    params = ctx.params
+    event_type, fname, host_field = params["event_type"], params["field"], params["host_field"]
     # `products` holds each host's `t*t` and `t*level` columns beside its series.
-    event_type, fname, host_field, products = kept
-    series = state["series"]
-    margin = float(ctx.policy.directives.get("forecast_margin", strategy.margin))
+    series, products = ctx.state.setdefault("series", {}), ctx.state.setdefault("products", {})
+    margin = ctx.policy.settings["forecast_margin"]
+    if margin is None:
+        margin = strategy.margin
     cutoff = ctx.now - strategy.window
     touched = []
     for event in events:
@@ -461,9 +482,8 @@ def _analyze_linear_forecast(ctx, events):
         stop = ctx.absolute_path(rel)
         if stop is None:
             continue
-        reset_action = str(ctx.params.get("reset_action", "reset_host_resource"))
         agent_oid = ctx.engine.agent_for(ctx.domain)
-        actions.append(AgentLaunchAction(MobileAgent(agent_oid, (stop,), reset_action)))
+        actions.append(AgentLaunchAction(MobileAgent(agent_oid, (stop,), params["reset_action"])))
         series[host], products[host] = ([], [], []), ([], [])
         return Decision(
             ctx.domain,
@@ -476,9 +496,11 @@ def _analyze_linear_forecast(ctx, events):
 
 
 def _regulate_cooldown(ctx, decision):
-    cooldown = int(ctx.policy.directives.get("cooldown", ctx.params.get("cooldown", 0)))
+    cooldown = ctx.policy.settings["cooldown"]
+    if cooldown is None:
+        cooldown = ctx.params["cooldown"]
     # Retroactive actions execute at the boundary itself, never in between.
-    spacing = 0 if isinstance(ctx.strategy, Retroactive) else int(ctx.params.get("step_spacing", 0))
+    spacing = 0 if isinstance(ctx.strategy, Retroactive) else ctx.params["step_spacing"]
     steps = tuple(
         (i * spacing, action) for i, action in enumerate(decision.proposed_actions)
     )
@@ -490,25 +512,45 @@ def _execute_actuate(ctx, scenario, decision):
         ctx.engine.actuate(ctx.now + offset, action, ctx.domain)
 
 
-MONITORS: dict[str, Callable] = {
-    "pass_through": _monitor_pass_through,
-    "event_type_filter": _monitor_event_type_filter,
+class Stage(NamedTuple):
+    """A registered stage behavior and the `param.*` keys it reads."""
+
+    behavior: Callable
+    params: tuple[Key, ...] = ()
+
+
+# Read by the analyzers that evacuate a host through `_evacuation`.
+_PLACEMENT_WEIGHT = Key("placement_weight", NUMBER, 1.0)
+
+MONITORS: dict[str, Stage] = {
+    "pass_through": Stage(_monitor_pass_through),
+    # A filter with nothing to pass could never decide.
+    "event_type_filter": Stage(_monitor_event_type_filter, (Key("event_types", NAMES),)),
 }
-AUDITORS: dict[str, Callable] = {
-    "pass_through": _audit_pass_through,
-    "drop_stale_sources": _audit_drop_stale_sources,
+AUDITORS: dict[str, Stage] = {
+    "pass_through": Stage(_audit_pass_through),
+    "drop_stale_sources": Stage(_audit_drop_stale_sources),
 }
-ANALYZERS: dict[str, Callable] = {
-    "threshold": _analyze_threshold,
-    "failure_count": _analyze_failure_count,
-    "linear_forecast": _analyze_linear_forecast,
+ANALYZERS: dict[str, Stage] = {
+    "threshold": Stage(_analyze_threshold, (
+        Key("event_type", TEXT, ""), Key("field", TEXT, "value"), Key("op", TEXT, "lt"),
+        Key("limit", NUMBER, 0.0), Key("plan", TEXT, "none"), Key("host_field", TEXT, "host"),
+        _PLACEMENT_WEIGHT)),
+    "failure_count": Stage(_analyze_failure_count, (
+        Key("event_type", TEXT, "host_failed"), Key("count", WHOLE, 1), Key("window", WHOLE, 0),
+        Key("host_field", TEXT, "host"), _PLACEMENT_WEIGHT)),
+    "linear_forecast": Stage(_analyze_linear_forecast, (
+        Key("event_type", TEXT, "resource_sample"), Key("field", TEXT, "level"),
+        Key("host_field", TEXT, "host"), Key("reset_action", TEXT, "reset_host_resource"))),
 }
-REGULATORS: dict[str, Callable] = {
-    "cooldown": _regulate_cooldown,
+REGULATORS: dict[str, Stage] = {
+    "cooldown": Stage(_regulate_cooldown, (Key("cooldown", WHOLE, 0), Key("step_spacing", WHOLE, 0))),
 }
-EXECUTORS: dict[str, Callable] = {
-    "actuate": _execute_actuate,
+EXECUTORS: dict[str, Stage] = {
+    "actuate": Stage(_execute_actuate),
 }
+_REGISTRIES = {"analyze": ANALYZERS, "monitor": MONITORS, "audit": AUDITORS,
+               "regulate": REGULATORS, "execute": EXECUTORS}
 
 
 # --- engine ---
@@ -595,15 +637,6 @@ class AdaptationEngine:
 
     def load_logic(self, domain: ObjectId, logic: AdaptationLogic,
                    policy: Optional[Policy] = None) -> None:
-        for registry_map, token in (
-            (MONITORS, logic.monitor),
-            (AUDITORS, logic.audit),
-            (ANALYZERS, logic.analyze),
-            (REGULATORS, logic.regulate),
-            (EXECUTORS, logic.execute),
-        ):
-            if token not in registry_map:
-                raise UnknownStage(f"unregistered stage behavior {token!r}")
         binding = self._binding(domain)
         binding.logic = logic
         if policy is not None:
@@ -614,8 +647,8 @@ class AdaptationEngine:
         binding.last_executed = {}
         binding.executions = []
         binding.generation += 1
-        binding.stages = (MONITORS[logic.monitor], AUDITORS[logic.audit], ANALYZERS[logic.analyze],
-                          REGULATORS[logic.regulate], EXECUTORS[logic.execute])
+        binding.stages = tuple(_REGISTRIES[stage][getattr(logic, stage)].behavior
+                               for stage in ("monitor", "audit", "analyze", "regulate", "execute"))
         binding.ctx = StageContext(self, domain, binding)
         self._routes.clear()
         if isinstance(logic.strategy, Retroactive):
@@ -716,8 +749,8 @@ class AdaptationEngine:
         if not policy.enabled:
             self._trace_decision(domain, logic, decision, PIPELINE_POLICY_SUPPRESSED)
             return PipelineOutcome(PIPELINE_POLICY_SUPPRESSED, decision)
-        window = int(policy.directives.get("window", 0))
-        limit = int(policy.directives.get("max_actions_per_window", 0))
+        window = policy.settings["window"]
+        limit = policy.settings["max_actions_per_window"]
         if limit > 0:
             floor = now - window if window > 0 else None
             recent = [t for t in binding.executions if floor is None or t > floor]

@@ -60,14 +60,6 @@ class NoLogicLoaded(AdaptdomError):
     """Domain has no adaptation logic bound."""
 
 
-class UnknownStage(AdaptdomError):
-    """A stage behavior token is not registered."""
-
-
-class InvalidPolicy(AdaptdomError):
-    """Policy directives contain keys outside the fixed vocabulary."""
-
-
 class InsufficientSamples(AdaptdomError):
     """Fewer than two distinct-time samples supplied to the forecaster."""
 
@@ -116,6 +108,10 @@ class ParseError(AdaptdomError):
 
 class ScenarioParseError(ParseError):
     """Scenario document failed to parse."""
+
+
+class UnknownStage(ScenarioParseError):
+    """A stage behavior token is not registered."""
 
 
 class UnknownVersion(AdaptdomError):

@@ -17,8 +17,12 @@ rows the decoder returns, and checks rows built in code the same way:
 their shape, their names and a component's state.
 
 A fault, probe or traffic entry checks itself when it is constructed;
-the parser adds the line to the error. `build_system` checks references
-between a document's parts, and the scenario keys the program reads.
+the parser adds the line to the error. So does each line's attribute
+list, against `LINE_ATTRS`, and a host row, which is trusted after. Every
+key is checked by what reads it (`keys`), as `build_system` builds it: a
+logic, its policy and strategy, and the scenario, which reaches the
+System whole. `build_system` adds the section to such an error, and it
+checks the references between a document's parts.
 """
 
 from __future__ import annotations
@@ -28,18 +32,7 @@ import re
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from .adaptation import (
-    NUMBER_PARAMS,
-    POLICY_KEYS,
-    AdaptationLogic,
-    Policy,
-    PolicySource,
-    Proactive,
-    Reactive,
-    Retroactive,
-    Strategy,
-    strategy_name,
-)
+from .adaptation import STRATEGIES, AdaptationLogic, Policy, strategy_name
 from .confgraph import (
     STATES,
     Component,
@@ -59,9 +52,10 @@ from .errors import (
     ScenarioParseError,
     UnknownVersion,
 )
-from .paths import TOKEN_RE, check_tokens
-from .registry import Kind, ObjectId
-from .system import Host, System
+from .keys import INTEGER, TEXT, Key, Type, keys_of, read_keys
+from .paths import check_tokens
+from .registry import Kind, ObjectId, Registry
+from .system import Host, ScenarioSpec, System
 from .trace import format_scalar
 
 FORMAT_HEADER = "adaptdom-config 1"
@@ -331,14 +325,28 @@ def _parse_kv(line: str, lineno: int) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
-def _parse_attrs(parts: list[str], lineno: int) -> dict[str, str]:
-    out = {}
+# The `name=value` attributes of each line kind, as the line's reader takes them.
+_DECIMAL, _WHOLE = Type("a number", float), Type("an integer", int)
+LINE_ATTRS = {
+    "sensor": (Key("heartbeat", _DECIMAL),),
+    "host": (Key("capacity", _DECIMAL), Key("leak", _DECIMAL), Key("level", _DECIMAL),
+             Key("status", TEXT)),
+    "link": (Key("quality", _DECIMAL),),
+    "traffic": (Key("period", _WHOLE), Key("start", _WHOLE, 0)),
+}
+
+
+def _line_attrs(kind: str, parts: list[str]) -> dict:
+    """The attributes of a line of `kind`, each given once, read by its declaration."""
+    attrs = {}
     for part in parts:
-        if "=" not in part:
-            raise ScenarioParseError(f"expected attr=value, got {part!r}", line=lineno)
-        k, _, v = part.partition("=")
-        out[k] = v
-    return out
+        name, sep, value = part.partition("=")
+        if not sep:
+            raise ScenarioParseError(f"expected attr=value, got {part!r}")
+        if name in attrs:
+            raise ScenarioParseError(f"key {name}: repeated")
+        attrs[name] = value
+    return read_keys(LINE_ATTRS[kind], attrs, f"not a {kind} attribute")
 
 
 def _parse_body_line(doc, section, current_domain, current_logic, line, lineno):
@@ -376,21 +384,18 @@ def _parse_body_line(doc, section, current_domain, current_logic, line, lineno):
         parts = line.split()
         if len(parts) != 3 or parts[0] != "sensor":
             raise ScenarioParseError(f"bad sensor line {line!r}", line=lineno)
-        attrs = _parse_attrs(parts[2:], lineno)
-        doc.sensors.append((int(parts[1]), float(attrs["heartbeat"])))
+        doc.sensors.append((int(parts[1]), _line_attrs("sensor", parts[2:])["heartbeat"]))
     elif section == "hosts":
         parts = line.split()
         if parts[0] == "host":
             check_tokens(parts[1:2])
-            attrs = _parse_attrs(parts[2:], lineno)
-            host = (parts[1], float(attrs["capacity"]), float(attrs["level"]),
-                    float(attrs["leak"]), attrs["status"])
+            attrs = _line_attrs("host", parts[2:])
+            host = (parts[1], attrs["capacity"], attrs["level"], attrs["leak"], attrs["status"])
             _check_host(host)
-            doc.hosts.append(host)
+            doc.hosts.append(tuple.__new__(_HostRow, host))
         elif parts[0] == "link":
             check_tokens(parts[1:3])
-            attrs = _parse_attrs(parts[3:], lineno)
-            doc.links.append((parts[1], parts[2], float(attrs["quality"])))
+            doc.links.append((parts[1], parts[2], _line_attrs("link", parts[3:])["quality"]))
         else:
             raise ScenarioParseError(f"bad hosts line {line!r}", line=lineno)
     elif section == "scenario":
@@ -402,13 +407,19 @@ def _parse_body_line(doc, section, current_domain, current_logic, line, lineno):
         elif parts[0] == "traffic":
             path = parts[1].split(",")
             check_tokens(path)
-            attrs = _parse_attrs(parts[2:], lineno)
-            doc.flows.append(FlowDecl(tuple(path), int(attrs["period"]), int(attrs.get("start", 0))))
+            attrs = _line_attrs("traffic", parts[2:])
+            doc.flows.append(FlowDecl(tuple(path), attrs["period"], attrs["start"]))
         else:
             key, value = _parse_kv(line, lineno)
             if key in doc.scenario_keys:
                 raise ScenarioParseError(f"repeated scenario key {key!r}", line=lineno)
             doc.scenario_keys[key] = parse_scalar(value)
+
+
+class _HostRow(tuple):
+    """A `(host, capacity, level, leak, status)` row the parser checked."""
+
+    __slots__ = ()
 
 
 def _check_host(host: tuple[str, float, float, float, str]) -> None:
@@ -420,68 +431,74 @@ def _check_host(host: tuple[str, float, float, float, str]) -> None:
 
 # --- document -> live system ---
 
-def _build_strategy(section: LogicSection) -> Strategy:
-    if section.strategy == "reactive":
-        return Reactive()
-    if section.strategy == "proactive":
-        sp = section.strategy_params
-        return Proactive(
-            window=sp.get("window", 100),
-            critical=float(sp.get("critical", 0.0)),
-            margin=float(sp.get("margin", 0.0)),
-        )
-    if section.strategy == "retroactive":
-        return Retroactive(period=section.strategy_params.get("period", 100))
-    raise DanglingReference(f"unknown strategy {section.strategy!r}")
-
-
-# The keys read as integers: scenario keys, as every `host_object.<host>`
-# is, and a logic section's `strategy.*` keys.
-_INT_KEYS = {"agent_hop_latency", "audit_period", "jitter", "link_period",
-             "liveness_period", "reconfig_latency", "resource_period",
-             "strategy.window", "strategy.period"}
-# The keys read as finite numbers, as every `policy.*` directive is.
-_NUMBER_KEYS = {"exhaustion_critical", "strategy.critical", "strategy.margin"}
-
-
-def _key_wants(key: str, value) -> Optional[str]:
-    """What key `key` must hold if `value` does not, else None: a scenario
-    key, or a logic section's `strategy.*`, `policy.*` or `param.*` key."""
-    if key in _INT_KEYS or key.startswith("host_object."):
-        return None if isinstance(value, int) else "an integer"
-    if key == "policy.enabled":
-        return None if isinstance(value, int) and value in (0, 1) else "0 or 1"
-    if key == "policy.source":
-        return None if value in ("human", "parent") else "human or parent"
-    if (key in _NUMBER_KEYS or key.startswith("policy.")
-            or key.startswith("param.") and key[len("param."):] in NUMBER_PARAMS):
-        return None if isinstance(value, (int, float)) and math.isfinite(value) else "a finite number"
-    if key == "name":
-        return None if TOKEN_RE.fullmatch(str(value)) else "a token"
-    return None
+def _logic_and_policy(section: LogicSection) -> tuple[AdaptationLogic, Policy]:
+    """A logic section's logic and policy, which check their own keys as
+    they are built; the error names the section."""
+    try:
+        if section.strategy not in STRATEGIES:
+            raise ScenarioParseError(f"key strategy: {section.strategy!r} is not a strategy")
+        cls = STRATEGIES[section.strategy]
+        strategy = cls(**read_keys(keys_of(cls), section.strategy_params,
+                                   f"not a {section.strategy} strategy field", "strategy."))
+        logic = AdaptationLogic(section.name, strategy, params=dict(section.params), **section.stages)
+        directives = dict(section.policy)
+        own = {key: directives.pop(key) for key in ("enabled", "source") if key in directives}
+        return logic, Policy(directives=directives, **own)
+    except ScenarioParseError as exc:
+        raise ScenarioParseError(f"logic {section.path} {exc}") from None
 
 
 def build_system(doc: ConfigDocument) -> System:
     """Reconstruct a live system from a parsed document."""
-    for key, value in doc.scenario_keys.items():
-        wanted = _key_wants(key, value)
-        if wanted:
-            raise ScenarioParseError(f"scenario key {key}: {value!r} is not {wanted}")
-    for section in doc.logics:
-        for prefix, values in (("strategy", section.strategy_params), ("policy", section.policy),
-                               ("param", section.params)):
-            for key, value in values.items():
-                if prefix == "policy" and key != "source" and key not in POLICY_KEYS:
-                    raise ScenarioParseError(
-                        f"logic {section.path} key policy.{key}: not a policy key")
-                wanted = _key_wants(f"{prefix}.{key}", value)
-                if wanted:
-                    raise ScenarioParseError(
-                        f"logic {section.path} key {prefix}.{key}: {value!r} is not {wanted}")
+    bindings = [(section, *_logic_and_policy(section))
+                for section in sorted(doc.logics, key=lambda s: (s.path, s.doc_id))]
+    declared = dict(doc.objects)
+    if doc.root_id not in declared:
+        raise DanglingReference(f"root id {doc.root_id} not declared")
+    if declared[doc.root_id] != Kind.DOMAIN.value:
+        raise DanglingReference("root object must be domain-kind")
+    registry = Registry()
+    id_map: dict[int, ObjectId] = {doc.root_id: registry.create_root()}
+    for doc_id, kind_name in sorted(doc.objects):
+        if doc_id != doc.root_id:
+            id_map[doc_id] = registry.register(_KIND_NAMES[kind_name])
+
+    def lookup(doc_id: int) -> ObjectId:
+        if doc_id not in id_map:
+            raise DanglingReference(f"undeclared object id {doc_id}")
+        return id_map[doc_id]
+
+    for section in sorted(doc.domains, key=lambda s: (s.path, s.doc_id)):
+        domain = lookup(section.doc_id)
+        for name, member in sorted(section.members):
+            registry.include(domain, lookup(member), name)
+    host_ids = {row[0] for row in doc.hosts}
+    for fault in doc.faults:
+        for host_arg in fault.hosts:
+            if host_arg not in host_ids:
+                raise DanglingReference(f"fault references unknown host {host_arg!r}")
+    sensor_ids = {doc_id for doc_id, _ in doc.sensors}
+    probes = []
+    for probe in doc.probes:
+        probes.append((lookup(probe.sensor), probe.kind, probe.args))
+        if probe.sensor not in sensor_ids:
+            raise DanglingReference(f"probe sensor {probe.sensor} is not registered")
+        for host_arg in probe.args:
+            if host_arg not in host_ids:
+                raise DanglingReference(f"probe references unknown host {host_arg!r}")
+    keys = dict(doc.scenario_keys)
+    # A `host_object.<host>` key pairs a declared host with a managed object, by its document id.
+    pairs = {key: keys.pop(key) for key in list(keys) if key.startswith("host_object.")}
+    try:
+        pairs = read_keys([Key(key, INTEGER) for key in pairs if key[len("host_object."):] in host_ids],
+                          pairs, "not a host")
+        scenario = ScenarioSpec(keys, tuple(doc.faults), tuple(probes), tuple(doc.flows),
+                                {key[len("host_object."):]: lookup(oid) for key, oid in pairs.items()})
+    except ScenarioParseError as exc:
+        raise ScenarioParseError(f"scenario {exc}") from None
     # Rows `decode_graph` returned are trusted. A row built in code gets
     # the decoder's checks as its loop reaches it: its shape, its names,
     # and a component's state.
-    host_ids = {row[0] for row in doc.hosts}
     new = tuple.__new__  # a row built in C, not by the named tuple's Python `__new__`
     components: dict[str, Component] = {}
     for row in sorted(doc.components):
@@ -522,87 +539,23 @@ def build_system(doc: ConfigDocument) -> System:
                 f"connection {src} {sport} -> {dst} {dport}: port {src} {sport} is already connected")
         ports.add(port)
         connections.add(conn)
-    system = System(ConfigGraph(components, connections),
-                    reconfig_latency=doc.scenario_keys.get("reconfig_latency", 1),
-                    agent_hop_latency=doc.scenario_keys.get("agent_hop_latency", 1))
-    declared = dict(doc.objects)
-    if doc.root_id not in declared:
-        raise DanglingReference(f"root id {doc.root_id} not declared")
-    if declared[doc.root_id] != Kind.DOMAIN.value:
-        raise DanglingReference("root object must be domain-kind")
-    id_map: dict[int, ObjectId] = {}
-    id_map[doc.root_id] = system.registry.create_root()
-    for doc_id, kind_name in sorted(doc.objects):
-        if doc_id == doc.root_id:
-            continue
-        id_map[doc_id] = system.registry.register(_KIND_NAMES[kind_name])
-
-    def lookup(doc_id: int) -> ObjectId:
-        if doc_id not in id_map:
-            raise DanglingReference(f"undeclared object id {doc_id}")
-        return id_map[doc_id]
-
-    for section in sorted(doc.domains, key=lambda s: (s.path, s.doc_id)):
-        domain = lookup(section.doc_id)
-        for name, member in sorted(section.members):
-            system.registry.include(domain, lookup(member), name)
-    for section in sorted(doc.logics, key=lambda s: (s.path, s.doc_id)):
-        domain = lookup(section.doc_id)
-        stages = dict(section.stages)
-        logic = AdaptationLogic(
-            name=section.name,
-            strategy=_build_strategy(section),
-            analyze=stages.get("analyze", "threshold"),
-            monitor=stages.get("monitor", "pass_through"),
-            audit=stages.get("audit", "pass_through"),
-            regulate=stages.get("regulate", "cooldown"),
-            execute=stages.get("execute", "actuate"),
-            params=dict(section.params),
-        )
-        directives = {
-            k: float(v) for k, v in section.policy.items()
-            if k not in ("source", "enabled")
-        }
-        policy = Policy(
-            source=PolicySource(section.policy.get("source", "human")),
-            directives=directives,
-            enabled=bool(section.policy.get("enabled", 1)),
-        )
-        system.engine.load_logic(domain, logic, policy)
-    for doc_id, heartbeat in sorted(doc.sensors):
-        system.hub.register_sensor(lookup(doc_id), int(heartbeat))
-    for host_id, capacity, level, leak, status in sorted(doc.hosts):
-        system.hosts.add(Host(host_id, capacity, leak, status == "up", start_level=level))
-    for a, b, quality in sorted(doc.links):
-        system.hosts.set_link_quality(a, b, quality)
-    system.scenario_params = dict(doc.scenario_keys)
-    # The host lines' own check, for a document built in code.
-    for host in doc.hosts:
-        _check_host(host)
-    for fault in doc.faults:
-        for host_arg in fault.hosts:
-            if not system.hosts.host_exists(host_arg):
-                raise DanglingReference(f"fault references unknown host {host_arg!r}")
-    for probe in doc.probes:
-        sensor = lookup(probe.sensor)
-        if not system.hub.is_sensor(sensor):
-            raise DanglingReference(f"probe sensor {probe.sensor} is not registered")
-        for host_arg in probe.args:
-            if not system.hosts.host_exists(host_arg):
-                raise DanglingReference(f"probe references unknown host {host_arg!r}")
     for flow in doc.flows:
         for cid in flow.path:
             if cid not in components:
                 raise DanglingReference(f"traffic flow references unknown component {cid!r}")
-    # Scenario wiring consumed by the simulator.
-    system.doc_faults = list(doc.faults)
-    system.doc_probes = [(lookup(p.sensor), p.kind, p.args) for p in doc.probes]
-    system.doc_flows = list(doc.flows)
-    # Host objects: a probe on a host binds the host to the managed object
-    # the scenario paired with it via `host_object` scenario keys.
-    for key, value in doc.scenario_keys.items():
-        if key.startswith("host_object."):
-            system.bind_host_object(key[len("host_object."):], lookup(value))
+    system = System(ConfigGraph(components, connections), scenario, registry)
+    for section, logic, policy in bindings:
+        system.engine.load_logic(lookup(section.doc_id), logic, policy)
+    for doc_id, heartbeat in sorted(doc.sensors):
+        system.hub.register_sensor(lookup(doc_id), int(heartbeat))
+    # Rows the parser returned are checked; a row built in code is checked here.
+    for row in sorted(doc.hosts):
+        if type(row) is not _HostRow:
+            _check_host(row)
+        host_id, capacity, level, leak, status = row
+        system.hosts.add(Host(host_id, capacity, leak, status == "up", start_level=level))
+    for a, b, quality in sorted(doc.links):
+        system.hosts.set_link_quality(a, b, quality)
     return system
 
 
@@ -646,11 +599,8 @@ def capture_system(system: System, allow_orphans: bool = False) -> ConfigDocumen
         logic = system.engine.logic_of(oid)
         if logic is not None:
             policy = system.engine.policy_of(oid)
-            pol: dict = {
-                "enabled": 1 if policy.enabled else 0,
-                "source": policy.source.value,
-            }
-            pol.update(policy.directives)
+            pol: dict = {"enabled": 1 if policy.enabled else 0, "source": policy.source.value,
+                         **policy.directives}
             doc.logics.append(LogicSection(
                 doc_id=canon[oid],
                 path=min_path(oid),
@@ -676,18 +626,13 @@ def capture_system(system: System, allow_orphans: bool = False) -> ConfigDocumen
         doc.components.append((cid, comp.kind, comp.host, comp.state.value))
     for conn in sorted(graph.connections, key=lambda c: c.render()):
         doc.connections.append((conn.src, conn.src_port, conn.dst, conn.dst_port))
-    doc.scenario_keys = {
-        k: v for k, v in system.scenario_params.items()
-        if not k.startswith("host_object.")
-    }
+    scenario = system.scenario
+    doc.scenario_keys = dict(scenario.keys)
     for host_id in sorted(system.host_objects):
         doc.scenario_keys[f"host_object.{host_id}"] = canon[system.host_objects[host_id]]
-    doc.faults = list(system.doc_faults)
-    doc.probes = [
-        ProbeDecl(canon[sensor], kind, args)
-        for sensor, kind, args in system.doc_probes
-    ]
-    doc.flows = list(system.doc_flows)
+    doc.faults = list(scenario.faults)
+    doc.probes = [ProbeDecl(canon[sensor], kind, args) for sensor, kind, args in scenario.probes]
+    doc.flows = list(scenario.flows)
     return doc
 
 

@@ -31,14 +31,8 @@ class Simulator:
         self.system = build_system(source) if isinstance(source, ConfigDocument) else source
         self.seed = seed
         self.rng = random.Random(seed)
-        params = self.system.scenario_params
-        self.name = str(params.get("name", "scenario"))
-        self.liveness_period = int(params.get("liveness_period", 10))
-        self.resource_period = int(params.get("resource_period", 10))
-        self.link_period = int(params.get("link_period", 0))
-        self.audit_period = int(params.get("audit_period", 0))
-        self.jitter = int(params.get("jitter", 0))
-        self.exhaustion_critical = float(params.get("exhaustion_critical", 0.0))
+        self.scenario = self.system.scenario
+        self._critical = self.scenario.settings["exhaustion_critical"]
         # Bound once for the traffic and probe paths. The manager's graph is
         # built before the simulator and every commit edits its components
         # dict in place, so traffic always sees the current components here.
@@ -67,23 +61,25 @@ class Simulator:
         for host_id in self.system.hosts.host_ids():
             if not self.system.hosts.host_is_up(host_id):
                 self._down_since[host_id] = self.clock.now
-        for fault in self.system.doc_faults:
+        scenario = self.scenario
+        keys = scenario.settings
+        for fault in scenario.faults:
             self.inject(fault)
         probes = {
-            "liveness": (self.liveness_period, self._probe_liveness),
-            "resource": (self.resource_period, self._probe_resource),
-            "link": (self.link_period, self._probe_link),
+            "liveness": (keys["liveness_period"], self._probe_liveness),
+            "resource": (keys["resource_period"], self._probe_resource),
+            "link": (keys["link_period"], self._probe_link),
         }
-        for sensor, kind, args in self.system.doc_probes:
-            period, probe = probes.get(kind, (0, None))
+        for sensor, kind, args in scenario.probes:
+            period, probe = probes[kind]
             if period <= 0:
                 continue
-            phase = self.rng.randrange(period) if self.jitter else 0
+            phase = self.rng.randrange(period) if keys["jitter"] else 0
             self._every(phase, period, partial(probe, sensor, *args))
-        for flow in self.system.doc_flows:
+        for flow in scenario.flows:
             self._every(flow.start, flow.period, partial(self._spawn_flow, flow))
-        if self.audit_period > 0:
-            self._every(self.audit_period, self.audit_period, self.system.run_audits)
+        if keys["audit_period"] > 0:
+            self._every(keys["audit_period"], keys["audit_period"], self.system.run_audits)
 
     def _every(self, start: int, period: int, fn) -> None:
         clock, schedule = self.clock, self._schedule
@@ -133,7 +129,7 @@ class Simulator:
         if not host.up:
             return
         level = host.level(self.clock.now)
-        if level <= self.exhaustion_critical:
+        if level <= self._critical:
             if host_id not in self._exhausted:
                 self._exhausted.add(host_id)
                 self._exhaustions += 1
@@ -193,7 +189,7 @@ class Simulator:
             "txns_committed": self.trace.count("txn_commit"),
         }
         return RunReport(
-            scenario=self.name,
+            scenario=self.scenario.settings["name"],
             seed=self.seed,
             until=until,
             trace_blocks=self.trace.blocks(),

@@ -3,15 +3,16 @@
 A System bundles one registry, one actuation hub, one adaptation engine,
 and one configuration manager around a shared deterministic clock and
 trace. `System.__init__` is the one place that wires them, each through
-its constructor, in this order: the clock, the trace (which stamps
-every line with the clock's time), the registry and host table; the
-state the System owns and lends out (the occupancy counts that traffic
-writes, the host-to-object map that loading fills in); the
+its constructor, in this order: the scenario it runs (a `ScenarioSpec`,
+checked as it is built), the clock, the trace (which stamps every line
+with the clock's time), the registry (given, or a new one) and host
+table; the state the System owns and lends out (the occupancy counts
+that traffic writes, the host-to-object map the scenario pairs); the
 configuration manager, with the System's commit and abort hooks; then
 the adaptation engine, which builds its own actuation hub, and the
 System's agent action `reset_host_resource`. Nothing is attached to
 them afterwards. Hosts fail through `kill_host`. The simulator drives a
-System from a scenario; tests may also drive one directly.
+System through its scenario; tests may also drive one directly.
 
 The clock is a calendar queue (R. Brown, CACM 31(10), 1988): time is
 integer ticks, so each pending tick keeps a FIFO list of its callbacks
@@ -29,6 +30,7 @@ from typing import Callable, Optional
 from .adaptation import AdaptationEngine
 from .confgraph import ConfigGraph, ConfigManager
 from .errors import HostDown, UnknownHost
+from .keys import INTEGER, NUMBER, TOKEN, Key, read_keys
 from .registry import ObjectId, Registry
 from .trace import TraceLog
 
@@ -174,41 +176,70 @@ class HostTable:
         return out
 
 
+# The `[scenario]` keys. The simulator reads each one but the latencies,
+# which the System hands its configuration manager and engine.
+SCENARIO_KEYS = (
+    Key("agent_hop_latency", INTEGER, 1), Key("audit_period", INTEGER, 0),
+    Key("exhaustion_critical", NUMBER, 0.0), Key("jitter", INTEGER, 0),
+    Key("link_period", INTEGER, 0), Key("liveness_period", INTEGER, 10),
+    Key("name", TOKEN, "scenario"), Key("reconfig_latency", INTEGER, 1),
+    Key("resource_period", INTEGER, 10))
+
+
+@dataclass(frozen=True)
+class ScenarioSpec:
+    """A checked `[scenario]` section: its keys as the document set them,
+    which a save writes (`settings` holds every key as its reader takes
+    it); the fault entries; the probes, as (sensor object, kind, args);
+    the traffic flows; and the managed object each `host_object.<host>`
+    key pairs with a host."""
+
+    keys: dict = field(default_factory=dict)
+    faults: tuple = ()
+    probes: tuple = ()
+    flows: tuple = ()
+    host_objects: dict[str, ObjectId] = field(default_factory=dict)
+    settings: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "settings",
+                           read_keys(SCENARIO_KEYS, self.keys, "not a scenario key"))
+
+
 class System:
-    """One fully wired framework instance around a shared clock and trace."""
+    """One fully wired framework instance around a shared clock and trace,
+    running `scenario` over `registry` (a new one by default)."""
 
     def __init__(self, graph: Optional[ConfigGraph] = None,
-                 reconfig_latency: int = 1, agent_hop_latency: int = 1):
+                 scenario: ScenarioSpec = ScenarioSpec(), registry: Optional[Registry] = None):
+        self.scenario = scenario
         self.clock = SimClock()
         self.trace = TraceLog(self.clock)
-        self.registry = Registry()
+        self.registry = registry if registry is not None else Registry()
         self.hosts = HostTable(self.clock)
         # Application traffic inside each component, written by the simulator.
         self.occupancy: dict[str, int] = {}
-        # host_id <-> managed object mapping, filled in by config loading.
+        # host_id <-> managed object mapping, as the scenario pairs them.
         self.host_objects: dict[str, ObjectId] = {}
         self._object_hosts: Optional[dict[ObjectId, str]] = None
+        for host_id, oid in scenario.host_objects.items():
+            self.bind_host_object(host_id, oid)
         self.config_manager = ConfigManager(
             graph if graph is not None else ConfigGraph(),
             self.clock,
             self.trace,
             self.hosts,
             self.occupancy,
-            reconfig_latency,
+            scenario.settings["reconfig_latency"],
             on_abort=self._on_txn_abort,
             on_commit=self._on_txn_commit,
         )
         self.engine = AdaptationEngine(
             self.registry, self.trace, self.clock, self.config_manager,
-            self.hosts, self.host_objects, agent_hop_latency,
+            self.hosts, self.host_objects, scenario.settings["agent_hop_latency"],
         )
         self.hub = self.engine.hub
         self.hub.register_action("reset_host_resource", self._reset_host_resource)
-        self.scenario_params: dict[str, float | int | str] = {}
-        # Scenario script (faults, probes, traffic flows) from the document.
-        self.doc_faults: list = []
-        self.doc_probes: list = []
-        self.doc_flows: list = []
 
     @property
     def graph(self) -> ConfigGraph:

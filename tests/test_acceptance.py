@@ -37,12 +37,13 @@ from adaptdom.persistence import (
     ProbeDecl,
     build_system,
     load_config,
+    parse_document,
     render_document,
     save_config,
 )
 from adaptdom.report import verify_report
 from adaptdom.simharness import Simulator
-from adaptdom.system import Host, System
+from adaptdom.system import Host, ScenarioSpec, System
 
 from conftest import SCENARIOS, applied, copied, of_kind
 from test_persistence import random_system, structural_fingerprint
@@ -212,7 +213,7 @@ def test_criterion_3_concurrent_reconfiguration():
             "A": Component("svc", "h1"), "B": Component("svc", "h1"),
             "C": Component("svc", "h1"), "D": Component("svc", "h1"),
         }, {Connection("A", "out", "B", "in"), Connection("C", "out", "D", "in")})
-        system = System(graph=graph, reconfig_latency=3)
+        system = System(graph=graph, scenario=ScenarioSpec({"reconfig_latency": 3}))
         system.hosts.add(Host("h1", 1000.0))
         fa = system.config_manager.submit(ReconfigTxn("ta", (ReplaceComponent("B", "svc"),)))
         fb = system.config_manager.submit(ReconfigTxn("tb", (ReplaceComponent("D", "svc"),)))
@@ -223,7 +224,7 @@ def test_criterion_3_concurrent_reconfiguration():
         assert fa.result.status == fb.result.status == "committed"
 
         # (b) Conflicting transactions never overlap.
-        system = System(graph=copied(graph), reconfig_latency=3)
+        system = System(graph=copied(graph), scenario=ScenarioSpec({"reconfig_latency": 3}))
         system.hosts.add(Host("h1", 1000.0))
         f1 = system.config_manager.submit(ReconfigTxn("t1", (ReplaceComponent("B", "svc"),)))
         f2 = system.config_manager.submit(ReconfigTxn("t2", (MoveComponent("B", "h1"),)))
@@ -239,12 +240,12 @@ def test_criterion_3_concurrent_reconfiguration():
         cases = 1000
         for case in range(cases):
             g0 = _random_case_graph(rng, rng.randrange(4, 7))
-            system = System(graph=copied(g0), reconfig_latency=rng.randrange(1, 3))
+            path = tuple(sorted(g0.components))[:3]
+            system = System(graph=copied(g0), scenario=ScenarioSpec(
+                {"reconfig_latency": rng.randrange(1, 3)}, flows=(FlowDecl(path, period=3, start=0),)))
             system.hosts.add(Host("h1", 1000.0))
             system.hosts.add(Host("h2", 1000.0))
             sim = Simulator(system, seed=case)
-            path = tuple(sorted(g0.components))[:3]
-            system.doc_flows = [FlowDecl(path, period=3, start=0)]
             flights = []
             n_txns = rng.randrange(1, 5)
             for k in range(n_txns):
@@ -286,8 +287,10 @@ def test_criterion_3_concurrent_reconfiguration():
 
 def test_criterion_4_dynamic_attribute_acquisition():
     with criterion(4, "exclusion stops and re-inclusion restores rejuvenation"):
-        system = load_config(SCENARIOS["rejuvenation"])
-        system.scenario_params["jitter"] = 0
+        with open(SCENARIOS["rejuvenation"], encoding="utf-8") as fh:
+            doc = parse_document(fh.read())
+        doc.scenario_keys["jitter"] = 0
+        system = build_system(doc)
         sim = Simulator(system, seed=0)
         rejuv = system.registry.resolve("/rejuvenation")
 

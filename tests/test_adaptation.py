@@ -15,6 +15,7 @@ from adaptdom.adaptation import (
     Proactive,
     Reactive,
     Retroactive,
+    Stage,
     plan_placement_moves,
 )
 from adaptdom.confgraph import (
@@ -24,7 +25,6 @@ from adaptdom.confgraph import (
     ReconfigTxn,
 )
 from adaptdom.errors import (
-    InvalidPolicy,
     NoLogicLoaded,
     NotADomain,
     ScenarioParseError,
@@ -84,7 +84,7 @@ def marker_analyzer():
             return None
         return Decision(ctx.domain, (events[-1].event_id,), ())
 
-    ANALYZERS["marker"] = analyze
+    ANALYZERS["marker"] = Stage(analyze)
     yield "marker"
     del ANALYZERS["marker"]
 
@@ -97,7 +97,7 @@ def bad_target_analyzer():
         return Decision(ctx.domain, (events[-1].event_id,), (),
                         target_paths=("no/such/member",))
 
-    ANALYZERS["bad_target"] = analyze
+    ANALYZERS["bad_target"] = Stage(analyze)
     yield "bad_target"
     del ANALYZERS["bad_target"]
 
@@ -603,7 +603,7 @@ class TestPropagation:
             seen.extend((ctx.domain, event) for event in events)
             return None
 
-        ANALYZERS["spy"] = spy
+        ANALYZERS["spy"] = Stage(spy)
         try:
             for domain in (a, b):
                 system.engine.load_logic(domain, AdaptationLogic("spy", Reactive(), analyze="spy"))
@@ -620,8 +620,65 @@ class TestPropagation:
 
 
 def test_policy_rejects_unknown_directives():
-    with pytest.raises(InvalidPolicy):
+    with pytest.raises(ScenarioParseError, match="key policy.not_a_key: not a policy key"):
         Policy(directives={"not_a_key": 1})
+
+
+class TestDeclaredKeys:
+    """A logic, a policy and a strategy built in code check their keys as
+    the document's are checked, and read them typed and defaulted."""
+
+    @pytest.mark.parametrize("build, problem", [
+        (lambda: AdaptationLogic("h", Reactive(), analyze="failure_count",
+                                 monitor="event_type_filter",
+                                 params={"event_types": "host_failed", "cuont": 1}),
+         "key param.cuont: not read by failure_count, event_type_filter or cooldown"),
+        (lambda: AdaptationLogic("h", Reactive(), analyze="failure_count",
+                                 monitor="event_type_filter"),
+         "key param.event_types: required, and not set"),
+        (lambda: AdaptationLogic("h", Reactive(), analyze="failure_count",
+                                 params={"limit": 0.5}),
+         "key param.limit: not read by failure_count or cooldown"),
+        (lambda: AdaptationLogic("h", Reactive(), analyze="failure_count", params={"count": "x"}),
+         "key param.count: 'x' is not a finite number"),
+        (lambda: AdaptationLogic("h", Reactive(), analyze="failure_cout"),
+         "key analyze: 'failure_cout' is not a registered analyze stage"),
+        (lambda: Proactive(window="300"), "key strategy.window: '300' is not an integer"),
+        (lambda: Retroactive(period=2.5), "key strategy.period: 2.5 is not an integer"),
+        (lambda: Policy(source="bogus"), "key policy.source: 'bogus' is not human or parent"),
+        (lambda: Policy(enabled=2), "key policy.enabled: 2 is not 0 or 1"),
+    ])
+    def test_a_key_built_in_code_is_checked(self, build, problem):
+        with pytest.raises(ScenarioParseError) as err:
+            build()
+        assert str(err.value) == problem
+
+    def test_an_unknown_stage_is_a_parse_error(self):
+        with pytest.raises(UnknownStage):
+            AdaptationLogic("h", Reactive(), monitor="nope")
+        assert issubclass(UnknownStage, ScenarioParseError)
+
+    def test_stages_read_typed_defaulted_settings(self):
+        logic = AdaptationLogic("h", Reactive(), analyze="failure_count",
+                                monitor="event_type_filter",
+                                params={"event_types": "a,b", "count": 2.7, "host_field": 5})
+        assert logic.params == {"event_types": "a,b", "count": 2.7, "host_field": 5}
+        assert logic.settings == {
+            "event_type": "host_failed", "count": 2, "window": 0, "host_field": "5",
+            "placement_weight": 1.0, "event_types": frozenset({"a", "b"}),
+            "cooldown": 0, "step_spacing": 0,
+        }
+
+    def test_strategy_and_policy_fields_hold_what_they_read(self):
+        assert Proactive() == Proactive(window=100, critical=0.0, margin=0.0)
+        assert repr(Proactive(critical=0, margin=5)) == repr(Proactive(critical=0.0, margin=5.0))
+        assert Retroactive().period == 100
+        policy = Policy(source="parent", directives={"cooldown": 50, "forecast_margin": 3}, enabled=0)
+        assert (policy.source, policy.enabled) == (PolicySource.PARENT_DOMAIN, False)
+        assert policy.directives == {"cooldown": 50.0, "forecast_margin": 3.0}
+        assert policy.settings == {"cooldown": 50, "forecast_margin": 3.0,
+                                   "max_actions_per_window": 0, "window": 0}
+        assert Policy().settings["cooldown"] is None
 
 
 class _HostView:

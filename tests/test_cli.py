@@ -194,6 +194,9 @@ class TestValidate:
          "/healing key param.placement_weight: 'heavy' is not a finite number"),
         ("optimization", "param.limit = 0.5", "param.limit = 1e400",
          "/optimization key param.limit: inf is not a finite number"),
+        # Too large for a float: once an OverflowError traceback.
+        ("healing", "param.count = 1", "param.count = " + "9" * 400,
+         "/healing key param.count: " + "9" * 400 + " is not a finite number"),
     ])
     def test_a_logic_value_the_program_cannot_read_exits_2(self, tmp_path, capsys, scenario,
                                                            line, edited, problem):
@@ -207,6 +210,42 @@ class TestValidate:
             assert cli_main(argv) == 2
             err = capsys.readouterr().err
             assert f"logic {problem}" in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line, edited, problem", [
+        # Misspelt, the filter has nothing to pass and the domain never decides.
+        ("param.event_types = host_failed", "param.event_type = host_failed",
+         "logic /healing key param.event_types: required, and not set"),
+        ("param.count = 1", "param.cuont = 1",
+         "logic /healing key param.cuont: not read by failure_count, event_type_filter or cooldown"),
+        ("liveness_period = 10", "liveness_period = 10\nliveness_perod = 5",
+         "scenario key liveness_perod: not a scenario key"),
+        ("strategy = reactive", "strategy = reactive\nstrategy.windw = 5",
+         "logic /healing key strategy.windw: not a reactive strategy field"),
+        ("traffic c02,c06,c10 period=7 start=3", "traffic c02,c06,c10 period=7 strat=3",
+         "key strat: not a traffic attribute"),
+        ("host hostA capacity=1000.0 leak=0.0 level=1000.0 status=up",
+         "host hostA capacity=1000.0 leak=0.0 level=1000.0 status=up colour=red",
+         "key colour: not a host attribute"),
+        ("analyze = failure_count", "analyze = failure_cout",
+         "logic /healing key analyze: 'failure_cout' is not a registered analyze stage"),
+        ("strategy = reactive", "strategy = reactiv",
+         "logic /healing key strategy: 'reactiv' is not a strategy"),
+        ("host_object.hostC = 8", "host_object.hostC = 8\nhost_object.hostZ = 8",
+         "scenario key host_object.hostZ: not a host"),
+    ])
+    def test_a_key_nothing_reads_exits_2(self, tmp_path, capsys, line, edited, problem):
+        # Each of these edits of healing.cfg once validated and ran.
+        with open(SCENARIOS["healing"]) as fh:
+            text = fh.read()
+        assert f"\n{line}\n" in text
+        bad = tmp_path / "key.cfg"
+        bad.write_text(text.replace(f"\n{line}\n", f"\n{edited}\n"))
+        for argv in (["validate", str(bad)], ["run", str(bad), "--until", "300"]):
+            capsys.readouterr()
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert problem in err
             assert "Traceback" not in err
 
     def test_a_repeated_scenario_key_exits_2_naming_its_line(self, tmp_path, capsys):

@@ -26,7 +26,7 @@ from adaptdom.confgraph import (
 from adaptdom.errors import BadToken, InvalidTxn
 from adaptdom.registry import Kind
 from adaptdom.report import RunReport, verify_report
-from adaptdom.system import Host, System
+from adaptdom.system import Host, ScenarioSpec, System
 from adaptdom.trace import TraceLog
 
 from conftest import applied, chain_graph, copied, entries, of_kind, violations_of
@@ -275,7 +275,7 @@ class TestApply:
 
 
 def manager_on(graph, latency=1):
-    system = System(graph=graph, reconfig_latency=latency)
+    system = System(graph=graph, scenario=ScenarioSpec({"reconfig_latency": latency}))
     system.hosts.add(Host("h1", 1000.0))
     system.hosts.add(Host("h2", 1000.0))
     return system

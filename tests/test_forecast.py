@@ -20,6 +20,7 @@ from adaptdom.adaptation import (
     Decision,
     Policy,
     Proactive,
+    Stage,
     _fit,
     _least_squares,
     forecast_exhaustion,
@@ -211,7 +212,7 @@ def test_least_squares_is_bit_equal_to_generator_sums(samples):
 
 @pytest.fixture(scope="module")
 def reference_analyzer():
-    ANALYZERS["reference_linear_forecast"] = reference_linear_forecast
+    ANALYZERS["reference_linear_forecast"] = Stage(reference_linear_forecast)
     yield "reference_linear_forecast"
     del ANALYZERS["reference_linear_forecast"]
 
@@ -326,7 +327,7 @@ def test_the_kept_column_fit_is_bit_equal_to_least_squares(batches, window, marg
     for batch in batches:
         _run_batch(system.engine, rejuv, [AdaptationEvent(eid, sensor, kind, dict(payload), t)
                                           for eid, kind, payload, t in batch])
-        products = state["kept"][3]
+        products = state["products"]
         for host, (times, levels, _) in state["series"].items():
             if len(set(times)) < 2:
                 continue

@@ -15,6 +15,7 @@ from adaptdom.errors import (
     ScenarioParseError,
     UnknownVersion,
 )
+from adaptdom import persistence
 from adaptdom.persistence import build_system, load_config, parse_document, save_config
 from adaptdom.registry import EnumerateMode, Kind
 from adaptdom.system import Host, System
@@ -232,6 +233,38 @@ class TestErrors:
         with pytest.raises(ScenarioParseError, match="status must be up or down, got 'Up'"):
             build_system(doc)
 
+    def test_a_parsed_host_row_is_checked_once(self, monkeypatch):
+        # The parser checks each host line; `build_system` trusts the rows
+        # it returned and checks only the one built in code.
+        checked = []
+        check = persistence._check_host
+        monkeypatch.setattr(persistence, "_check_host", lambda row: checked.append(row) or check(row))
+        with open(SCENARIOS["healing"]) as fh:
+            doc = parse_document(fh.read())
+        assert [row[0] for row in checked] == ["hostA", "hostB", "hostC"]
+        checked.clear()
+        doc.hosts.append(("hostD", 10.0, 10.0, 0.0, "up"))
+        build_system(doc)
+        assert checked == [("hostD", 10.0, 10.0, 0.0, "up")]
+
+    def test_building_assigns_nothing_onto_the_system(self, monkeypatch):
+        # The scenario reaches the System whole, through its constructor.
+        built = set()
+        init = System.__init__
+
+        def tracked_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.add(id(self))
+
+        def guarded_setattr(self, name, value):
+            assert id(self) not in built, f"System.{name} assigned after construction"
+            object.__setattr__(self, name, value)
+
+        monkeypatch.setattr(System, "__init__", tracked_init)
+        monkeypatch.setattr(System, "__setattr__", guarded_setattr)
+        for path in SCENARIOS.values():
+            assert id(load_config(path)) in built
+
     def test_truncated_file_gives_parse_error_with_location(self):
         full = save_config(load_config(SCENARIOS["healing"])).decode()
         truncated = "\n".join(full.splitlines()[:10]) + "\n"
@@ -260,12 +293,12 @@ class TestErrors:
         system.registry.include(system.registry.root, d, "d")
         system.engine.load_logic(d, AdaptationLogic(
             name="tiny", strategy=Reactive(), analyze="threshold",
-            params={"limit": 1e-07, "big": 1e+16},
+            params={"limit": 1e-07, "placement_weight": 1e+16},
         ))
         rebuilt = load_config(save_config(system))
         logic = rebuilt.engine.logic_of(rebuilt.registry.resolve("/d"))
         assert logic.params["limit"] == 1e-07
-        assert logic.params["big"] == 1e+16
+        assert logic.params["placement_weight"] == 1e+16
         assert isinstance(logic.params["limit"], float)
 
     def test_comments_and_blank_lines_ignored(self):

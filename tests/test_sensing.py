@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adaptdom.adaptation import ANALYZERS, AdaptationLogic, Decision, Reactive, Retroactive
+from adaptdom.adaptation import ANALYZERS, AdaptationLogic, Decision, Reactive, Retroactive, Stage
 from adaptdom.confgraph import ReconfigTxn, ReplaceComponent
 from adaptdom.errors import (
     AdaptdomError,
@@ -144,7 +144,7 @@ def test_routes_follow_membership_and_logic(seed, actions):
     sensors = [o for o in objects if o.kind is Kind.SENSOR][-2:]
     for s in sensors:
         system.hub.register_sensor(s, 0)
-    ANALYZERS["spy_runs"] = _spy_runs
+    ANALYZERS["spy_runs"] = Stage(_spy_runs)
     try:
         for n, (op, a, b) in enumerate(actions):
             # Most actions touch the domains above one sensor, whose route
@@ -206,7 +206,7 @@ class TestCommands:
         system.registry.include(root, child, "child")
         system.registry.include(child, s, "s")
         system.hub.register_sensor(s, 0)
-        ANALYZERS["mark"] = lambda ctx, events: Decision(ctx.domain, (events[-1].event_id,), ())
+        ANALYZERS["mark"] = Stage(lambda ctx, events: Decision(ctx.domain, (events[-1].event_id,), ()))
         try:
             system.engine.load_logic(root, AdaptationLogic("m", Reactive(), analyze="mark"))
             outcomes = dict(system.engine.dispatch_event(AdaptationEvent(1, s, "x", {}, 0)))
@@ -356,7 +356,7 @@ def _decide_every(ctx, events):
 def nested_system(patch):
     """/parent/child/s with a sensor s, both domains deciding on every
     event (through `patch`), and three components on host h1."""
-    patch.setitem(ANALYZERS, "every", _decide_every)
+    patch.setitem(ANALYZERS, "every", Stage(_decide_every))
     system = System(chain_graph(3))
     system.hosts.add(Host("h1", 100.0))
     root = system.registry.create_root()

@@ -5,7 +5,8 @@ import pytest
 
 from adaptdom.errors import ScenarioParseError, UnknownHost
 from adaptdom.persistence import (
-    FaultEntry, FlowDecl, ProbeDecl, capture_system, load_config, parse_document, save_config,
+    FaultEntry, FlowDecl, ProbeDecl, build_system, capture_system, load_config, parse_document,
+    save_config,
 )
 from adaptdom.registry import Kind
 from adaptdom.report import verify_report
@@ -66,9 +67,10 @@ class TestFaults:
         assert first_time == 100
 
     def test_set_leak_shows_exact_slope(self):
-        system = load_config(SCENARIOS["rejuvenation"])
-        system.scenario_params["jitter"] = 0
-        sim = Simulator(system, seed=0)
+        with open(SCENARIOS["rejuvenation"], encoding="utf-8") as fh:
+            doc = parse_document(fh.read())
+        doc.scenario_keys["jitter"] = 0
+        sim = Simulator(build_system(doc), seed=0)
         sim.run_until(300)
         samples = [
             (entry.time, float(dict(
