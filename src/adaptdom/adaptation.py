@@ -117,7 +117,8 @@ class Policy:
         self.settings = settings
 
 
-_STAGES = ("analyze", "monitor", "audit", "regulate", "execute")
+# The stage keys of a logic section, in the order its errors name the readers.
+STAGES = ("analyze", "monitor", "audit", "regulate", "execute")
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ class AdaptationLogic:
         check_token(self.name)
         declared: dict[str, Key] = {}
         readers: dict[str, None] = {}  # the bound stages that declare keys, in order
-        for stage in _STAGES:
+        for stage in STAGES:
             token = getattr(self, stage)
             if token not in _REGISTRIES[stage]:
                 raise UnknownStage(f"key {stage}: {token!r} is not a registered {stage} stage")

@@ -32,7 +32,7 @@ import re
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from .adaptation import STRATEGIES, AdaptationLogic, Policy, strategy_name
+from .adaptation import STAGES, STRATEGIES, AdaptationLogic, Policy, strategy_name
 from .confgraph import (
     STATES,
     Component,
@@ -245,7 +245,6 @@ def render_document(doc: ConfigDocument) -> str:
 _SECTION_RE = re.compile(r"^\[([a-z]+)( .*)?\]$")
 
 _KIND_NAMES = {k.value: k for k in Kind}
-_STAGE_KEYS = {"monitor", "audit", "analyze", "regulate", "execute"}
 
 
 def parse_document(text: str) -> ConfigDocument:
@@ -372,7 +371,7 @@ def _parse_body_line(doc, section, current_domain, current_logic, line, lineno):
             current_logic.strategy = value
         elif key.startswith("strategy."):
             current_logic.strategy_params[key[9:]] = parse_scalar(value)
-        elif key in _STAGE_KEYS:
+        elif key in STAGES:
             current_logic.stages[key] = value
         elif key.startswith("param."):
             current_logic.params[key[6:]] = parse_scalar(value)
@@ -607,7 +606,7 @@ def capture_system(system: System, allow_orphans: bool = False) -> ConfigDocumen
                 name=logic.name,
                 strategy=strategy_name(logic.strategy),
                 strategy_params=asdict(logic.strategy),
-                stages={stage: getattr(logic, stage) for stage in sorted(_STAGE_KEYS)},
+                stages={stage: getattr(logic, stage) for stage in sorted(STAGES)},
                 params=dict(logic.params),
                 policy=pol,
             ))
